@@ -26,7 +26,6 @@ from . import sketches
 from .errors import (
     IncompatibleShape,
     NoClosedForm,
-    NonPositiveDiagonal,
     TooLarge,
     WrongKind,
 )
@@ -68,70 +67,15 @@ class EstimatorKind:
         return cls(name, sk)
 
 
-_PERM_FAMILY = ("perm_q", "scaled_perm_homog", "scaled_perm_het", "perm_multiset")
-
-
-def _ist_perm1_fast(
-    k: SketchKind, p: QuadraticProblem, x: NDArray, rng: np.random.Generator
-) -> tuple[NDArray, SketchSample]:
-    """Vectorized one-coordinate-per-client step (n = d permutation kinds).
-
-    Produces bitwise the same gradient as the generic per-client loop.
-    """
-    n = p.n
-    perm = rng.permutation(n)
-    idx = np.arange(n)
-    Ljj = p.diag[idx, perm]
-    if k.kind == "scaled_perm_het":
-        if np.any(p.diag <= 0.0):
-            raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
-        w = np.sqrt(n / Ljj)
-    elif k.kind == "perm_q":
-        w = np.full(n, float(n))
-    else:  # scaled_perm_homog / perm_multiset with n = d
-        w = np.full(n, np.sqrt(float(n)))
-    bj = p.b[idx, perm]
-    g = np.zeros(n)
-    g[perm] = (w * (Ljj * (w * x[perm]) - bj)) / n
-    s = SketchSample(
-        k, n, n,
-        coords=tuple(perm[i : i + 1] for i in range(n)),
-        weights=tuple(w[i : i + 1] for i in range(n)),
-        permutation=perm,
-    )
-    return g, s
-
-
 def _ist_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    g = np.zeros(p.d)
-    if s.blocks is not None:
-        c = s.scale
-        for i in range(p.n):
-            idx = s.coords[i]
-            blk = s.blocks[i]
-            wx = c * (blk @ x[idx])
-            t = p.L[i][np.ix_(idx, idx)] @ wx - p.b[i][idx]
-            g[idx] += c * (blk @ t)
-    else:
-        for i in range(p.n):
-            idx = s.coords[i]
-            w = s.weights[i]
-            wx = w * x[idx]
-            t = p.L[i][np.ix_(idx, idx)] @ wx - p.b[i][idx]
-            g[idx] += w * t
-    return g / p.n
+    wx = sketches._times(s.factors, x[s.idx][..., None])
+    t = sketches._sub_blocks(p, s.idx) @ wx - sketches._rows(p.b, s.idx)[..., None]
+    return sketches._accumulate(s.idx, sketches._times(s.factors, t), p.d) / p.n
 
 
 def _cgd_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    g = np.zeros(p.d)
-    for i in range(p.n):
-        idx = s.coords[i]
-        local = p.L[i][idx, :] @ x - p.b[i][idx]
-        if s.blocks is not None:
-            g[idx] += s.scale * (s.blocks[i] @ local)
-        else:
-            g[idx] += s.weights[i] * local
-    return g / p.n
+    local = sketches._rows(p.L, s.idx) @ x - sketches._rows(p.b, s.idx)
+    return sketches._accumulate(s.idx, sketches._times(s.factors, local[..., None]), p.d) / p.n
 
 
 def estimate(
@@ -151,9 +95,6 @@ def estimate(
         return p.grad(x), None
     if est.sketch.kind == "identity":
         return p.grad(x), sketches.identity_sample(p.n, p.d)
-    if est.kind == "ist" and est.sketch.kind in _PERM_FAMILY and p.n == p.d:
-        sketches.resolve_block_size(est.sketch, p.n, p.d)
-        return _ist_perm1_fast(est.sketch, p, x, rng)
     s = sketches.sample(est.sketch, p, rng)
     if est.kind == "ist":
         return _ist_gradient(p, s, x), s

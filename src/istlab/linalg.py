@@ -29,9 +29,10 @@ PSD_TOL = 1e-9
 RANK_TOL_FACTOR = 1e-10
 
 
-def _as_square(m: NDArray) -> NDArray:
+def _as_square(m: NDArray, stacked: bool = False) -> NDArray:
+    """``m`` as float64, which must be square or, if ``stacked``, (..., k, k)."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stacked) or m.shape[-1] != m.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -45,9 +46,9 @@ def check_finite(a: NDArray) -> NDArray:
 
 
 def symmetrize(m: NDArray) -> NDArray:
-    """Return the symmetric part (M + M^T) / 2."""
-    m = _as_square(m)
-    return (m + m.T) / 2.0
+    """Return the symmetric part (M + M^T) / 2 of a matrix or of each in a stack."""
+    m = _as_square(m, stacked=True)
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,9 @@ class Spectrum:
     eigenvectors : ndarray, shape (d, d)
         Orthonormal columns; ``eigenvectors[:, i]`` pairs with
         ``eigenvalues[i]``.
+
+    For a stack of matrices both carry the stack's leading axes; the methods
+    below take a single matrix.
     """
 
     eigenvalues: NDArray
@@ -89,7 +93,7 @@ class Spectrum:
 
 
 def eig_sym(m: NDArray) -> Spectrum:
-    """Eigendecompose a (nearly) symmetric matrix.
+    """Eigendecompose a (nearly) symmetric matrix, or each of a stack (..., d, d).
 
     The input is symmetrized before factorization; eigenvalues are returned
     in ascending order.
@@ -99,7 +103,7 @@ def eig_sym(m: NDArray) -> Spectrum:
     NonFinite
         If any entry is NaN or infinite.
     """
-    m = check_finite(_as_square(m))
+    m = check_finite(_as_square(m, stacked=True))
     vals, vecs = np.linalg.eigh(symmetrize(m))
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
@@ -156,18 +160,14 @@ def psd_pinv(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
     return eig_sym(m).apply_function(lambda v: 1.0 / v, rank_tol_factor)
 
 
-def psd_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
-    """Symmetric square root of a PSD matrix (clamped eigenvalues -> 0)."""
-    return eig_sym(m).apply_function(np.sqrt, rank_tol_factor)
-
-
 def psd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
     """Symmetric inverse square root of a PSD matrix (pseudo-inverse style)."""
     return eig_sym(m).apply_function(lambda v: 1.0 / np.sqrt(v), rank_tol_factor)
 
 
 def spd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
-    """Inverse square root of a strictly positive-definite matrix.
+    """Inverse square root of a strictly positive-definite matrix, or of each
+    matrix in a stack of shape (..., k, k).
 
     Unlike :func:`psd_inv_sqrt` this refuses singular input instead of
     silently projecting it away.
@@ -175,14 +175,15 @@ def spd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArra
     Raises
     ------
     SingularMatrix
-        If lambda_min <= rank_tol_factor * lambda_max.
+        If lambda_min <= rank_tol_factor * lambda_max for any matrix.
     """
     spec = eig_sym(m)
     vals = spec.eigenvalues
-    if vals.min() <= rank_tol_factor * max(vals.max(), 0.0) or vals.max() <= 0.0:
+    lo, hi = vals[..., 0], vals[..., -1]
+    if np.any(lo <= rank_tol_factor * np.maximum(hi, 0.0)) or np.any(hi <= 0.0):
         raise SingularMatrix("matrix is numerically singular; cannot form inverse square root")
     v = spec.eigenvectors
-    return (v * (1.0 / np.sqrt(vals))) @ v.T
+    return (v * (1.0 / np.sqrt(vals))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def solve_psd(m: NDArray, v: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:

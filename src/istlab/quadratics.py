@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -128,6 +129,11 @@ class QuadraticProblem:
     def homogeneous(self) -> bool:
         """True iff all clients share bitwise-identical (L_i, b_i)."""
         return bool((self.L == self.L[0]).all() and (self.b == self.b[0]).all())
+
+    @cached_property
+    def positive_diagonal(self) -> bool:
+        """True iff every [L_i]_jj > 0; computed on first use, then cached."""
+        return bool((self.diag > 0.0).all())
 
     # -- evaluation -------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Sketch operators: sampling, application, and exact expectations.
 
 Every sketch used here selects coordinates: client ``i`` receives a
-symmetric PSD matrix ``C_i`` supported on a coordinate set ``S_i``.  For all
-kinds except the heterogeneity-scaled permutation sketch with more than one
-coordinate per client, ``C_i`` is diagonal and is stored as a sparse list of
-(coordinate, weight) pairs.
+symmetric PSD matrix ``C_i`` supported on a coordinate set ``S_i`` of q
+coordinates.  A joint realization is stored stacked over clients (see
+:class:`SketchSample`): an (n, q) array of coordinates and the restriction
+of each ``C_i`` to its coordinates.  That restriction is a weight vector,
+because ``C_i`` is diagonal, for every kind except the heterogeneity-scaled
+permutation sketch with q > 1, which stores dense q x q blocks.  Each
+operation on a sample works on the whole stack at once.
 
 Kinds
 -----
@@ -34,6 +37,7 @@ bernoulli
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -164,22 +168,45 @@ def resolve_block_size(kind: SketchKind, n: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class SketchSample:
-    """One joint realization {C_1, ..., C_n}.
+    """One joint realization {C_1, ..., C_n} in a stacked layout.
 
-    ``weights[i]`` holds the diagonal weights on ``coords[i]``.  For the
-    block-scaled heterogeneous kind ``blocks[i]`` holds the dense q x q
-    factor applied on ``coords[i]`` and ``scale`` its scalar multiplier;
-    in that case ``weights`` is None.
+    ``idx`` is an (n, q) int array: row i holds the coordinates S_i that
+    client i keeps.  ``factors`` holds C_i restricted to S_i for every
+    client: an (n, q) array of diagonal weights, or, for scaled_perm_het with
+    q > 1, an (n, q, q) stack of dense blocks.  Bernoulli keeps a different
+    number of coordinates per client, so each of its rows is padded to the
+    draw's largest kept count with coordinates the client dropped, at weight
+    zero; a zero weight marks padding and nothing else.
+
+    ``coords[i]`` and ``weights[i]`` read client i's kept coordinates and
+    their weights without padding; ``blocks`` is the block stack, or None
+    for diagonal factors, in which case ``weights`` is not None.
     """
 
     kind: SketchKind
     n: int
     d: int
-    coords: tuple[NDArray, ...]
-    weights: tuple[NDArray, ...] | None = None
-    blocks: tuple[NDArray, ...] | None = None
-    scale: float = 1.0
+    idx: NDArray
+    factors: NDArray
     permutation: NDArray | None = None
+
+    @property
+    def coords(self) -> NDArray | tuple[NDArray, ...]:
+        return self._unpadded(self.idx)
+
+    @property
+    def weights(self) -> NDArray | tuple[NDArray, ...] | None:
+        return None if self.factors.ndim == 3 else self._unpadded(self.factors)
+
+    @property
+    def blocks(self) -> NDArray | None:
+        return self.factors if self.factors.ndim == 3 else None
+
+    def _unpadded(self, rows: NDArray) -> NDArray | tuple[NDArray, ...]:
+        w = self.factors
+        if w.ndim == 3 or w.all():
+            return rows
+        return tuple(r[wi != 0.0] for r, wi in zip(rows, w))
 
     def apply(self, i: int, x: NDArray) -> NDArray:
         """C_i x as a dense vector (zeros off the kept coordinates)."""
@@ -187,99 +214,126 @@ class SketchSample:
         if x.shape != (self.d,):
             raise DimMismatch(f"expected vector of length {self.d}")
         out = np.zeros(self.d)
-        idx = self.coords[i]
-        if self.blocks is not None:
-            out[idx] = self.scale * (self.blocks[i] @ x[idx])
-        else:
-            out[idx] = self.weights[i] * x[idx]
+        idx = self.idx[i]
+        out[idx] = _times(self.factors[i : i + 1], x[idx][None, :, None])[0, :, 0]
         return out
 
     def client_matrix(self, i: int) -> NDArray:
         """Dense d x d matrix of C_i."""
-        m = np.zeros((self.d, self.d))
-        idx = self.coords[i]
-        if self.blocks is not None:
-            m[np.ix_(idx, idx)] = self.scale * self.blocks[i]
-        else:
-            m[idx, idx] = self.weights[i]
-        return m
+        return _scatter(self.idx[i], self._blocks()[i], self.d)
 
     def mean_sketch(self) -> NDArray:
         """(1/n) sum_i C_i as a dense matrix."""
-        m = np.zeros((self.d, self.d))
-        for i in range(self.n):
-            idx = self.coords[i]
-            if self.blocks is not None:
-                m[np.ix_(idx, idx)] += self.scale * self.blocks[i]
-            else:
-                m[idx, idx] += self.weights[i]
-        return m / self.n
+        return _scatter(self.idx, self._blocks(), self.d) / self.n
 
     def curvature(self, p: QuadraticProblem) -> NDArray:
         """Per-round curvature B = (1/n) sum_i C_i L_i C_i, dense."""
-        m = np.zeros((self.d, self.d))
-        for i in range(self.n):
-            idx = self.coords[i]
-            sub = p.L[i][np.ix_(idx, idx)]
-            if self.blocks is not None:
-                blk = self.scale * self.blocks[i]
-                m[np.ix_(idx, idx)] += blk @ sub @ blk
-            else:
-                w = self.weights[i]
-                m[np.ix_(idx, idx)] += np.outer(w, w) * sub
-        return m / self.n
+        cl = _times(self.factors, _sub_blocks(p, self.idx))
+        clc = _times(self.factors, np.swapaxes(cl, 1, 2))
+        return _scatter(self.idx, clc, self.d) / self.n
 
     def linear_term(self, p: QuadraticProblem) -> NDArray:
         """(1/n) sum_i C_i b_i as a dense vector."""
-        v = np.zeros(self.d)
-        for i in range(self.n):
-            idx = self.coords[i]
-            if self.blocks is not None:
-                v[idx] += self.scale * (self.blocks[i] @ p.b[i][idx])
-            else:
-                v[idx] += self.weights[i] * p.b[i][idx]
-        return v / self.n
+        cb = _times(self.factors, _rows(p.b, self.idx)[..., None])
+        return _accumulate(self.idx, cb, self.d) / self.n
+
+    def _blocks(self) -> NDArray:
+        """C_i restricted to S_i as an (n, q, q) stack."""
+        return _times(self.factors, np.eye(self.idx.shape[1]))
 
 
-def _het_blocks(p: QuadraticProblem, coords: list[NDArray]) -> tuple[NDArray, ...]:
-    """Per-client factors (L_i[S,S])^{-1/2} for the scaled heterogeneous kind."""
-    if np.any(p.diag <= 0.0):
+def _times(factors: NDArray, m: NDArray) -> NDArray:
+    """C_i restricted to S_i times m[i], for every client i.
+
+    ``factors`` is (n, q) weights or (n, q, q) blocks and ``m`` is (n, q, k),
+    or (q, k) shared by all clients: weights scale rows, blocks multiply.
+    This is the one place that tells diagonal factors from blocks.
+    """
+    if factors.ndim == 2:
+        return factors[..., None] * m
+    return factors @ m
+
+
+@functools.lru_cache(maxsize=16)
+def _client_offsets(n: int, d: int) -> NDArray:
+    """Read-only (n, 1) column of i * d: turns client i's coordinates into
+    row numbers of its (n * d, ...) flattened per-client data."""
+    off = np.arange(n)[:, None] * d
+    off.setflags(write=False)
+    return off
+
+
+# The gathers below index one flattened axis rather than (client, coordinate)
+# pairs: numpy releases the interpreter lock for multi-array fancy indexing,
+# and on tiny problems the repeat threads then spend more time handing the
+# lock over than gathering.
+
+
+def _rows(a: NDArray, idx: NDArray) -> NDArray:
+    """a[i][idx[i]] for every client i; ``a`` is (n, d, ...) per-client data."""
+    n, d = a.shape[:2]
+    return a.reshape((n * d,) + a.shape[2:])[idx + _client_offsets(n, d)]
+
+
+def _sub_blocks(p: QuadraticProblem, idx: NDArray) -> NDArray:
+    """L_i[S_i, S_i] for every client, shape (n, q, q)."""
+    d = p.d
+    flat_rows = (idx + _client_offsets(p.n, d)) * d
+    return p.L.reshape(-1)[flat_rows[:, :, None] + idx[:, None, :]]
+
+
+def _accumulate(idx: NDArray, v: NDArray, d: int) -> NDArray:
+    """sum_i of the per-client values v[i] placed at idx[i] in a length-d vector."""
+    return np.bincount(idx.ravel(), weights=v.ravel(), minlength=d)
+
+
+def _scatter(idx: NDArray, blocks: NDArray, d: int) -> NDArray:
+    """sum_i of the q x q blocks placed at idx[i] x idx[i] in a d x d matrix."""
+    flat = idx[..., :, None] * d + idx[..., None, :]
+    return _accumulate(flat, blocks, d * d).reshape(d, d)
+
+
+def _require_positive_diagonal(p: QuadraticProblem) -> None:
+    if not p.positive_diagonal:
         raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
-    blocks = []
-    for i, idx in enumerate(coords):
-        sub = p.L[i][np.ix_(idx, idx)]
-        blocks.append(linalg.spd_inv_sqrt(sub))
-    return tuple(blocks)
+
+
+def _het_factors(p: QuadraticProblem, idx: NDArray) -> NDArray:
+    """Factors sqrt(n) (L_i[S_i, S_i])^{-1/2}: weights for q = 1, else blocks."""
+    _require_positive_diagonal(p)
+    if idx.shape[1] == 1:
+        return np.sqrt(p.n / _rows(p.diag, idx))
+    return math.sqrt(p.n) * linalg.spd_inv_sqrt(_sub_blocks(p, idx))
 
 
 def _from_permutation(kind: SketchKind, p: QuadraticProblem, perm: NDArray) -> SketchSample:
-    """Assemble a permutation-family sample from a drawn permutation."""
+    """Assemble a permutation-family sample from a drawn permutation.
+
+    Client i holds the i-th run of q consecutive entries of ``perm``.
+    """
     n, d = p.n, p.d
+    idx = perm.reshape(n, -1)
+    if kind.kind == "scaled_perm_het":
+        return SketchSample(kind, n, d, idx, _het_factors(p, idx), permutation=perm)
     if kind.kind == "perm_multiset":
-        coords = tuple(perm[i : i + 1].copy() for i in range(n))
         w = math.sqrt(d)
-        weights = tuple(np.full(1, w) for _ in range(n))
-        return SketchSample(kind, n, d, coords, weights=weights, permutation=perm)
-    q = d // n
-    coords = tuple(perm[i * q : (i + 1) * q].copy() for i in range(n))
-    if kind.kind == "perm_q":
-        weights = tuple(np.full(q, float(n)) for _ in range(n))
-        return SketchSample(kind, n, d, coords, weights=weights, permutation=perm)
-    if kind.kind == "scaled_perm_homog":
-        weights = tuple(np.full(q, math.sqrt(n)) for _ in range(n))
-        return SketchSample(kind, n, d, coords, weights=weights, permutation=perm)
-    # scaled_perm_het
-    if np.any(p.diag <= 0.0):
-        raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
-    if q == 1:
-        weights = tuple(
-            np.sqrt(n / p.diag[i][coords[i]]) for i in range(n)
-        )
-        return SketchSample(kind, n, d, coords, weights=weights, permutation=perm)
-    blocks = _het_blocks(p, list(coords))
-    return SketchSample(
-        kind, n, d, coords, blocks=blocks, scale=math.sqrt(n), permutation=perm
-    )
+    elif kind.kind == "perm_q":
+        w = float(n)
+    else:  # scaled_perm_homog
+        w = math.sqrt(n)
+    return SketchSample(kind, n, d, idx, np.full(idx.shape, w), permutation=perm)
+
+
+def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
+    """Assemble a Bernoulli sample from an (n, d) boolean keep mask."""
+    n, d = mask.shape
+    kept = mask.sum(axis=1)
+    q = int(kept.max(initial=0))
+    # a stable sort puts each row's kept coordinates first, in order, and
+    # pads with coordinates the client dropped
+    idx = np.argsort(~mask, axis=1, kind="stable")[:, :q]
+    weights = np.where(np.arange(q) < kept[:, None], 1.0 / kind.p, 0.0)
+    return SketchSample(kind, n, d, idx, weights)
 
 
 def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator) -> SketchSample:
@@ -298,32 +352,18 @@ def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator) -> S
         multiset = np.repeat(np.arange(d), n // d)
         return _from_permutation(kind, p, rng.permutation(multiset))
     if kind.kind == "rand_q":
-        coords = tuple(
-            np.sort(rng.choice(d, size=kind.q, replace=False)) for _ in range(n)
-        )
-        w = d / kind.q
-        weights = tuple(np.full(kind.q, w) for _ in range(n))
-        return SketchSample(kind, n, d, coords, weights=weights)
-    # bernoulli
-    coords = []
-    weights = []
-    w = 1.0 / kind.p
-    for _ in range(n):
-        mask = rng.random(d) < kind.p
-        idx = np.flatnonzero(mask)
-        coords.append(idx)
-        weights.append(np.full(idx.size, w))
-    return SketchSample(kind, n, d, tuple(coords), weights=tuple(weights))
+        idx = np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
+        return SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q))
+    # bernoulli; one (n, d) draw is the stream of n draws of length d
+    return _from_mask(kind, rng.random((n, d)) < kind.p)
 
 
 def identity_sample(n: int, d: int) -> SketchSample:
     """The deterministic identity realization (consumes no randomness)."""
-    idx = np.arange(d)
-    ones = np.ones(d)
     return SketchSample(
         SketchKind.identity(), n, d,
-        coords=tuple(idx for _ in range(n)),
-        weights=tuple(ones for _ in range(n)),
+        idx=np.broadcast_to(np.arange(d), (n, d)),
+        factors=np.broadcast_to(1.0, (n, d)),
     )
 
 
@@ -360,7 +400,12 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
     n, d = p.n, p.d
     count = enumeration_count(kind, n, d)
     if count > ENUMERATION_BUDGET:
-        raise TooLarge(f"{count} joint outcomes exceed the budget {ENUMERATION_BUDGET}")
+        # the count itself is left out: n! can exceed Python's limit on the
+        # digits an int may format
+        raise TooLarge(
+            f"{kind.kind} at n={n}, d={d} has more joint outcomes than the budget "
+            f"{ENUMERATION_BUDGET}"
+        )
     if kind.kind == "identity":
         yield 1.0, identity_sample(n, d)
         return
@@ -378,33 +423,25 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
             yield prob, _from_permutation(kind, p, np.array(perm))
         return
     if kind.kind == "rand_q":
-        w = d / kind.q
+        weights = np.broadcast_to(d / kind.q, (n, kind.q))  # read-only, shared by every outcome
         prob = 1.0 / count
         subsets = list(itertools.combinations(range(d), kind.q))
         for joint in itertools.product(subsets, repeat=n):
-            coords = tuple(np.array(s) for s in joint)
-            weights = tuple(np.full(kind.q, w) for _ in range(n))
-            yield prob, SketchSample(kind, n, d, coords, weights=weights)
+            yield prob, SketchSample(kind, n, d, np.array(joint), weights)
         return
     # bernoulli: outcomes are NOT equiprobable; weight each mask by its
     # probability p^{kept} (1-p)^{dropped}.
-    keep_w = 1.0 / kind.p
     masks = list(itertools.product((0, 1), repeat=d))
     mask_prob = {
         m: (kind.p ** sum(m)) * ((1.0 - kind.p) ** (d - sum(m))) for m in masks
     }
     for joint in itertools.product(masks, repeat=n):
         prob = 1.0
-        coords = []
-        weights = []
         for m in joint:
             prob *= mask_prob[m]
-            idx = np.flatnonzero(np.array(m, dtype=bool))
-            coords.append(idx)
-            weights.append(np.full(idx.size, keep_w))
         if prob == 0.0:
             continue
-        yield prob, SketchSample(kind, n, d, tuple(coords), weights=tuple(weights))
+        yield prob, _from_mask(kind, np.array(joint, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +545,7 @@ def closed_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
             curv, second, p.b_bar / math.sqrt(d), method="closed_form"
         )
     if kind.kind == "scaled_perm_het":
-        if np.any(p.diag <= 0.0):
-            raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
+        _require_positive_diagonal(p)
         if q == 1:
             linear = (p.b / np.sqrt(p.diag)).mean(axis=0) / math.sqrt(n)
         elif p.interpolation:

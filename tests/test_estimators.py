@@ -228,3 +228,43 @@ class TestHeterogeneityVariance:
         g2, _ = estimate(est, p, x, np.random.default_rng(20))
         np.testing.assert_allclose(g1, g2, atol=1e-12)
         assert heterogeneity_variance(p, est) == 0.0
+
+
+class TestStackedAgainstClientLoop:
+    """The stacked gradients against the per-client formulas on dense C_i."""
+
+    KINDS = [
+        SketchKind.perm_q(),
+        SketchKind.scaled_perm_homog(),
+        SketchKind.scaled_perm_het(),
+        SketchKind.rand_q(2),
+        SketchKind.bernoulli(0.5),
+    ]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("name", ["ist", "cgd"])
+    def test_gradient_matches_client_loop(self, kind, name):
+        p = gen_heterogeneous(3, 6, seed=12)
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            x = rng.standard_normal(6)
+            g, s = estimate(EstimatorKind(name, kind), p, x, rng)
+            ref = np.zeros(6)
+            for i in range(3):
+                C = s.client_matrix(i)
+                y = C @ x if name == "ist" else x
+                ref += C @ (p.L[i] @ y - p.b[i])
+            np.testing.assert_allclose(g, ref / 3, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    def test_bernoulli_padding_has_zero_weight(self):
+        p = gen_heterogeneous(4, 8, seed=14)
+        rng = np.random.default_rng(15)
+        s = sketches.sample(SketchKind.bernoulli(0.5), p, rng)
+        while len({len(c) for c in s.coords}) == 1:
+            s = sketches.sample(SketchKind.bernoulli(0.5), p, rng)
+        kept = max(len(c) for c in s.coords)
+        assert s.idx.shape == s.factors.shape == (4, kept)
+        for i in range(4):
+            np.testing.assert_array_equal(s.idx[i][: len(s.coords[i])], s.coords[i])
+            assert not s.factors[i][len(s.coords[i]):].any()
+            np.testing.assert_array_equal(np.diag(s.client_matrix(i))[s.coords[i]], s.weights[i])

@@ -151,3 +151,18 @@ class TestPinvFamily:
         m = b.T @ b + np.eye(4)
         v = rng.standard_normal(4)
         np.testing.assert_allclose(m @ linalg.solve_psd(m, v), v, atol=1e-10)
+
+
+class TestStackedInverseSqrt:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(8)
+        b = rng.standard_normal((5, 4, 4))
+        stack = b @ np.swapaxes(b, 1, 2) + np.eye(4)
+        out = linalg.spd_inv_sqrt(stack)
+        for m, s in zip(stack, out):
+            np.testing.assert_allclose(s, linalg.spd_inv_sqrt(m), atol=1e-14)
+
+    def test_stack_with_one_singular_block_is_rejected(self):
+        stack = np.stack([np.eye(3), np.outer(np.ones(3), np.ones(3)), np.eye(3)])
+        with pytest.raises(SingularMatrix):
+            linalg.spd_inv_sqrt(stack)

@@ -385,3 +385,11 @@ class TestMonteCarlo:
         target = 4.0 * np.diag(np.diag(p.L[0]))
         tol = 5.0 * m.curvature_stderr + 1e-9
         assert np.all(np.abs(m.curvature - target) <= tol)
+
+
+class TestBudgetMessage:
+    def test_huge_outcome_count_raises_too_large(self):
+        # 2000! has more digits than Python will format into a message
+        p = QuadraticProblem.from_arrays(np.ones((2000, 1, 1)), np.ones((2000, 1)))
+        with pytest.raises(TooLarge):
+            next(enumerate_outcomes(SketchKind.perm_multiset(), p))
