@@ -67,7 +67,7 @@ def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
         if extra:
             raise ConfigInvalid(f"unknown generator keys {sorted(extra)}")
         p = generate_problem(
-            spec["mode"], int(spec["n"]), int(spec["d"]), int(spec["seed"]),
+            spec["mode"], _json_int(spec, "n"), _json_int(spec, "d"), _json_int(spec, "seed"),
             bool(spec.get("precondition", False)),
         )
         return p, {"generator": spec}
@@ -79,8 +79,18 @@ def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(doc: dict, key: str, default: int | None = None) -> int:
+    """``doc[key]`` as an integer; JSON booleans, strings and floats are rejected."""
+    value = doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
     """Validate an experiment document; returns (config, output spec, provenance)."""
+    if not isinstance(doc, dict):
+        raise ConfigInvalid("experiment file must hold a JSON object")
     extra = set(doc) - EXPERIMENT_KEYS
     if extra:
         raise ConfigInvalid(f"unknown experiment keys {sorted(extra)}")
@@ -95,9 +105,12 @@ def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
         # shape mismatch
         raise ConfigInvalid(str(exc)) from exc
     schedule = StepSchedule.from_config(doc["schedule"])
-    metrics = tuple(doc.get("metrics", ["f_gap_rel_log"]))
+    metrics = doc.get("metrics", ["f_gap_rel_log"])
+    if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
+        raise ConfigInvalid(f"metrics must be a list of metric names, got {metrics!r}")
     output = doc["output"]
-    if not isinstance(output, dict) or set(output) != {"format", "path"}:
+    if (not isinstance(output, dict) or set(output) != {"format", "path"}
+            or not isinstance(output["path"], str)):
         raise ConfigInvalid("output must be {'format': 'csv'|'json', 'path': ...}")
     if output["format"] not in ("csv", "json"):
         raise ConfigInvalid("output format must be 'csv' or 'json'")
@@ -105,10 +118,10 @@ def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
         problem=problem,
         estimator=est,
         schedule=schedule,
-        K=int(doc["K"]),
-        seed=int(doc["seed"]),
-        repeats=int(doc.get("repeats", 1)),
-        metrics=metrics,
+        K=_json_int(doc, "K"),
+        seed=_json_int(doc, "seed"),
+        repeats=_json_int(doc, "repeats", 1),
+        metrics=tuple(metrics),
     )
     return cfg, output, provenance
 
@@ -253,16 +266,34 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg, output, provenance = _load_experiment(args.config)
-    gammas = [float(tok) for tok in args.gammas.split(",") if tok]
+def _parse_gammas(text: str) -> list[float]:
+    gammas = []
+    for tok in text.split(","):
+        if not tok:
+            continue
+        try:
+            g = float(tok)
+        except ValueError:
+            raise ConfigInvalid(f"--gammas entry {tok!r} is not a number") from None
+        StepSchedule.constant(g)  # rejects nan, inf and g <= 0
+        gammas.append(g)
     if not gammas:
         raise ConfigInvalid("sweep requires a nonempty --gammas list")
-    traces = runner.sweep(cfg, gammas)
+    return gammas
+
+
+def cmd_sweep(args) -> int:
+    gammas = _parse_gammas(args.gammas)
+    cfg, output, provenance = _load_experiment(args.config)
     base = Path(output["path"])
-    for g, trace in zip(gammas, traces):
-        out_g = dict(output)
-        out_g["path"] = str(base.with_name(f"{base.stem}_gamma{g:g}{base.suffix}"))
+    paths = [base.with_name(f"{base.stem}_gamma{g:g}{base.suffix}") for g in gammas]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            other = gammas[paths.index(path)]
+            raise ConfigInvalid(f"--gammas {other!r} and {gammas[i]!r} would both write {path}")
+    traces = runner.sweep(cfg, gammas)
+    for g, path, trace in zip(gammas, paths, traces):
+        out_g = dict(output, path=str(path))
         cfg_g = resolved_config_doc(cfg, out_g, provenance)
         cfg_g["schedule"] = cfg.schedule.with_gamma(g).to_config()
         write_outputs(trace, out_g, {"resolved_config": cfg_g})

@@ -83,22 +83,25 @@ def estimate(
     p: QuadraticProblem,
     x: NDArray,
     rng: np.random.Generator | None,
+    sample: SketchSample | None = None,
 ) -> tuple[NDArray, SketchSample | None]:
     """One gradient estimate; returns the joint sketch sample used (if any).
 
-    The identity sketch consumes no randomness and collapses to the exact
-    mean gradient, so ``ist`` with an identity sketch reproduces ``dgd``
-    bitwise.
+    A given ``sample`` is used instead of a fresh draw from ``rng``, so
+    several iterates can be estimated with one round's draw.  The identity
+    sketch consumes no randomness and collapses to the exact mean gradient,
+    so ``ist`` with an identity sketch reproduces ``dgd`` bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if est.kind == "dgd":
         return p.grad(x), None
+    if sample is None:
+        sample = sketches.sample(est.sketch, p, rng)
     if est.sketch.kind == "identity":
-        return p.grad(x), sketches.identity_sample(p.n, p.d)
-    s = sketches.sample(est.sketch, p, rng)
+        return p.grad(x), sample
     if est.kind == "ist":
-        return _ist_gradient(p, s, x), s
-    return _cgd_gradient(p, s, x), s
+        return _ist_gradient(p, sample, x), sample
+    return _cgd_gradient(p, sample, x), sample
 
 
 def _mean_client_sketches(est: EstimatorKind, p: QuadraticProblem) -> list[NDArray] | None:

@@ -5,6 +5,9 @@ round.  A run executes ``repeats`` independent trajectories that share the
 problem and the initial point; repeat ``r`` draws its sketches from the
 substream ``SeedSequence(seed, spawn_key=(r,))``, so a trace is bitwise
 reproducible for a fixed config regardless of thread count or scheduling.
+A sweep advances its step sizes in lockstep: each round's joint sketch is
+drawn once and shared by every step size, and each step size's trace is
+bitwise equal to a separate run at that step size.
 
 Metrics (recorded at every iterate x^0 .. x^K):
 
@@ -28,7 +31,10 @@ are NaN and the run still returns normally.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +58,14 @@ METRICS = (
 DIVERGENCE_LIMIT = 1e100
 
 
+def _finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Constant step size, or a staircase divided periodically."""
@@ -64,13 +78,13 @@ class StepSchedule:
     def __post_init__(self) -> None:
         if self.variant not in ("constant", "staircase"):
             raise ConfigInvalid(f"unknown schedule variant {self.variant!r}")
-        if self.gamma <= 0.0:
-            raise ConfigInvalid("step size must be positive")
+        if not (_finite_real(self.gamma) and self.gamma > 0.0):
+            raise ConfigInvalid(f"step size must be a finite positive number, got {self.gamma!r}")
         if self.variant == "staircase":
-            if self.divide_by is None or self.divide_by <= 1.0:
-                raise ConfigInvalid("staircase divide_by must be > 1")
-            if self.period is None or self.period < 1:
-                raise ConfigInvalid("staircase period must be >= 1")
+            if not (_finite_real(self.divide_by) and self.divide_by > 1.0):
+                raise ConfigInvalid("staircase divide_by must be a finite number > 1")
+            if not (_is_int(self.period) and self.period >= 1):
+                raise ConfigInvalid("staircase period must be an integer >= 1")
 
     @classmethod
     def constant(cls, gamma: float) -> "StepSchedule":
@@ -90,6 +104,8 @@ class StepSchedule:
 
     @classmethod
     def from_config(cls, doc: dict) -> "StepSchedule":
+        if not isinstance(doc, dict):
+            raise ConfigInvalid("schedule must be an object with a 'type' key")
         if doc.get("type") == "constant":
             extra = set(doc) - {"type", "gamma"}
             if extra:
@@ -128,6 +144,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.K < 0:
             raise ConfigInvalid("K must be >= 0")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.repeats < 1:
             raise ConfigInvalid("repeats must be >= 1")
         unknown = set(self.metrics) - set(METRICS)
@@ -197,12 +215,20 @@ def resolve_x0(cfg: RunConfig) -> NDArray:
     return x0
 
 
-def run(cfg: RunConfig) -> Trace:
-    """Execute all repeats of ``cfg`` and aggregate their metric records."""
+def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
+    """Execute all repeats of ``cfg`` once per schedule, the schedules in lockstep.
+
+    Each schedule is a lane with its own iterate.  A round draws one joint
+    sketch from the repeat's substream and every live lane steps with that
+    draw.  Draws never depend on the iterate, so the trace of lane ``j`` is
+    bitwise the trace of a run at ``schedules[j]`` alone.  A lane that
+    diverges stops; draws continue while any lane of the repeat is alive.
+    """
     p = cfg.problem
     x0 = resolve_x0(cfg)
-    K = cfg.K
-    gammas = np.array([cfg.schedule.gamma_at(k) for k in range(K)])
+    K, n_lanes = cfg.K, len(schedules)
+    gammas = np.array([[s.gamma_at(k) for k in range(K)] for s in schedules],
+                      dtype=np.float64).reshape(n_lanes, K)
 
     needs_star = any(m in cfg.metrics for m in ("f_gap_rel_log", "dist_L_to_xstar"))
     x_star = p.solution() if needs_star else None
@@ -214,13 +240,15 @@ def run(cfg: RunConfig) -> Trace:
         if cfg.estimator.sketch is None:
             raise ConfigInvalid("dist_to_xinf needs a sketch-based estimator")
         x_inf = certificates.fixed_point(p, cfg.estimator.sketch)
-    want_submodel = "submodel_loss_avg" in cfg.metrics
+    # submodel_loss_avg draws one extra sketch for the final iterate
+    draws_last = "submodel_loss_avg" in cfg.metrics and cfg.estimator.kind != "dgd"
     L_inv = linalg.psd_pinv(p.L_bar) if "grad_sq_Linv" in cfg.metrics else None
 
-    out = {m: np.full((cfg.repeats, K + 1), np.nan) for m in cfg.metrics}
-    final_f = np.full(cfg.repeats, np.nan)
-    diverged = np.full(cfg.repeats, -1, dtype=np.int64)
-    iterates = np.full((cfg.repeats, K + 1, p.d), np.nan) if cfg.record_iterates else None
+    shape = (n_lanes, cfg.repeats)
+    out = {m: np.full(shape + (K + 1,), np.nan) for m in cfg.metrics}
+    final_f = np.full(shape, np.nan)
+    diverged = np.full(shape, -1, dtype=np.int64)
+    iterates = np.full(shape + (K + 1, p.d), np.nan) if cfg.record_iterates else None
 
     L_bar = p.L_bar
 
@@ -250,31 +278,35 @@ def run(cfg: RunConfig) -> Trace:
 
     def one_repeat(r: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-        x = x0.copy()
-        last_valid = x0
+        xs = [x0] * n_lanes
+        last_valid = [x0] * n_lanes
+        live = list(range(n_lanes))
         for k in range(K + 1):
-            if not np.isfinite(x).all():
-                diverged[r] = k
+            sample = None  # the round's draw, made by its first live lane
+            for j in tuple(live):
+                x = xs[j]
+                if not np.isfinite(x).all():
+                    diverged[j, r] = k
+                    live.remove(j)
+                    continue
+                if k < K or draws_last:
+                    g, sample = estimators.estimate(cfg.estimator, p, x, rng, sample)
+                vals = metric_row(x, sample)
+                if any(not np.isfinite(v) or abs(v) > DIVERGENCE_LIMIT for v in vals.values()):
+                    diverged[j, r] = k
+                    live.remove(j)
+                    continue
+                for name, v in vals.items():
+                    out[name][j, r, k] = v
+                if iterates is not None:
+                    iterates[j, r, k] = x
+                last_valid[j] = x
+                if k < K:
+                    xs[j] = x - gammas[j, k] * g
+            if not live:
                 break
-            if k < K:
-                g, sample = estimators.estimate(cfg.estimator, p, x, rng)
-            else:
-                g = None
-                sample = None
-                if want_submodel and cfg.estimator.kind != "dgd":
-                    _, sample = estimators.estimate(cfg.estimator, p, x, rng)
-            vals = metric_row(x, sample)
-            if any(not np.isfinite(v) or abs(v) > DIVERGENCE_LIMIT for v in vals.values()):
-                diverged[r] = k
-                break
-            for name, v in vals.items():
-                out[name][r, k] = v
-            if iterates is not None:
-                iterates[r, k] = x
-            last_valid = x
-            if k < K:
-                x = x - gammas[k] * g
-        final_f[r] = p.f(last_valid)
+        for j in range(n_lanes):
+            final_f[j, r] = p.f(last_valid[j])
 
     workers = min(_thread_budget(), cfg.repeats)
     if workers > 1:
@@ -284,22 +316,29 @@ def run(cfg: RunConfig) -> Trace:
         for r in range(cfg.repeats):
             one_repeat(r)
 
-    return Trace(
-        metrics=out,
-        final_f=final_f,
-        diverged_at=diverged,
-        gammas=gammas,
-        x0=x0,
-        iterates=iterates,
-        metric_order=cfg.metrics,
-    )
+    return [
+        Trace(
+            metrics={m: out[m][j] for m in cfg.metrics},
+            final_f=final_f[j],
+            diverged_at=diverged[j],
+            gammas=gammas[j],
+            x0=x0,
+            iterates=None if iterates is None else iterates[j],
+            metric_order=cfg.metrics,
+        )
+        for j in range(n_lanes)
+    ]
+
+
+def run(cfg: RunConfig) -> Trace:
+    """Execute all repeats of ``cfg`` and aggregate their metric records."""
+    return _simulate(cfg, [cfg.schedule])[0]
 
 
 def sweep(cfg: RunConfig, gamma_list) -> list[Trace]:
-    """One run per step size, sharing problem, seed, and initial point."""
-    x0 = resolve_x0(cfg)
-    traces = []
-    for g in gamma_list:
-        cfg_g = replace(cfg, schedule=cfg.schedule.with_gamma(float(g)), x0_policy=x0)
-        traces.append(run(cfg_g))
-    return traces
+    """One trace per step size, sharing problem, seed, initial point and draws.
+
+    The step sizes advance in lockstep on each round's single joint sketch
+    draw; each trace is bitwise equal to ``run`` at that step size.
+    """
+    return _simulate(cfg, [cfg.schedule.with_gamma(g) for g in gamma_list])

@@ -244,3 +244,56 @@ class TestSweep:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(experiment_doc(out)))
         assert run_cli("sweep", "--config", str(cfg_path), "--gammas", "") == 2
+
+    @pytest.mark.parametrize("gammas, phrase", [
+        ("0.1,abc", "'abc' is not a number"),
+        ("nan", "finite positive"),
+        ("0.2,inf", "finite positive"),
+        ("0.2,-0.1", "finite positive"),
+        ("1e-4,1.000001e-4", "would both write"),
+        ("0.2,0.5,0.2", "would both write"),
+    ])
+    def test_bad_gamma_list_exits_2_before_writing(self, tmp_path, capsys, gammas, phrase):
+        out = tmp_path / "trace.csv"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(out)))
+        argv = ["sweep", "--config", str(cfg_path), "--gammas", gammas]
+        assert_config_error(capsys, argv, phrase)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+
+def assert_config_error(capsys, argv, phrase):
+    """``argv`` exits 2 with a one-line message on stderr containing ``phrase``."""
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert phrase in err
+
+
+class TestExperimentValidation:
+    @pytest.mark.parametrize("overrides, phrase", [
+        ({"metrics": "grad_sq"}, "metrics must be a list"),
+        ({"K": "abc"}, "K must be an integer"),
+        ({"K": True}, "K must be an integer"),
+        ({"repeats": 2.5}, "repeats must be an integer"),
+        ({"seed": -1}, "seed must be a non-negative integer"),
+        ({"schedule": {"type": "constant", "gamma": "x"}}, "step size must be a finite positive"),
+        ({"schedule": {"type": "constant", "gamma": True}}, "step size must be a finite positive"),
+        ({"schedule": {"type": "staircase", "gamma0": 0.5, "period": "10"}},
+         "period must be an integer"),
+        ({"schedule": "constant"}, "schedule must be an object"),
+        ({"problem": {"generator": {"mode": "het", "n": "4", "d": 4, "seed": 1}}},
+         "n must be an integer"),
+        ({"output": {"format": "csv", "path": 5}}, "output must be"),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(tmp_path / "trace.csv", **overrides)))
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], phrase)
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text("[1, 2]")
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], "JSON object")

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,13 @@ class TestStepSchedule:
             StepSchedule.staircase(0.5, divide_by=1.0)
         with pytest.raises(ConfigInvalid):
             StepSchedule.staircase(0.5, period=0)
+
+    @pytest.mark.parametrize("gamma", ["x", "0.5", True, None, float("nan"), float("inf"), -0.1, 0])
+    def test_gamma_must_be_finite_positive_real(self, gamma):
+        with pytest.raises(ConfigInvalid):
+            StepSchedule.constant(gamma)
+        with pytest.raises(ConfigInvalid):
+            StepSchedule.staircase(0.5).with_gamma(gamma)
 
     def test_config_roundtrip(self):
         for s in (StepSchedule.constant(0.2), StepSchedule.staircase(0.9, 5.0, 50)):
@@ -208,7 +216,65 @@ class TestMetricsAndDivergence:
         np.testing.assert_array_equal(g.x0, given)
 
 
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+LANE_METRICS = ("f_gap_rel_log", "grad_sq", "grad_sq_Linv", "dist_L_to_xstar", "submodel_loss_avg")
+
+# name -> (estimator, n, d, schedule, extra metrics)
+LANE_CASES = {
+    "perm_q": (EstimatorKind.ist(SketchKind.perm_q()), 3, 9, StepSchedule.constant(0.1), ()),
+    "scaled_perm_het_q1": (EstimatorKind.ist(SketchKind.scaled_perm_het()), 5, 5,
+                           StepSchedule.constant(0.5), ("dist_to_xinf",)),
+    "scaled_perm_het_q3_staircase": (EstimatorKind.ist(SketchKind.scaled_perm_het()), 3, 9,
+                                     StepSchedule.staircase(0.5, divide_by=2.0, period=25), ()),
+    "rand_q": (EstimatorKind.ist(SketchKind.rand_q(3)), 3, 7, StepSchedule.constant(0.05), ()),
+    "bernoulli": (EstimatorKind.ist(SketchKind.bernoulli(0.4)), 3, 7,
+                  StepSchedule.constant(0.02), ()),
+    "identity": (EstimatorKind.ist(SketchKind.identity()), 3, 7, StepSchedule.constant(0.05), ()),
+    "dgd": (EstimatorKind.dgd(), 3, 7, StepSchedule.constant(0.05), ()),
+    "cgd_bernoulli": (EstimatorKind.cgd(SketchKind.bernoulli(0.5)), 4, 11,
+                      StepSchedule.constant(0.03), ()),
+}
+
+
 class TestSweep:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(LANE_CASES))
+    def test_every_lane_bitwise_equals_its_run(self, case):
+        # the last step size diverges while the others finish; its lane must
+        # still match a run of its own, and the other lanes keep drawing
+        est, n, d, schedule, extra = LANE_CASES[case]
+        cfg = RunConfig(
+            problem=gen_heterogeneous(n, d, seed=n + d),
+            estimator=est,
+            schedule=schedule,
+            K=40,
+            seed=5,
+            repeats=3,
+            metrics=LANE_METRICS + extra,
+            record_iterates=True,
+        )
+        gammas = [schedule.gamma / 2, schedule.gamma, 100 * schedule.gamma]
+        traces = sweep(cfg, gammas)
+        assert len(traces) == 3
+        for gamma, t in zip(gammas, traces):
+            ref = run(replace(cfg, schedule=schedule.with_gamma(gamma)))
+            for name in cfg.metrics:
+                assert_bitwise(t.metrics[name], ref.metrics[name])
+            for attr in ("final_f", "diverged_at", "iterates", "gammas", "x0"):
+                assert_bitwise(getattr(t, attr), getattr(ref, attr))
+        assert (traces[0].diverged_at < 0).all() and (traces[1].diverged_at < 0).all()
+        assert (traces[2].diverged_at > 0).all()
+
+    def test_invalid_gamma_rejected_before_running(self):
+        p = gen_heterogeneous(3, 3, seed=18)
+        with pytest.raises(ConfigInvalid):
+            sweep(scaled_het_cfg(p), [0.4, float("nan")])
+
     def test_singleton_sweep_equals_run(self):
         p = gen_heterogeneous(3, 3, seed=18)
         cfg = scaled_het_cfg(p, gamma=0.4, K=8, repeats=2, metrics=("f_gap_rel_log",))
