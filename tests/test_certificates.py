@@ -25,14 +25,14 @@ from istlab.errors import (
     ThetaInadmissible,
     WrongKind,
 )
-from istlab.estimators import EstimatorKind, estimate
+from istlab.estimators import EstimatorKind, estimate, heterogeneity_variance
 from istlab.quadratics import (
     QuadraticProblem,
     gen_heterogeneous,
     gen_homogeneous,
     precondition_homogeneous,
 )
-from istlab.sketches import SketchKind, closed_moments
+from istlab.sketches import SketchKind, SketchMoments, closed_moments
 
 
 def indefinite_descent_problem():
@@ -104,6 +104,41 @@ class TestStepConstant:
                 lam = np.linalg.eigvalsh(linalg.symmetrize(gap)).min()
                 scale = np.abs(np.linalg.eigvalsh(m.curvature_second)).max()
                 assert lam >= -1e-9 * scale
+
+
+# Householder reflection I - (2/3) 11^T: an orthogonal basis that does not
+# line up with the coordinate axes.
+_Q3 = np.eye(3) - (2.0 / 3.0) * np.ones((3, 3))
+
+
+def rank_deficient_theta(curvature, second):
+    """step_constant on L_bar = I, so W = E[B], with hand-made moments."""
+    p = QuadraticProblem.from_arrays([np.eye(3), np.eye(3)], np.zeros((2, 3)))
+    m = SketchMoments(
+        curvature=_Q3 @ curvature @ _Q3.T,
+        curvature_second=_Q3 @ second @ _Q3.T,
+        linear=None,
+        method="closed_form",
+    )
+    return step_constant(p, SketchKind.identity(), m)
+
+
+class TestStepConstantRankDeficient:
+    def test_second_moment_inside_range_gives_pencil_value(self):
+        # on range(W) = span(q1, q2): W^{-1/2} S W^{-1/2} = [[2, 1/sqrt2], [1/sqrt2, 3]]
+        second = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0]])
+        theta = rank_deficient_theta(np.diag([2.0, 1.0, 0.0]), second)
+        assert theta == pytest.approx((5.0 + np.sqrt(3.0)) / 2.0, rel=1e-12)
+
+    def test_second_moment_leaking_into_null_space_is_inadmissible(self):
+        second = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.5]])
+        assert rank_deficient_theta(np.diag([2.0, 1.0, 0.0]), second) is None
+
+    def test_zero_descent_and_zero_second_moment_give_one(self):
+        assert rank_deficient_theta(np.zeros((3, 3)), np.zeros((3, 3))) == 1.0
+
+    def test_zero_descent_with_nonzero_second_moment_is_inadmissible(self):
+        assert rank_deficient_theta(np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0])) is None
 
 
 class TestInterpolationRates:
@@ -383,3 +418,51 @@ class TestCertificate:
         W = descent_matrix(p, SketchKind.identity())
         rhos = [contraction_factor(p, W, g) for g in (0.001, 0.01, 0.05)]
         assert rhos[0] > rhos[1] > rhos[2]
+
+
+def _public_composition(p, kind):
+    """Every certificate field, rebuilt from the public building blocks."""
+    W = descent_matrix(p, kind)
+    theta = step_constant(p, kind)
+    gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
+    gamma = None if theta is None else (gamma_max if gamma_max else 1.0)
+    fields = {
+        "descent": W,
+        "descent_psd": linalg.psd_check(W),
+        "theta": theta,
+        "gamma_max": gamma_max,
+        "gamma": gamma,
+        "rho": None if theta is None else contraction_factor(p, W, gamma),
+        "bias": None, "bias_norm": None, "x_inf": None, "sigma2": None,
+    }
+    if kind.kind == "scaled_perm_het":
+        x_inf = fixed_point(p, kind)
+        bias = p.solution() - x_inf
+        fields.update(
+            bias=bias,
+            bias_norm=np.sqrt(max(linalg.weighted_sqnorm(bias, p.L_bar), 0.0)),
+            x_inf=x_inf,
+            sigma2=heterogeneity_variance(p, EstimatorKind.ist(kind)),
+        )
+    elif kind.kind == "identity":
+        fields["sigma2"] = 0.0
+    return fields
+
+
+class TestCertificateComposition:
+    @pytest.mark.parametrize("make, kind", [
+        (lambda: gen_heterogeneous(3, 5, seed=3), SketchKind.identity()),
+        (lambda: gen_heterogeneous(4, 4, seed=4), SketchKind.scaled_perm_het()),
+        (indefinite_descent_problem, SketchKind.perm_q()),
+    ], ids=["identity", "scaled_perm_het", "fixture_perm_q"])
+    def test_fields_equal_public_composition_bitwise(self, make, kind):
+        p = make()
+        cert = certificate(p, kind)
+        for name, want in _public_composition(p, kind).items():
+            got = getattr(cert, name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(got, want, err_msg=name)
+            else:
+                assert got == want, name
+        assert cert.notes == (() if cert.admissible else (
+            "no finite step constant: descent matrix fails PSD or pencil leaks",))

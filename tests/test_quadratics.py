@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestGenerators:
     def test_invalid_shape_rejected(self):
         with pytest.raises(DimMismatch):
             gen_heterogeneous(0, 3, seed=1)
+
+    @pytest.mark.parametrize("n, d, seed, digest", [
+        (4, 4, 5, "03b5c1b2b2b308812bd82f8b8899535baa62698400920cbab3e0e7c6a8461b9e"),
+        (10, 100, 30, "32bf1d9c8d6714da121adf0706f847c0d333479c1f1acf67345f8bb7059c2910"),
+    ])
+    def test_heterogeneous_matrices_match_checksum(self, n, d, seed, digest):
+        # The simulation-benchmark inputs.  B^T B is a BLAS product, so the
+        # digests belong to the numpy/BLAS build the suite was pinned on.
+        L = gen_heterogeneous(n, d, seed=seed).L
+        assert hashlib.sha256(L.tobytes()).hexdigest() == digest
 
     def test_reference_scale_heterogeneous_setup(self):
         # ten clients at dimension 1000: the largest configuration the
