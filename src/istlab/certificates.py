@@ -95,19 +95,31 @@ def step_constant(
     elif moments.curvature_second is None:
         moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    second = linalg.symmetrize(moments.curvature_second)
-    if not linalg.psd_check(W, psd_tol):
+    return _theta(linalg.eig_sym(W), moments.curvature_second, psd_tol, rank_tol_factor)
+
+
+def _theta(
+    spec: linalg.Spectrum,
+    curvature_second: NDArray,
+    psd_tol: float = linalg.PSD_TOL,
+    rank_tol_factor: float = linalg.RANK_TOL_FACTOR,
+) -> float | None:
+    """:func:`step_constant` given the eigendecomposition ``spec`` of W."""
+    if not linalg.psd_eigenvalues(spec.eigenvalues, psd_tol):
         return None
-    spec = linalg.eig_sym(W)
+    second = linalg.symmetrize(curvature_second)
     mask = spec.rank_mask(rank_tol_factor)
-    second_scale = float(np.abs(np.linalg.eigvalsh(second)).max(initial=0.0))
+
+    def second_scale() -> float:
+        return float(np.abs(np.linalg.eigvalsh(second)).max(initial=0.0))
+
     if not mask.any():
         # W numerically zero: theta exists only if the second moment vanishes.
-        return 1.0 if second_scale <= rank_tol_factor else None
+        return 1.0 if second_scale() <= rank_tol_factor else None
     v_null = spec.eigenvectors[:, ~mask]
     if v_null.shape[1]:
         leak = np.abs(v_null.T @ second @ v_null).max(initial=0.0)
-        if leak > rank_tol_factor * max(second_scale, 1.0):
+        if leak > rank_tol_factor * max(second_scale(), 1.0):
             return None
     v_range = spec.eigenvectors[:, mask]
     inv_sqrt = 1.0 / np.sqrt(spec.eigenvalues[mask])
@@ -142,12 +154,12 @@ def interpolation_rates(
         If gamma is outside (0, 1/theta].
     """
     moments = _moments_with_second(kind, p)
-    theta = step_constant(p, kind, moments)
+    W = descent_matrix(p, kind, moments)
+    theta = _theta(linalg.eig_sym(W), moments.curvature_second)
     if theta is None:
         raise ThetaInadmissible(f"sketch {kind.kind!r} admits no step constant here")
     if not (0.0 < gamma <= 1.0 / theta * (1.0 + 1e-12)):
         raise StepTooLarge(f"gamma={gamma} outside (0, 1/theta] with theta={theta}")
-    W = descent_matrix(p, kind, moments)
     return 2.0 / gamma, contraction_factor(p, W, gamma)
 
 
@@ -444,8 +456,9 @@ def certificate(
     notes: list[str] = []
     moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    psd = linalg.psd_check(W)
-    theta = step_constant(p, kind, moments)
+    spec = linalg.eig_sym(W)
+    psd = linalg.psd_eigenvalues(spec.eigenvalues)
+    theta = _theta(spec, moments.curvature_second)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
     rho = None
     used_gamma = None

@@ -124,9 +124,14 @@ def weighted_sqnorm(x: NDArray, m: NDArray) -> float:
 
 def psd_check(m: NDArray, tol: float = PSD_TOL) -> bool:
     """True iff lambda_min(M) >= -tol * max(1, max|lambda(M)|)."""
+    return psd_eigenvalues(eig_sym(m).eigenvalues, tol)
+
+
+def psd_eigenvalues(vals: NDArray, tol: float = PSD_TOL) -> bool:
+    """True iff min(vals) >= -tol * max(1, max|vals|): :func:`psd_check` on a
+    matrix whose eigenvalues ``vals`` are already computed."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    vals = eig_sym(m).eigenvalues
     scale = max(1.0, float(np.abs(vals).max(initial=0.0)))
     return bool(vals.min(initial=0.0) >= -tol * scale)
 

@@ -28,6 +28,7 @@ from . import linalg
 from .errors import (
     DegenerateEnsemble,
     DimMismatch,
+    NonFinite,
     NonPositiveDiagonal,
     NotHomogeneous,
     SingularMatrix,
@@ -95,6 +96,11 @@ class QuadraticProblem:
 
         Matrices are symmetrized.  If ``symmetry_tol`` is given, inputs whose
         asymmetry exceeds ``symmetry_tol * max(1, |L|_max)`` are rejected.
+
+        Raises
+        ------
+        NonFinite
+            If any entry of a matrix or linear term is NaN or infinite.
         """
         L = np.array(L_list, dtype=np.float64)
         if L.ndim == 2:
@@ -102,6 +108,8 @@ class QuadraticProblem:
         b = np.array(b_list, dtype=np.float64)
         if b.ndim == 1:
             b = b[None, :]
+        if not (np.isfinite(L).all() and np.isfinite(b).all()):
+            raise NonFinite("problem matrices and linear terms must be finite (found NaN or Inf)")
         if symmetry_tol is not None:
             for i, Li in enumerate(L):
                 scale = max(1.0, float(np.abs(Li).max(initial=0.0)))
@@ -263,9 +271,8 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
     for i in range(n):
         rng = client_rng(seed, i)
         B = rng.standard_normal((d, d))
-        L[i] = B.T @ B
+        L[i] = linalg.symmetrize(B.T @ B)
         b[i] = rng.standard_normal(d)
-    L = (L + np.transpose(L, (0, 2, 1))) / 2.0
     p = QuadraticProblem(L=L, b=b, seed=seed)
     ensure_nondegenerate(p)
     return p

@@ -413,6 +413,25 @@ class TestCertificate:
         assert not cert.descent_psd
         assert cert.rho is None
 
+    def test_descent_matrix_eigendecomposed_once(self, monkeypatch):
+        # one eigh of W (PSD flag, theta, null space) and one of L_bar for rho;
+        # eigvalsh once for the pencil and once for rho
+        p = gen_heterogeneous(3, 5, seed=3)
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        certificate(p, SketchKind.identity())
+        assert calls == {"eigh": 2, "eigvalsh": 2}
+
     def test_contraction_factor_monotone_in_gamma(self):
         p = gen_heterogeneous(3, 4, seed=25)
         W = descent_matrix(p, SketchKind.identity())

@@ -206,6 +206,21 @@ class TestRun:
         assert meta["resolved_config"]["problem"]["path"] == str(prob_path)
         assert len(meta["resolved_config"]["problem"]["sha256"]) == 64
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_problem_file_exits_2_without_trace(self, tmp_path, capsys, bad):
+        prob_path = tmp_path / "p.json"
+        run_cli("gen", "--n", "4", "--d", "4", "--seed", "6", "--mode", "het",
+                "--out", str(prob_path))
+        doc = json.loads(prob_path.read_text())
+        doc["L"][1][1] = bad  # off the diagonal, so no other check trips on it
+        prob_path.write_text(json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(
+            experiment_doc(out, problem=str(prob_path), metrics=["grad_sq"])))
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], "must be finite")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "p.json"]
+
 
 class TestHomogeneousRunThroughCli:
     def test_distance_to_fixed_point_decays_geometrically(self, tmp_path):
