@@ -121,9 +121,9 @@ def _theta(
         leak = np.abs(v_null.T @ second @ v_null).max(initial=0.0)
         if leak > rank_tol_factor * max(second_scale(), 1.0):
             return None
-    v_range = spec.eigenvectors[:, mask]
     inv_sqrt = 1.0 / np.sqrt(spec.eigenvalues[mask])
-    pencil = (v_range * inv_sqrt).T @ second @ (v_range * inv_sqrt)
+    scaled = spec.eigenvectors[:, mask] * inv_sqrt
+    pencil = scaled.T @ second @ scaled
     theta = float(np.linalg.eigvalsh(linalg.symmetrize(pencil)).max())
     return max(theta, 0.0)
 

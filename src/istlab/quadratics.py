@@ -271,8 +271,10 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
     for i in range(n):
         rng = client_rng(seed, i)
         B = rng.standard_normal((d, d))
-        L[i] = linalg.symmetrize(B.T @ B)
+        G = B.T @ B
+        np.add(G, G.T, out=L[i])
         b[i] = rng.standard_normal(d)
+    L /= 2.0  # symmetrized in place: no (n, d, d) temporary
     p = QuadraticProblem(L=L, b=b, seed=seed)
     ensure_nondegenerate(p)
     return p
