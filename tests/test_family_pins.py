@@ -1,0 +1,279 @@
+"""Bitwise pins of every sketch family's numerics on small fixed problems.
+
+Each case hashes, for one (family, problem) pair, the closed and enumerated
+moments, three seeded draws with the ist/cgd estimates on them, the exact
+expected estimates, the fixed point, the heterogeneity variance and every
+certificate field.  A raised error is pinned by its class name.  The
+digests were taken before the sketch families moved behind one registry;
+any change to a single bit of these outputs fails here.
+"""
+
+import dataclasses
+import hashlib
+
+import numpy as np
+import pytest
+
+from istlab import certificates, estimators, sketches
+from istlab.errors import IstLabError
+from istlab.estimators import EstimatorKind
+from istlab.quadratics import gen_heterogeneous, gen_homogeneous, precondition_homogeneous
+from istlab.sketches import SketchKind
+
+
+def _problem(label):
+    mode, n, d = label.split("-")
+    n, d = int(n), int(d)
+    if mode == "het":
+        return gen_heterogeneous(n, d, seed=40 + n + d)
+    if mode == "interp":
+        return gen_heterogeneous(n, d, seed=40 + n + d).as_interpolation()
+    return precondition_homogeneous(gen_homogeneous(n, d, seed=50 + n + d))[0]
+
+
+KINDS = {
+    "identity": SketchKind.identity(),
+    "perm_q": SketchKind.perm_q(),
+    "perm_q2": SketchKind.perm_q(2),
+    "scaled_perm_homog": SketchKind.scaled_perm_homog(),
+    "perm_multiset": SketchKind.perm_multiset(),
+    "scaled_perm_het": SketchKind.scaled_perm_het(),
+    "rand_q1": SketchKind.rand_q(1),
+    "rand_q2": SketchKind.rand_q(2),
+    "bernoulli": SketchKind.bernoulli(0.5),
+    "bernoulli1": SketchKind.bernoulli(1.0),
+}
+
+CASES = [
+    ("identity", "het-3-3"), ("identity", "hom-2-4"),
+    ("perm_q", "het-3-3"), ("perm_q", "het-2-4"), ("perm_q", "hom-3-3"),
+    ("perm_q", "hom-2-4"), ("perm_q2", "het-2-4"), ("perm_q", "het-3-6"),
+    ("scaled_perm_homog", "het-3-3"), ("scaled_perm_homog", "het-2-4"),
+    ("scaled_perm_homog", "hom-3-3"), ("scaled_perm_homog", "hom-2-4"),
+    ("perm_multiset", "het-3-3"), ("perm_multiset", "het-4-2"),
+    ("perm_multiset", "hom-4-2"), ("perm_multiset", "hom-3-3"),
+    ("scaled_perm_het", "het-3-3"), ("scaled_perm_het", "het-2-4"),
+    ("scaled_perm_het", "interp-2-4"), ("scaled_perm_het", "interp-3-3"),
+    ("scaled_perm_het", "hom-3-3"), ("scaled_perm_het", "het-3-6"),
+    ("rand_q1", "het-2-3"), ("rand_q2", "het-2-3"), ("rand_q2", "hom-2-3"),
+    ("bernoulli", "het-2-3"), ("bernoulli", "hom-2-2"), ("bernoulli1", "het-2-2"),
+]
+
+
+def _canon(value) -> str:
+    """A text form that differs whenever a single bit of ``value`` does."""
+    if isinstance(value, np.ndarray):
+        a = np.ascontiguousarray(value)
+        return f"A{a.dtype.str}{a.shape}{a.tobytes().hex()}"
+    if isinstance(value, (float, np.floating)):
+        return f"F{float(value).hex()}"
+    if isinstance(value, (tuple, list)):
+        return "T(" + ",".join(_canon(v) for v in value) + ")"
+    if isinstance(value, sketches.SketchMoments):
+        return _canon([getattr(value, f.name) for f in dataclasses.fields(value)])
+    return f"R{value!r}"
+
+
+def _digest(fn) -> str:
+    try:
+        text = _canon(fn())
+    except IstLabError as exc:
+        text = f"E{type(exc).__name__}"
+    return hashlib.sha256(text.encode()).hexdigest()[:8]
+
+
+CERT_FIELDS = [f.name for f in dataclasses.fields(certificates.ConvergenceCertificate)]
+QUANTITIES = (
+    ["closed_moments", "enumerated_moments", "expected_ist", "expected_cgd", "fixed_point",
+     "sigma2"]
+    + [f"{q}{t}" for t in range(3) for q in ("draw", "estimate")]
+    + [f"cert.{name}" for name in CERT_FIELDS]
+)
+
+
+def case_digests(kind_label, problem_label) -> dict:
+    kind = KINDS[kind_label]
+    p = _problem(problem_label)
+    x = np.random.default_rng(7).standard_normal(p.d)
+    ist, cgd = EstimatorKind.ist(kind), EstimatorKind.cgd(kind)
+    out = {
+        "closed_moments": _digest(lambda: sketches.closed_moments(kind, p)),
+        "enumerated_moments": _digest(lambda: sketches.enumerated_moments(kind, p)),
+        "expected_ist": _digest(lambda: estimators.expected_estimate(ist, p, x)),
+        "expected_cgd": _digest(lambda: estimators.expected_estimate(cgd, p, x)),
+        "fixed_point": _digest(lambda: certificates.fixed_point(p, kind)),
+        "sigma2": _digest(lambda: estimators.heterogeneity_variance(p, ist)),
+    }
+    rng = np.random.default_rng(11)
+    for t in range(3):
+        s = sketches.sample(kind, p, rng)
+        out[f"draw{t}"] = _digest(lambda: (s.idx.astype(np.int64), s.factors))
+        out[f"estimate{t}"] = _digest(lambda: (
+            estimators.estimate(ist, p, x, None, s)[0],
+            estimators.estimate(cgd, p, x, None, s)[0],
+        ))
+    try:
+        cert = certificates.certificate(p, kind)
+    except IstLabError as exc:
+        cert = exc
+
+    def field(name):
+        if isinstance(cert, IstLabError):
+            raise cert
+        return getattr(cert, name)
+
+    for name in CERT_FIELDS:
+        out[f"cert.{name}"] = _digest(lambda: field(name))
+    return out
+
+
+# "<kind>/<problem>": the QUANTITIES digests in order, taken before the refactor
+PINS = {
+    "identity/het-3-3": (
+        "2a55beaf d58300d7 b7dcdcf0 4e6a2a30 2b352b7c fd8f7764 dcf9392f 41f907d0 "
+        "dcf9392f 41f907d0 dcf9392f 41f907d0 74c6e00b b2908519 00349e52 af72359d "
+        "af72359d b44b45ff 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
+    ),
+    "identity/hom-2-4": (
+        "9390f10a 682ba470 2815fb0e 2815fb0e 2b352b7c fd8f7764 6928125d 152f4dac "
+        "6928125d 152f4dac 6928125d 152f4dac 5811112a b2908519 47e2a70c 9bda046b "
+        "9bda046b 6de3d684 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
+    ),
+    "perm_q/het-3-3": (
+        "e530730a 1db329a9 b6422be4 4e6a2a30 2b352b7c 2b352b7c b7f1735c 36cabcd5 "
+        "b7f1735c 36cabcd5 154b18a5 7ae46af7 eef7ba9d b2908519 72fa1dcb 7ba364a9 "
+        "7ba364a9 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "perm_q/het-2-4": (
+        "c11cce12 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
+        "62a19e61 c5f41601 6024a47b 7628ef81 ad9390d3 b2908519 1a207800 92a5d730 "
+        "92a5d730 abcf59ad 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "perm_q/hom-3-3": (
+        "9f786e6f ae71862f 202364f2 64a945ff 2b352b7c 2b352b7c b7f1735c 2697c057 "
+        "b7f1735c 2697c057 154b18a5 2697c057 0f0a2bd6 b2908519 9f25ef65 cc12fc0d "
+        "cc12fc0d 3005f2f4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "perm_q/hom-2-4": (
+        "b6e34c95 3f9812a3 b279f199 2815fb0e 2b352b7c 2b352b7c 9355f47b c3e4b7f1 "
+        "62a19e61 c3e4b7f1 6024a47b 1541ae74 1a2f75b3 b2908519 fc5ff36a 527d4ebe "
+        "527d4ebe d9a407db 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "perm_q2/het-2-4": (
+        "c11cce12 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
+        "62a19e61 c5f41601 6024a47b 7628ef81 ad9390d3 b2908519 1a207800 92a5d730 "
+        "92a5d730 abcf59ad 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "perm_q/het-3-6": (
+        "8e9b9796 c58d7493 c957d4c7 d0e34be2 2b352b7c 2b352b7c 120803bf 3aa42e15 "
+        "da91ee48 49a446e0 d219a133 f96257da 6fedd129 b2908519 f70da901 d92d8e88 "
+        "d92d8e88 e0c507ce 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "scaled_perm_homog/het-3-3": (
+        "324a4744 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
+        "fa648520 81ccf4be 907157ed f8dd20a0 5fb79ec4 b2908519 eece665c bede15e0 "
+        "bede15e0 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 37dce168"
+    ),
+    "scaled_perm_homog/het-2-4": (
+        "63948f36 6ee233b9 512145dc 7985d374 2b352b7c 2b352b7c 595d7711 b4fab45e "
+        "ef2957cf b4fab45e 3e2dc480 9f924395 b262d1c3 b2908519 144943a1 5e1d66eb "
+        "5e1d66eb c44110c7 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
+    ),
+    "scaled_perm_homog/hom-3-3": (
+        "3ffd3024 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
+        "fa648520 0a0b1053 907157ed 0a0b1053 f543eb2f b2908519 ec29faa4 d4450e12 "
+        "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
+    ),
+    "scaled_perm_homog/hom-2-4": (
+        "194070fe 50d8fa23 0f5958db 08d26c0a 2b352b7c 2b352b7c 595d7711 c1a06133 "
+        "ef2957cf c1a06133 3e2dc480 8e2dbab5 5961e37f b2908519 65a30ec6 2b779101 "
+        "2b779101 96f11a90 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
+    ),
+    "perm_multiset/het-3-3": (
+        "324a4744 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
+        "fa648520 81ccf4be 907157ed f8dd20a0 5fb79ec4 b2908519 eece665c bede15e0 "
+        "bede15e0 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
+    ),
+    "perm_multiset/het-4-2": (
+        "f84750fc 231ccc13 56b5e5ae 17b55c62 2b352b7c 2b352b7c 8d0cc84b 381a3dbf "
+        "8824806c d3e4a267 8d0cc84b 381a3dbf 36bdf1fe b2908519 5be636f1 9a315a26 "
+        "9a315a26 6c9c1cfd 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
+    ),
+    "perm_multiset/hom-4-2": (
+        "b6e997c8 0845bce6 da9dab2a af9256cb 2a26c3fa fd8f7764 8d0cc84b c41f78d0 "
+        "8824806c c41f78d0 8d0cc84b c41f78d0 1d084267 b2908519 316667a5 a71568e5 "
+        "a71568e5 e57fbeaa 606ef710 3940884e 2a26c3fa fd8f7764 e5a3b04a"
+    ),
+    "perm_multiset/hom-3-3": (
+        "3ffd3024 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
+        "fa648520 0a0b1053 907157ed 0a0b1053 f543eb2f b2908519 ec29faa4 d4450e12 "
+        "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
+    ),
+    "scaled_perm_het/het-3-3": (
+        "16d292d0 0102fd52 481248c3 677b6af2 e7a34533 16c8eab2 2f944279 d0417c18 "
+        "2f944279 d0417c18 9684d56a 5b65dba9 9c03c79b b2908519 a71568e5 316667a5 "
+        "316667a5 a98c8c5d 65a1a726 530dc497 e7a34533 16c8eab2 e5a3b04a"
+    ),
+    "scaled_perm_het/het-2-4": (
+        "dd47a071 67f08d36 418f6810 28437321 2b352b7c 7be60c62 1e4dc0b1 d1425d16 "
+        "7b07f439 f2bfaef4 f4074883 87d47926 1c8403cc b2908519 316667a5 a71568e5 "
+        "a71568e5 d21f8c94 319dfbc3 319dfbc3 319dfbc3 7be60c62 12f30002"
+    ),
+    "scaled_perm_het/interp-2-4": (
+        "d711d448 04ff11fd bbc98e4e 94aa0953 884dfb14 fd8f7764 1e4dc0b1 e8dbfa43 "
+        "7b07f439 10329525 f4074883 f126563a 1c8403cc b2908519 316667a5 a71568e5 "
+        "a71568e5 d21f8c94 884dfb14 fd8f7764 884dfb14 fd8f7764 e5a3b04a"
+    ),
+    "scaled_perm_het/interp-3-3": (
+        "b883188f 496b2127 4942c658 15fe662e e1dc7ab1 fd8f7764 2f944279 be7da902 "
+        "2f944279 be7da902 9684d56a a84b09bf 9c03c79b b2908519 a71568e5 316667a5 "
+        "316667a5 a98c8c5d e1dc7ab1 fd8f7764 e1dc7ab1 fd8f7764 e5a3b04a"
+    ),
+    "scaled_perm_het/hom-3-3": (
+        "f261deb5 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
+        "fa648520 0a0b1053 907157ed 0a0b1053 bf0f90a8 b2908519 1fe494fd f038de3f "
+        "f038de3f 1ba21b33 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
+    ),
+    "scaled_perm_het/het-3-6": (
+        "343b6dca 8dc0aa98 7cb2fbed 0bee2c37 2b352b7c e1a27033 f7c7e1dd c24e4707 "
+        "50a678bc 7fc121d0 bccc9981 e8eb899a 5b0acdb8 b2908519 91ba3275 b889c489 "
+        "b889c489 77cc891e 319dfbc3 319dfbc3 319dfbc3 e1a27033 12f30002"
+    ),
+    "rand_q1/het-2-3": (
+        "9f26e217 20dda014 06e575b2 78b65efd 2b352b7c 2b352b7c 413c1a07 c2a93e45 "
+        "7837f62e b44a0781 69ea64b9 4e62f1cb a44b9fa8 b2908519 ef09de1e 9272aee3 "
+        "9272aee3 b58e2e06 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "rand_q2/het-2-3": (
+        "9f26e217 e4593d4f 23d0fb56 78b65efd 2b352b7c 2b352b7c 364af67b 81b5f73d "
+        "1ff3415e 8f6265a8 441e418a 50eeebda 305e9da9 b2908519 b6106c8c 800f6384 "
+        "800f6384 7c588e45 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "rand_q2/hom-2-3": (
+        "9f26e217 9baf25da bf0b1cad 23b0862f 2b352b7c 2b352b7c 364af67b cd559e3e "
+        "1ff3415e be95aa6c 441e418a cd559e3e ec6cacc2 b2908519 d3829de2 aa524ea7 "
+        "aa524ea7 29b35c57 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "bernoulli/het-2-3": (
+        "9f26e217 8a18a518 24fb28da 78b65efd 2b352b7c 2b352b7c f5be29f6 22f48b40 "
+        "d6d38b13 7a565de2 cd5e6f28 2d64f567 efab0481 b2908519 6a29b690 883477a1 "
+        "883477a1 475d341e 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "bernoulli/hom-2-2": (
+        "9f26e217 091ecc09 c197ecf1 74cdbd9b 2b352b7c 2b352b7c d6d38b13 e4cf1a4b "
+        "b24feaa8 869547dc bcfa3d22 0cde204d 20c61d8a b2908519 34ccc3a4 5e0847c1 "
+        "5e0847c1 c04c3578 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+    "bernoulli1/het-2-2": (
+        "9f26e217 48907056 52da70e0 52da70e0 2b352b7c 2b352b7c 813027b3 006753be "
+        "813027b3 006753be 813027b3 006753be 22232c2a b2908519 1139e6b4 80cc637d "
+        "80cc637d cbb5e65e 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind_label, problem_label", CASES)
+def test_family_numerics_are_bitwise_pinned(kind_label, problem_label):
+    got = case_digests(kind_label, problem_label)
+    want = dict(zip(QUANTITIES, PINS[f"{kind_label}/{problem_label}"].split()))
+    assert [q for q in QUANTITIES if got[q] != want[q]] == []
