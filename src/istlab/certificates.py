@@ -42,10 +42,7 @@ from .errors import (
     WrongKind,
 )
 from .quadratics import QuadraticProblem
-from .sketches import SketchKind, SketchMoments
-
-#: Unit-diagonal tolerance when a preconditioned homogeneous problem is required.
-UNIT_DIAG_TOL = 1e-9
+from .sketches import UNIT_DIAG_TOL, SketchKind, SketchMoments, fixed_point_het  # noqa: F401
 
 
 def _moments_with_second(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
@@ -167,8 +164,6 @@ def interpolation_rates(
 # bias, fixed point, exact mean recursion
 # ---------------------------------------------------------------------------
 
-_SCALED_KINDS = ("scaled_perm_het", "scaled_perm_homog", "perm_multiset")
-
 
 def estimator_bias(p: QuadraticProblem) -> NDArray:
     """h = L_bar^{-1} b_bar - n^{-3/2} sum_i D_i^{-1/2} b_i.
@@ -180,43 +175,12 @@ def estimator_bias(p: QuadraticProblem) -> NDArray:
     return x_star - fixed_point_het(p)
 
 
-def fixed_point_het(p: QuadraticProblem) -> NDArray:
-    """x_inf = (1/(n sqrt(n))) sum_i D_i^{-1/2} b_i."""
-    if np.any(p.diag <= 0.0):
-        raise SingularMatrix("fixed point needs every [L_i]_jj > 0")
-    return (p.b / np.sqrt(p.diag)).mean(axis=0) / math.sqrt(p.n)
-
-
-def _require_unit_diag(p: QuadraticProblem, kind: SketchKind) -> None:
-    if not p.homogeneous:
-        raise WrongKind(f"{kind.kind} fixed point requires a homogeneous problem")
-    if np.abs(p.diag[0] - 1.0).max(initial=0.0) > UNIT_DIAG_TOL:
-        raise WrongKind("problem must be diagonally preconditioned (unit diagonal)")
-
-
 def fixed_point(p: QuadraticProblem, kind: SketchKind) -> NDArray:
-    """Limit of E[x^k] for the scaled permutation estimators.
-
-    scaled_perm_het on any compatible problem gives
-    x_inf = (1/(n sqrt(n))) sum_i D_i^{-1/2} b_i; the scaled homogeneous
-    families on a preconditioned homogeneous problem give
-    b / sqrt(min(n, d)).
-    """
-    if kind.kind == "scaled_perm_het":
-        sketches.resolve_block_size(kind, p.n, p.d)
-        if p.d // p.n > 1 and not p.interpolation:
-            # mean linear term of the block factors has no closed form
-            raise WrongKind("closed-form fixed point needs one coordinate per client")
-        return fixed_point_het(p)
-    if kind.kind in ("scaled_perm_homog", "perm_multiset"):
-        sketches.resolve_block_size(kind, p.n, p.d)
-        if kind.kind == "scaled_perm_homog" and p.d != p.n:
-            # q > 1 keeps random within-block cross terms in the curvature,
-            # so the mean update is no longer the scalar affine map
-            raise WrongKind("closed-form fixed point needs one coordinate per client")
-        _require_unit_diag(p, kind)
-        return p.b_bar / math.sqrt(min(p.n, p.d))
-    raise WrongKind(f"fixed point not defined for sketch {kind.kind!r}")
+    """Limit of E[x^k] for the sketch families that define one; each family's
+    class in :mod:`sketches` says where.  Others raise :class:`WrongKind`."""
+    if kind.family.fixed_point is None:
+        raise WrongKind(f"fixed point not defined for sketch {kind.kind!r}")
+    return kind.family.fixed_point(kind, p)
 
 
 def expected_iterate(
@@ -364,7 +328,7 @@ def function_gap_bound(
             f"need c <= 1 - gamma/2 - beta(1-gamma); got c={c}, "
             f"margin={progress:.6g} at gamma={gamma}, beta={beta}"
         )
-    _require_unit_diag(p, SketchKind.scaled_perm_homog())
+    sketches._require_unit_diag(p, SketchKind.scaled_perm_homog())
     h = estimator_bias(p)
     bias_sq = linalg.weighted_sqnorm(h, p.L_bar)
     f_star = p.f(p.solution())
@@ -472,13 +436,14 @@ def certificate(
     bias_norm = None
     x_inf = None
     sigma2 = None
-    if kind.kind in _SCALED_KINDS:
+    if kind.family.fixed_point is not None:
         try:
             x_inf = fixed_point(p, kind)
             bias = p.solution() - x_inf
             bias_norm = math.sqrt(max(linalg.weighted_sqnorm(bias, p.L_bar), 0.0))
         except (WrongKind, SingularMatrix) as exc:
             notes.append(f"bias/fixed point unavailable: {exc}")
+    if kind.family.sigma2 is not None:
         est = estimators.EstimatorKind.ist(kind)
         try:
             sigma2 = estimators.heterogeneity_variance(p, est)
@@ -490,8 +455,6 @@ def certificate(
                 notes.append("sigma2 omitted: enumeration infeasible, no sample budget given")
         except WrongKind as exc:
             notes.append(f"sigma2 unavailable: {exc}")
-    elif kind.kind == "identity":
-        sigma2 = 0.0
 
     return ConvergenceCertificate(
         descent=W,

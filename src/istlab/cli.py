@@ -228,11 +228,13 @@ def _sketch_from_args(args) -> SketchKind:
 
 
 def cmd_theory(args) -> int:
+    if args.sigma2_samples is not None and args.sigma2_samples < 1:
+        raise ConfigInvalid(f"--sigma2-samples must be >= 1, got {args.sigma2_samples}")
     p = QuadraticProblem.load(args.problem)
     kind = _sketch_from_args(args)
     cert = certificates.certificate(
         p, kind, gamma=args.gamma, sigma2_samples=args.sigma2_samples,
-        rng=np.random.default_rng(0) if args.sigma2_samples else None,
+        rng=np.random.default_rng(0) if args.sigma2_samples is not None else None,
     )
     doc = {
         "theta": cert.theta if cert.theta is not None else "inadmissible",

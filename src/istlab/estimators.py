@@ -104,21 +104,6 @@ def estimate(
     return _cgd_gradient(p, sample, x), sample
 
 
-def _mean_client_sketches(est: EstimatorKind, p: QuadraticProblem) -> list[NDArray] | None:
-    """E[C_i] per client where known in closed form, else None."""
-    k = est.sketch
-    q = sketches.resolve_block_size(k, p.n, p.d)
-    if k.kind in ("identity", "perm_q", "rand_q", "bernoulli"):
-        return [np.eye(p.d)] * p.n  # unbiased compressors
-    if k.kind == "scaled_perm_homog":
-        return [np.eye(p.d) / np.sqrt(p.n)] * p.n
-    if k.kind == "perm_multiset":
-        return [np.eye(p.d) / np.sqrt(p.d)] * p.n
-    if k.kind == "scaled_perm_het" and q == 1:
-        return [np.diag(1.0 / np.sqrt(p.diag[i])) / np.sqrt(p.n) for i in range(p.n)]
-    return None
-
-
 def expected_estimate(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> NDArray:
     """Exact E[g] at a fixed point ``x``.
 
@@ -130,7 +115,7 @@ def expected_estimate(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> ND
     if est.kind == "dgd":
         return p.grad(x)
     if est.kind == "cgd":
-        means = _mean_client_sketches(est, p)
+        means = est.sketch.family.client_means(est.sketch, p)
         if means is not None:
             acc = np.zeros(p.d)
             for i in range(p.n):
@@ -171,46 +156,16 @@ def heterogeneity_variance(
 ) -> float:
     """Second moment E ||g - E g||^2_{L_bar} of the estimator noise.
 
-    Defined for the scaled permutation estimators, whose per-round curvature
-    is deterministic, so the noise g - E[g] reduces to the linear-term
-    fluctuation and is independent of the query point x.
-
-    For the scaled heterogeneous kind the value is computed exactly by
-    enumeration when feasible; pass ``n_samples`` (and ``rng``) to fall back
-    to a Monte Carlo estimate instead.  The scaled homogeneous families on a
-    homogeneous problem are deterministic, hence 0.
+    Defined by the sketch families whose per-round curvature is
+    deterministic, so the noise g - E[g] is the linear-term fluctuation and
+    does not depend on x.  It is exact (by enumeration where needed) unless
+    ``n_samples`` draws from ``rng`` ask for a Monte Carlo estimate.
     """
     if est.kind != "ist" or est.sketch is None:
         raise WrongKind("heterogeneity variance is defined for ist estimators")
-    k = est.sketch
-    if k.kind == "identity":
-        return 0.0
-    if k.kind in ("scaled_perm_homog", "perm_multiset"):
-        if not p.homogeneous:
-            raise WrongKind(f"{k.kind} variance formula requires a homogeneous problem")
-        if k.kind == "scaled_perm_homog" and p.d != p.n:
-            # with several coordinates per client the sketched curvature keeps
-            # random within-block cross terms; the estimator is not
-            # deterministic and its noise depends on x
-            raise WrongKind("scaled_perm_homog is deterministic only for n = d")
-        return 0.0
-    if k.kind != "scaled_perm_het":
-        raise WrongKind(f"heterogeneity variance not defined for sketch {k.kind!r}")
-    if p.interpolation:
-        return 0.0
-    if n_samples is None:
-        outcomes = sketches.enumerate_outcomes(k, p)
-        terms: list[tuple[float, NDArray]] = []
-        mean = np.zeros(p.d)
-        for prob, s in outcomes:
-            v = s.linear_term(p)
-            terms.append((prob, v))
-            mean += prob * v
-        return float(sum(prob * ((v - mean) @ (p.L_bar @ (v - mean))) for prob, v in terms))
-    if rng is None:
-        raise ValueError("Monte Carlo fallback requires an rng")
-    draws = np.empty((n_samples, p.d))
-    for t in range(n_samples):
-        draws[t] = sketches.sample(k, p, rng).linear_term(p)
-    centered = draws - draws.mean(axis=0)
-    return float(np.mean(np.einsum("td,dc,tc->t", centered, p.L_bar, centered)))
+    if n_samples is not None and n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    family = est.sketch.family
+    if family.sigma2 is None:
+        raise WrongKind(f"heterogeneity variance not defined for sketch {est.sketch.kind!r}")
+    return family.sigma2(est.sketch, p, n_samples, rng)

@@ -9,30 +9,14 @@ because ``C_i`` is diagonal, for every kind except the heterogeneity-scaled
 permutation sketch with q > 1, which stores dense q x q blocks.  Each
 operation on a sample works on the whole stack at once.
 
-Kinds
------
-identity
-    C_i = I for every client.
-perm_q  (requires d = q * n)
-    A random permutation of [d] is cut into n consecutive blocks of size q;
-    client i applies weight n on its block.  The blocks partition [d], so
-    (1/n) sum_i C_i = I holds for every realization.
-scaled_perm_homog  (requires d = q * n)
-    Same partition with weight sqrt(n) instead of n.
-perm_multiset  (requires n = q * d)
-    A random permutation of the multiset {1..d, each q times}; client i
-    holds the single coordinate pi_i with weight sqrt(d).
-scaled_perm_het  (requires d = q * n)
-    Client i holds its block S_i and applies
-    sqrt(n) * (L_i[S_i, S_i])^{-1/2} on it, which for q = 1 is the scalar
-    weight sqrt(n / L_i[j, j]).  This choice makes the per-round curvature
-    B = (1/n) sum_i C_i L_i C_i equal the identity for every realization,
-    not just in expectation.
-rand_q
-    Each client independently keeps a uniform q-subset with weight d / q.
-bernoulli
-    Each client independently keeps each coordinate with probability p and
-    weight 1 / p.
+Families
+--------
+Each family is one object in :data:`FAMILIES`, reached as
+``SketchKind.family``, and its class docstring describes it.  The object
+owns the parameter check, block-size rule, outcome count, sampling,
+enumeration and whatever closed forms the family has: moments, E[C_i], the
+fixed point and sigma2.  The module functions route to it, so a new family
+is one class here and one entry in FAMILIES.
 """
 
 from __future__ import annotations
@@ -40,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,47 +36,36 @@ from .errors import (
     IncompatibleShape,
     NoClosedForm,
     NonPositiveDiagonal,
+    SingularMatrix,
     TooLarge,
+    WrongKind,
 )
 from .quadratics import QuadraticProblem
-
-KINDS = (
-    "identity",
-    "perm_q",
-    "perm_multiset",
-    "scaled_perm_homog",
-    "scaled_perm_het",
-    "rand_q",
-    "bernoulli",
-)
 
 #: Maximum number of joint outcomes the exact enumerator will visit.
 ENUMERATION_BUDGET = 1_000_000
 
+#: Unit-diagonal tolerance when a preconditioned homogeneous problem is required.
+UNIT_DIAG_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SketchKind:
-    """Tagged sketch family; ``q``/``p`` only where the family uses them."""
+    """Tagged sketch family; ``q``/``p`` only where the family takes them."""
 
     kind: str
     q: int | None = None
     p: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in FAMILIES:
             raise IncompatibleShape(f"unknown sketch kind {self.kind!r}")
-        if self.kind == "rand_q":
-            if self.q is None or self.q < 1:
-                raise IncompatibleShape("rand_q requires an integer q >= 1")
-        elif self.kind == "bernoulli":
-            if self.p is None or not (0.0 < self.p <= 1.0):
-                raise IncompatibleShape("bernoulli requires 0 < p <= 1")
-        elif self.kind == "perm_q":
-            if self.q is not None and self.q < 1:
-                raise IncompatibleShape("perm_q requires q >= 1 when given")
-        else:
-            if self.q is not None or self.p is not None:
-                raise IncompatibleShape(f"{self.kind} takes no q/p parameters")
+        self.family.check(self)
+
+    @property
+    def family(self) -> _Family:
+        """The object in :data:`FAMILIES` that implements this kind."""
+        return FAMILIES[self.kind]
 
     # convenience constructors -------------------------------------------
 
@@ -127,6 +101,8 @@ class SketchKind:
 
     @classmethod
     def from_config(cls, doc: dict) -> "SketchKind":
+        if not isinstance(doc, dict):
+            raise IncompatibleShape(f"sketch must be an object, got {doc!r}")
         extra = set(doc) - {"kind", "q", "p"}
         if extra:
             raise IncompatibleShape(f"unknown sketch config keys {sorted(extra)}")
@@ -139,31 +115,6 @@ class SketchKind:
         if self.p is not None:
             doc["p"] = self.p
         return doc
-
-
-def resolve_block_size(kind: SketchKind, n: int, d: int) -> int:
-    """Coordinates per client for ``kind`` on an (n, d) problem.
-
-    Raises :class:`IncompatibleShape` when the family's divisibility
-    requirement fails (permutation kinds support exactly d = q*n and the
-    multiset kind n = q*d; other shape combinations are rejected).
-    """
-    if kind.kind in ("perm_q", "scaled_perm_homog", "scaled_perm_het"):
-        if d % n != 0:
-            raise IncompatibleShape(f"{kind.kind} requires d = q*n, got n={n}, d={d}")
-        q = d // n
-        if kind.q is not None and kind.q != q:
-            raise IncompatibleShape(f"configured q={kind.q} but d/n = {q}")
-        return q
-    if kind.kind == "perm_multiset":
-        if n % d != 0:
-            raise IncompatibleShape(f"perm_multiset requires n = q*d, got n={n}, d={d}")
-        return 1
-    if kind.kind == "rand_q":
-        if kind.q > d:
-            raise IncompatibleShape(f"rand_q with q={kind.q} exceeds d={d}")
-        return kind.q
-    return d  # identity / bernoulli: no block structure
 
 
 @dataclass(frozen=True)
@@ -298,6 +249,13 @@ def _require_positive_diagonal(p: QuadraticProblem) -> None:
         raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
 
 
+def _require_unit_diag(p: QuadraticProblem, kind: SketchKind) -> None:
+    if not p.homogeneous:
+        raise WrongKind(f"{kind.kind} fixed point requires a homogeneous problem")
+    if np.abs(p.diag[0] - 1.0).max(initial=0.0) > UNIT_DIAG_TOL:
+        raise WrongKind("problem must be diagonally preconditioned (unit diagonal)")
+
+
 def _het_factors(p: QuadraticProblem, idx: NDArray) -> NDArray:
     """Factors sqrt(n) (L_i[S_i, S_i])^{-1/2}: weights for q = 1, else blocks."""
     _require_positive_diagonal(p)
@@ -306,22 +264,12 @@ def _het_factors(p: QuadraticProblem, idx: NDArray) -> NDArray:
     return math.sqrt(p.n) * linalg.spd_inv_sqrt(_sub_blocks(p, idx))
 
 
-def _from_permutation(kind: SketchKind, p: QuadraticProblem, perm: NDArray) -> SketchSample:
-    """Assemble a permutation-family sample from a drawn permutation.
-
-    Client i holds the i-th run of q consecutive entries of ``perm``.
-    """
-    n, d = p.n, p.d
-    idx = perm.reshape(n, -1)
-    if kind.kind == "scaled_perm_het":
-        return SketchSample(kind, n, d, idx, _het_factors(p, idx), permutation=perm)
-    if kind.kind == "perm_multiset":
-        w = math.sqrt(d)
-    elif kind.kind == "perm_q":
-        w = float(n)
-    else:  # scaled_perm_homog
-        w = math.sqrt(n)
-    return SketchSample(kind, n, d, idx, np.full(idx.shape, w), permutation=perm)
+def fixed_point_het(p: QuadraticProblem) -> NDArray:
+    """x_inf = (1/(n sqrt(n))) sum_i D_i^{-1/2} b_i: the mean linear term of
+    the q = 1 scaled_perm_het sketch, defined on any (n, d)."""
+    if np.any(p.diag <= 0.0):
+        raise SingularMatrix("fixed point needs every [L_i]_jj > 0")
+    return (p.b / np.sqrt(p.diag)).mean(axis=0) / math.sqrt(p.n)
 
 
 def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
@@ -336,54 +284,319 @@ def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
     return SketchSample(kind, n, d, idx, weights)
 
 
+# ---------------------------------------------------------------------------
+# families
+# ---------------------------------------------------------------------------
+
+
+#: Sketch parameters: the rule a value must meet, and its check (NaN fails
+#: the comparisons, and inf the upper bound).
+_PARAMS = {
+    "q": ("an integer q >= 1",
+          lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1),
+    "p": ("a real 0 < p <= 1",
+          lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v <= 1.0),
+}
+
+
+class _Family:
+    """Everything istlab knows about one sketch family.
+
+    A family gives ``count(kind, n, d)``, the number of joint outcomes;
+    ``draw(kind, p, rng)``, one sample; and ``outcomes(kind, p)``, which
+    yields (probability, sample) over every outcome.  ``params`` maps each
+    parameter the family takes to whether it is required.  ``fixed_point``
+    and ``sigma2`` are None for a family without those quantities; where
+    defined, they raise :class:`WrongKind` on problems they do not cover.
+    """
+
+    fixed_point = None
+    sigma2 = None
+
+    def __init__(self, name: str, params: dict[str, bool] | None = None):
+        self.name, self.params = name, params or {}
+
+    def check(self, kind: SketchKind) -> None:
+        """Reject a parameter the family does not take or of the wrong type."""
+        for name, (rule, ok) in _PARAMS.items():
+            value = getattr(kind, name)
+            if value is None:
+                if self.params.get(name):
+                    raise IncompatibleShape(f"{self.name} requires {rule}")
+            elif name not in self.params:
+                raise IncompatibleShape(f"{self.name} takes no {name} parameter")
+            elif not ok(value):
+                raise IncompatibleShape(f"{self.name} requires {rule}, got {value!r}")
+
+    def block_size(self, kind: SketchKind, n: int, d: int) -> int:
+        """Coordinates per client; raises IncompatibleShape on a bad shape."""
+        return d
+
+    def moments(self, kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
+        raise NoClosedForm(f"no closed-form expectations for kind {self.name!r}")
+
+    def client_means(self, kind: SketchKind, p: QuadraticProblem) -> list[NDArray] | None:
+        """E[C_i] per client where known in closed form, else None."""
+        self.block_size(kind, p.n, p.d)
+        return [np.eye(p.d)] * p.n  # unbiased compressors
+
+
+class _Identity(_Family):
+    """identity: C_i = I for every client, consuming no randomness.  E[B] is
+    L_bar, E[B L_bar B] is L_bar^3 and the mean linear term is b_bar."""
+
+    def count(self, kind, n, d):
+        return 1
+
+    def draw(self, kind, p, rng):
+        n, d = p.n, p.d
+        idx = np.broadcast_to(np.arange(d), (n, d))
+        return SketchSample(kind, n, d, idx, np.broadcast_to(1.0, (n, d)))
+
+    def outcomes(self, kind, p):
+        yield 1.0, self.draw(kind, p, None)
+
+    def moments(self, kind, p):
+        L_bar = p.L_bar
+        return SketchMoments(L_bar.copy(), L_bar @ L_bar @ L_bar, p.b_bar.copy(), "closed_form")
+
+    def sigma2(self, kind, p, n_samples=None, rng=None):
+        return 0.0
+
+
+class _Partition(_Family):
+    """A uniform permutation cut into n runs of q; client i weights its run
+    by sqrt(w2), with ``w2(n, d)`` an integer.
+
+    perm_q  (d = q * n, w2 = n^2)
+        Permutes [d]; (1/n) sum_i C_i = I holds for every realization.
+    scaled_perm_homog  (d = q * n, w2 = n)
+        The same partition with weight sqrt(n).
+    perm_multiset  (n = q * d, w2 = d)
+        Permutes the multiset {1..d, each q times}; client i holds pi_i.
+
+    Client i's run is a uniform q-subset of [d], so
+    E[B] = (w2 q/d) Diag(L_bar) + w2 q(q-1)/(d(d-1)) offdiag(L_bar), and
+    E[C_i] and the mean linear term are I and b_bar divided by
+    s = sqrt(d^2 / (w2 q^2)).  E[B L_bar B] has a closed form only for
+    q = 1 on a homogeneous problem, where B is the same on every
+    realization, so it is E[B] L_bar E[B].
+    """
+
+    def __init__(self, name, w2=None, multiset=False, params=None):
+        super().__init__(name, params)
+        self.w2, self.multiset = w2, multiset
+
+    def block_size(self, kind, n, d):
+        if self.multiset:
+            if n % d != 0:
+                raise IncompatibleShape(f"{self.name} requires n = q*d, got n={n}, d={d}")
+            return 1
+        if d % n != 0:
+            raise IncompatibleShape(f"{self.name} requires d = q*n, got n={n}, d={d}")
+        q = d // n
+        if kind.q is not None and kind.q != q:
+            raise IncompatibleShape(f"configured q={kind.q} but d/n = {q}")
+        return q
+
+    def count(self, kind, n, d):
+        return math.factorial(max(n, d))
+
+    def draw(self, kind, p, rng):
+        n, d = p.n, p.d
+        self.block_size(kind, n, d)
+        # an int draws the permutation of [d] without building [d] first
+        perm = rng.permutation(d if n <= d else np.repeat(np.arange(d), n // d))
+        idx = perm.reshape(n, -1)
+        return SketchSample(kind, n, d, idx, self._factors(p, idx), permutation=perm)
+
+    def outcomes(self, kind, p):
+        # Permuting the multiset yields each arrangement a uniform number
+        # of times, so equal weights remain exact.
+        n, d = p.n, p.d
+        prob = 1.0 / self.count(kind, n, d)
+        for perm in itertools.permutations(np.repeat(np.arange(d), max(n // d, 1)).tolist()):
+            perm = np.array(perm)
+            idx = perm.reshape(n, -1)
+            yield prob, SketchSample(kind, n, d, idx, self._factors(p, idx), permutation=perm)
+
+    def _factors(self, p, idx):
+        return np.full(idx.shape, math.sqrt(self.w2(p.n, p.d)))
+
+    def _scale(self, n, d, q):
+        return math.sqrt(d * d / (self.w2(n, d) * q * q))
+
+    def moments(self, kind, p):
+        n, d = p.n, p.d
+        q = self.block_size(kind, n, d)
+        w2 = self.w2(n, d)
+        L_bar = p.L_bar
+        diag = np.diag(np.diag(L_bar))
+        curv = (w2 * q / d) * diag
+        if q > 1:
+            curv = curv + (w2 * q * (q - 1) / (d * (d - 1))) * (L_bar - diag)
+        second = curv @ L_bar @ curv if q == 1 and p.homogeneous else None
+        return SketchMoments(curv, second, p.b_bar / self._scale(n, d, q), "closed_form")
+
+    def client_means(self, kind, p):
+        q = self.block_size(kind, p.n, p.d)
+        return [np.eye(p.d) / self._scale(p.n, p.d, q)] * p.n
+
+
+class _ScaledPartition(_Partition):
+    """A partition with w2 q = d: for q = 1, E[B] = Diag(L_bar), which is I
+    on a preconditioned homogeneous problem.  The estimator is then
+    deterministic and its mean update is x -> (1-gamma) x + gamma x_inf
+    with x_inf the mean linear term."""
+
+    def fixed_point(self, kind, p):
+        if self.block_size(kind, p.n, p.d) > 1:
+            # q > 1 keeps random within-block cross terms in the curvature,
+            # so the mean update is no longer the scalar affine map
+            raise WrongKind("closed-form fixed point needs one coordinate per client")
+        _require_unit_diag(p, kind)
+        return p.b_bar / self._scale(p.n, p.d, 1)
+
+    def sigma2(self, kind, p, n_samples=None, rng=None):
+        q = self.block_size(kind, p.n, p.d)
+        if not p.homogeneous:
+            raise WrongKind(f"{self.name} variance formula requires a homogeneous problem")
+        if q > 1:
+            # the random within-block cross terms make the noise depend on x
+            raise WrongKind(f"{self.name} is deterministic only for n = d")
+        return 0.0
+
+
+class _ScaledHet(_Partition):
+    """scaled_perm_het  (d = q * n): client i applies
+    sqrt(n) (L_i[S_i, S_i])^{-1/2} on its run, for q = 1 the weight
+    sqrt(n / L_i[j, j]).  The per-round curvature B is then the identity on
+    every realization, so E[B L_bar B] = L_bar and the noise is the
+    linear term's fluctuation alone.  The mean linear term is closed-form
+    for q = 1 (or zero linear terms).
+    """
+
+    _factors = staticmethod(_het_factors)
+
+    def moments(self, kind, p):
+        q = self.block_size(kind, p.n, p.d)
+        _require_positive_diagonal(p)
+        if q == 1:
+            linear = fixed_point_het(p)
+        elif p.interpolation:
+            linear = np.zeros(p.d)
+        else:
+            linear = None  # block factors have no closed-form linear mean
+        return SketchMoments(np.eye(p.d), p.L_bar.copy(), linear, "closed_form")
+
+    def client_means(self, kind, p):
+        if self.block_size(kind, p.n, p.d) > 1:
+            return None
+        return [np.diag(1.0 / np.sqrt(p.diag[i])) / np.sqrt(p.n) for i in range(p.n)]
+
+    def fixed_point(self, kind, p):
+        if self.block_size(kind, p.n, p.d) > 1 and not p.interpolation:
+            raise WrongKind("closed-form fixed point needs one coordinate per client")
+        return fixed_point_het(p)
+
+    def sigma2(self, kind, p, n_samples=None, rng=None):
+        self.block_size(kind, p.n, p.d)
+        if p.interpolation:
+            return 0.0
+        if n_samples is None:
+            terms = [(prob, s.linear_term(p)) for prob, s in enumerate_outcomes(kind, p)]
+            mean = sum(prob * v for prob, v in terms)
+            return float(sum(prob * ((v - mean) @ (p.L_bar @ (v - mean))) for prob, v in terms))
+        if rng is None:
+            raise ValueError("Monte Carlo fallback requires an rng")
+        draws = np.array([sample(kind, p, rng).linear_term(p) for _ in range(n_samples)])
+        centered = draws - draws.mean(axis=0)
+        return float(np.mean(np.einsum("td,dc,tc->t", centered, p.L_bar, centered)))
+
+
+class _RandQ(_Family):
+    """rand_q: each client independently keeps a uniform q-subset with
+    weight d / q."""
+
+    def block_size(self, kind, n, d):
+        if kind.q > d:
+            raise IncompatibleShape(f"rand_q with q={kind.q} exceeds d={d}")
+        return kind.q
+
+    def count(self, kind, n, d):
+        return math.comb(d, kind.q) ** n
+
+    def draw(self, kind, p, rng):
+        n, d = p.n, p.d
+        self.block_size(kind, n, d)
+        idx = np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
+        return SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q))
+
+    def outcomes(self, kind, p):
+        n, d = p.n, p.d
+        weights = np.broadcast_to(d / kind.q, (n, kind.q))  # read-only, shared by every outcome
+        prob = 1.0 / self.count(kind, n, d)
+        subsets = list(itertools.combinations(range(d), kind.q))
+        for joint in itertools.product(subsets, repeat=n):
+            yield prob, SketchSample(kind, n, d, np.array(joint), weights)
+
+
+class _Bernoulli(_Family):
+    """bernoulli: each client independently keeps each coordinate with
+    probability p and weight 1 / p."""
+
+    def count(self, kind, n, d):
+        return 2 ** (d * n)
+
+    def draw(self, kind, p, rng):
+        # one (n, d) draw is the stream of n draws of length d
+        return _from_mask(kind, rng.random((p.n, p.d)) < kind.p)
+
+    def outcomes(self, kind, p):
+        # outcomes are NOT equiprobable; weight each mask by its
+        # probability p^{kept} (1-p)^{dropped}.
+        d = p.d
+        masks = list(itertools.product((0, 1), repeat=d))
+        mask_prob = {
+            m: (kind.p ** sum(m)) * ((1.0 - kind.p) ** (d - sum(m))) for m in masks
+        }
+        for joint in itertools.product(masks, repeat=p.n):
+            prob = math.prod(mask_prob[m] for m in joint)
+            if prob != 0.0:
+                yield prob, _from_mask(kind, np.array(joint, dtype=bool))
+
+
+#: Every sketch family by its config tag.
+FAMILIES: dict[str, _Family] = {f.name: f for f in (
+    _Identity("identity"),
+    _Partition("perm_q", lambda n, d: n * n, params={"q": False}),
+    _ScaledPartition("perm_multiset", lambda n, d: d, multiset=True),
+    _ScaledPartition("scaled_perm_homog", lambda n, d: n),
+    _ScaledHet("scaled_perm_het"),
+    _RandQ("rand_q", params={"q": True}),
+    _Bernoulli("bernoulli", params={"p": True}),
+)}
+
+
+# ---------------------------------------------------------------------------
+# routing
+# ---------------------------------------------------------------------------
+
+
+def resolve_block_size(kind: SketchKind, n: int, d: int) -> int:
+    """Coordinates per client for ``kind`` on an (n, d) problem; raises
+    :class:`IncompatibleShape` where the family's shape rule fails."""
+    return kind.family.block_size(kind, n, d)
+
+
 def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator) -> SketchSample:
     """Draw one joint realization of ``kind`` for problem ``p``.
 
     Permutations are drawn with ``rng.permutation`` (Fisher-Yates), so every
     permutation-family realization is uniform.
     """
-    n, d = p.n, p.d
-    resolve_block_size(kind, n, d)
-    if kind.kind == "identity":
-        return identity_sample(n, d)
-    if kind.kind in ("perm_q", "scaled_perm_homog", "scaled_perm_het"):
-        return _from_permutation(kind, p, rng.permutation(d))
-    if kind.kind == "perm_multiset":
-        multiset = np.repeat(np.arange(d), n // d)
-        return _from_permutation(kind, p, rng.permutation(multiset))
-    if kind.kind == "rand_q":
-        idx = np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
-        return SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q))
-    # bernoulli; one (n, d) draw is the stream of n draws of length d
-    return _from_mask(kind, rng.random((n, d)) < kind.p)
-
-
-def identity_sample(n: int, d: int) -> SketchSample:
-    """The deterministic identity realization (consumes no randomness)."""
-    return SketchSample(
-        SketchKind.identity(), n, d,
-        idx=np.broadcast_to(np.arange(d), (n, d)),
-        factors=np.broadcast_to(1.0, (n, d)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# exact enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumeration_count(kind: SketchKind, n: int, d: int) -> int:
-    """Number of joint outcomes the enumerator would visit."""
-    resolve_block_size(kind, n, d)
-    if kind.kind == "identity":
-        return 1
-    if kind.kind in ("perm_q", "scaled_perm_homog", "scaled_perm_het"):
-        return math.factorial(d)
-    if kind.kind == "perm_multiset":
-        return math.factorial(n)
-    if kind.kind == "rand_q":
-        return math.comb(d, kind.q) ** n
-    return 2 ** (d * n)  # bernoulli
+    # the dict, not the ``family`` property: this runs once per simulated round
+    return FAMILIES[kind.kind].draw(kind, p, rng)
 
 
 def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
@@ -397,51 +610,16 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
     TooLarge
         If the outcome count exceeds :data:`ENUMERATION_BUDGET`.
     """
-    n, d = p.n, p.d
-    count = enumeration_count(kind, n, d)
-    if count > ENUMERATION_BUDGET:
+    family, n, d = kind.family, p.n, p.d
+    family.block_size(kind, n, d)
+    if family.count(kind, n, d) > ENUMERATION_BUDGET:
         # the count itself is left out: n! can exceed Python's limit on the
         # digits an int may format
         raise TooLarge(
             f"{kind.kind} at n={n}, d={d} has more joint outcomes than the budget "
             f"{ENUMERATION_BUDGET}"
         )
-    if kind.kind == "identity":
-        yield 1.0, identity_sample(n, d)
-        return
-    if kind.kind in ("perm_q", "scaled_perm_homog", "scaled_perm_het"):
-        prob = 1.0 / count
-        for perm in itertools.permutations(range(d)):
-            yield prob, _from_permutation(kind, p, np.array(perm))
-        return
-    if kind.kind == "perm_multiset":
-        # Permuting the multiset array yields each arrangement a uniform
-        # number of times, so equal weights remain exact.
-        prob = 1.0 / count
-        multiset = np.repeat(np.arange(d), n // d)
-        for perm in itertools.permutations(multiset):
-            yield prob, _from_permutation(kind, p, np.array(perm))
-        return
-    if kind.kind == "rand_q":
-        weights = np.broadcast_to(d / kind.q, (n, kind.q))  # read-only, shared by every outcome
-        prob = 1.0 / count
-        subsets = list(itertools.combinations(range(d), kind.q))
-        for joint in itertools.product(subsets, repeat=n):
-            yield prob, SketchSample(kind, n, d, np.array(joint), weights)
-        return
-    # bernoulli: outcomes are NOT equiprobable; weight each mask by its
-    # probability p^{kept} (1-p)^{dropped}.
-    masks = list(itertools.product((0, 1), repeat=d))
-    mask_prob = {
-        m: (kind.p ** sum(m)) * ((1.0 - kind.p) ** (d - sum(m))) for m in masks
-    }
-    for joint in itertools.product(masks, repeat=n):
-        prob = 1.0
-        for m in joint:
-            prob *= mask_prob[m]
-        if prob == 0.0:
-            continue
-        yield prob, _from_mask(kind, np.array(joint, dtype=bool))
+    yield from family.outcomes(kind, p)
 
 
 # ---------------------------------------------------------------------------
@@ -478,87 +656,13 @@ class SketchMoments:
     linear_stderr: NDArray | None = None
 
 
-def _offdiag(m: NDArray) -> NDArray:
-    return m - np.diag(np.diag(m))
-
-
 def closed_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
     """Closed-form expectations where the sketch family admits them.
 
-    Availability:
-
-    ==================  =======================  ==========================
-    kind                curvature E[B]           second / linear
-    ==================  =======================  ==========================
-    identity            L_bar                    L_bar^3 / b_bar
-    perm_q              n Diag(L_bar) + cross    second only for q=1
-                        term for q > 1           homogeneous; linear b_bar
-    scaled_perm_homog   Diag(L_bar) + cross      second only for q=1
-                        term for q > 1           homogeneous; linear
-                                                 b_bar / sqrt(n)
-    perm_multiset       Diag(L_bar)              second only homogeneous;
-                                                 linear b_bar / sqrt(d)
-    scaled_perm_het     I  (per realization)     second = L_bar; linear
-                                                 only for q = 1 (or zero
-                                                 linear terms)
-    ==================  =======================  ==========================
-
-    Raises :class:`NoClosedForm` for rand_q / bernoulli.
+    Each family's class documents its forms.  Raises :class:`NoClosedForm`
+    for rand_q / bernoulli.
     """
-    n, d = p.n, p.d
-    L_bar = p.L_bar
-    if kind.kind == "identity":
-        return SketchMoments(
-            curvature=L_bar.copy(),
-            curvature_second=L_bar @ L_bar @ L_bar,
-            linear=p.b_bar.copy(),
-            method="closed_form",
-        )
-    q = resolve_block_size(kind, n, d)
-    if kind.kind == "perm_q":
-        # E[C_i L_i C_i] = n^2 [ (q/d) Diag(L_i) + q(q-1)/(d(d-1)) offdiag(L_i) ]
-        curv = n * np.diag(np.diag(L_bar))
-        if q > 1:
-            curv = curv + (n * n * q * (q - 1) / (d * (d - 1))) * _offdiag(L_bar)
-        second = None
-        if q == 1 and p.homogeneous:
-            D = np.diag(np.diag(L_bar))
-            second = (n * D) @ L_bar @ (n * D)
-        return SketchMoments(curv, second, p.b_bar.copy(), method="closed_form")
-    if kind.kind == "scaled_perm_homog":
-        curv = np.diag(np.diag(L_bar))
-        if q > 1:
-            curv = curv + ((q - 1) / (d - 1)) * _offdiag(L_bar)
-        second = None
-        if q == 1 and p.homogeneous:
-            D = np.diag(np.diag(L_bar))
-            second = D @ L_bar @ D
-        return SketchMoments(
-            curv, second, p.b_bar / math.sqrt(n), method="closed_form"
-        )
-    if kind.kind == "perm_multiset":
-        curv = np.diag(np.diag(L_bar))
-        second = None
-        if p.homogeneous:
-            second = curv @ L_bar @ curv
-        return SketchMoments(
-            curv, second, p.b_bar / math.sqrt(d), method="closed_form"
-        )
-    if kind.kind == "scaled_perm_het":
-        _require_positive_diagonal(p)
-        if q == 1:
-            linear = (p.b / np.sqrt(p.diag)).mean(axis=0) / math.sqrt(n)
-        elif p.interpolation:
-            linear = np.zeros(d)
-        else:
-            linear = None  # block factors have no closed-form linear mean
-        return SketchMoments(
-            curvature=np.eye(d),
-            curvature_second=L_bar.copy(),
-            linear=linear,
-            method="closed_form",
-        )
-    raise NoClosedForm(f"no closed-form expectations for kind {kind.kind!r}")
+    return kind.family.moments(kind, p)
 
 
 def enumerated_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:

@@ -111,6 +111,15 @@ class TestTheory:
         assert doc["sigma2"] == pytest.approx(0.0, abs=1e-12)
         assert doc["theta"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_sigma2_sample_count_below_one_exits_2(self, tmp_path, capsys, count):
+        out = tmp_path / "p.json"
+        run_cli("gen", "--n", "3", "--d", "30", "--seed", "1", "--mode", "het",
+                "--out", str(out))
+        assert_config_error(capsys, ["theory", "--problem", str(out), "--sketch",
+                                     "scaled_perm_het", "--sigma2-samples", count],
+                            "--sigma2-samples must be >= 1")
+
     def test_shape_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         run_cli("gen", "--n", "3", "--d", "4", "--seed", "2", "--mode", "het",
@@ -301,6 +310,15 @@ class TestExperimentValidation:
         ({"problem": {"generator": {"mode": "het", "n": "4", "d": 4, "seed": 1}}},
          "n must be an integer"),
         ({"output": {"format": "csv", "path": 5}}, "output must be"),
+        ({"sketch": {"kind": "rand_q", "q": 2.5}}, "rand_q requires an integer q >= 1"),
+        ({"sketch": {"kind": "rand_q", "q": True}}, "rand_q requires an integer q >= 1"),
+        ({"sketch": {"kind": "perm_q", "q": "3"}}, "perm_q requires an integer q >= 1"),
+        ({"sketch": {"kind": "bernoulli", "p": "0.5"}}, "bernoulli requires a real 0 < p <= 1"),
+        ({"sketch": {"kind": "bernoulli", "p": True}}, "bernoulli requires a real 0 < p <= 1"),
+        ({"sketch": 5}, "sketch must be an object"),
+        ({"sketch": {"kind": "bernoulli", "p": 0.5, "q": 2}}, "bernoulli takes no q parameter"),
+        ({"sketch": {"kind": "rand_q", "q": 2, "p": 0.5}}, "rand_q takes no p parameter"),
+        ({"sketch": {"kind": "perm_q", "p": 0.5}}, "perm_q takes no p parameter"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
         cfg_path = tmp_path / "exp.json"

@@ -205,6 +205,22 @@ class TestHeterogeneityVariance:
         with pytest.raises(WrongKind):
             heterogeneity_variance(p, EstimatorKind.ist(SketchKind.rand_q(1)))
 
+    def test_shape_the_sketch_cannot_sample_is_rejected(self):
+        # the block size is resolved before any family rule is applied
+        with pytest.raises(IncompatibleShape):
+            heterogeneity_variance(gen_homogeneous(2, 6, seed=25),
+                                   EstimatorKind.ist(SketchKind.perm_multiset()))
+        with pytest.raises(IncompatibleShape):
+            heterogeneity_variance(gen_homogeneous(8, 4, seed=26),
+                                   EstimatorKind.ist(SketchKind.scaled_perm_homog()))
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_sample_count_below_one_rejected(self, n_samples):
+        p = gen_heterogeneous(3, 3, seed=27)
+        est = EstimatorKind.ist(SketchKind.scaled_perm_het())
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            heterogeneity_variance(p, est, n_samples, np.random.default_rng(0))
+
     def test_scaled_homog_multi_coordinate_blocks_are_not_deterministic(self):
         # with q > 1 the within-block cross terms stay random, so the
         # zero-variance shortcut must refuse

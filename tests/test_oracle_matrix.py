@@ -1,0 +1,108 @@
+"""Every registered sketch family's closed forms against the enumeration oracle.
+
+The test walks ``sketches.FAMILIES``: a family is covered by registering it.
+For each one, ``hypothesis`` (derandomized, so every run sees the same
+problems) picks small problems the family can sample and whose outcome
+space is small enough to enumerate.  Every closed form the family provides
+must match enumeration to 1e-12 relative: its moments, E[C_i], the fixed
+point and sigma2.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from istlab import sketches
+from istlab.errors import IncompatibleShape, NoClosedForm, SingularMatrix, WrongKind
+from istlab.quadratics import gen_heterogeneous, gen_homogeneous, precondition_homogeneous
+from istlab.sketches import FAMILIES, SketchKind
+
+#: Largest outcome space a case may enumerate; keeps the matrix fast.
+MAX_OUTCOMES = 720
+RTOL = 1e-12
+
+
+def _feasible(kind, n, d):
+    try:
+        sketches.resolve_block_size(kind, n, d)
+    except IncompatibleShape:
+        return False
+    return kind.family.count(kind, n, d) <= MAX_OUTCOMES
+
+
+@st.composite
+def cases(draw, name):
+    """A sketch kind of family ``name`` and a small problem it can sample."""
+    params = FAMILIES[name].params
+    kind = SketchKind(
+        name,
+        q=draw(st.integers(1, 3)) if params.get("q") else None,
+        p=draw(st.sampled_from([0.3, 0.5, 1.0])) if params.get("p") else None,
+    )
+    shapes = [(n, d) for n in range(1, 5) for d in range(1, 7) if _feasible(kind, n, d)]
+    n, d = draw(st.sampled_from(shapes))
+    mode = draw(st.sampled_from(["het", "hom", "interp"]))
+    seed = draw(st.integers(0, 10_000))
+    if mode == "hom":
+        return kind, precondition_homogeneous(gen_homogeneous(n, d, seed))[0]
+    p = gen_heterogeneous(n, d, seed)
+    return kind, p.as_interpolation() if mode == "interp" else p
+
+
+def assert_close(got, want, scale=None):
+    """``got`` matches ``want`` to RTOL relative to ``scale``, by default
+    their largest entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    if scale is None:
+        scale = max(np.abs(want).max(initial=0.0), np.abs(got).max(initial=0.0))
+    assert np.abs(got - want).max(initial=0.0) <= RTOL * scale
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(data=st.data())
+def test_closed_forms_match_enumeration(name, data):
+    kind, p = data.draw(cases(name))
+    family = kind.family
+    outcomes = list(sketches.enumerate_outcomes(kind, p))
+    enum = sketches.enumerated_moments(kind, p)
+
+    try:
+        closed = sketches.closed_moments(kind, p)
+    except NoClosedForm:
+        closed = None
+    if closed is not None:
+        assert_close(closed.curvature, enum.curvature)
+        for field in ("curvature_second", "linear"):
+            if getattr(closed, field) is not None:
+                assert_close(getattr(closed, field), getattr(enum, field))
+
+    means = family.client_means(kind, p)
+    if means is not None:
+        for i in range(p.n):
+            assert_close(means[i], sum(prob * s.client_matrix(i) for prob, s in outcomes))
+
+    if family.fixed_point is not None:
+        try:
+            x_inf = family.fixed_point(kind, p)
+        except (WrongKind, SingularMatrix):
+            pass
+        else:
+            # E[x^{k+1}] = (1 - gamma) E[x^k] + gamma x_inf needs E[B] = I
+            assert_close(enum.curvature, np.eye(p.d))
+            assert_close(x_inf, enum.linear)
+
+    if family.sigma2 is not None:
+        try:
+            sigma2 = family.sigma2(kind, p)
+        except WrongKind:
+            pass
+        else:
+            terms = [(prob, s.linear_term(p)) for prob, s in outcomes]
+            second = sum(prob * (v @ p.L_bar @ v) for prob, v in terms)
+            variance = sum(prob * ((v - enum.linear) @ p.L_bar @ (v - enum.linear))
+                           for prob, v in terms)
+            # a deterministic family's zero is matched relative to E||v||^2
+            assert_close(sigma2, variance, scale=max(second, abs(sigma2)))

@@ -43,6 +43,17 @@ class TestSketchKind:
             SketchKind("scaled_perm_het", q=2)
         with pytest.raises(IncompatibleShape):
             SketchKind("nope")
+        for kind, q, p in [
+            ("bernoulli", 2, 0.5), ("rand_q", 2, 0.5), ("perm_q", None, 0.5),  # not taken
+            ("rand_q", 2.5, None), ("rand_q", True, None), ("perm_q", "3", None),
+            ("bernoulli", None, "0.5"), ("bernoulli", None, True),
+            ("bernoulli", None, float("nan")), ("bernoulli", None, float("inf")),
+        ]:
+            with pytest.raises(IncompatibleShape):
+                SketchKind(kind, q=q, p=p)
+        with pytest.raises(IncompatibleShape):
+            SketchKind.from_config(5)
+        assert SketchKind.rand_q(np.int64(2)).q == 2
 
     def test_shape_requirements(self):
         with pytest.raises(IncompatibleShape):
