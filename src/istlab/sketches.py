@@ -106,7 +106,7 @@ class SketchKind:
         extra = set(doc) - {"kind", "q", "p"}
         if extra:
             raise IncompatibleShape(f"unknown sketch config keys {sorted(extra)}")
-        return cls(doc["kind"], q=doc.get("q"), p=doc.get("p"))
+        return cls(doc.get("kind"), q=doc.get("q"), p=doc.get("p"))
 
     def to_config(self) -> dict:
         doc: dict = {"kind": self.kind}

@@ -319,6 +319,7 @@ class TestExperimentValidation:
         ({"sketch": {"kind": "bernoulli", "p": 0.5, "q": 2}}, "bernoulli takes no q parameter"),
         ({"sketch": {"kind": "rand_q", "q": 2, "p": 0.5}}, "rand_q takes no p parameter"),
         ({"sketch": {"kind": "perm_q", "p": 0.5}}, "perm_q takes no p parameter"),
+        ({"sketch": {"q": 2}}, "unknown sketch kind None"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
         cfg_path = tmp_path / "exp.json"
