@@ -328,7 +328,7 @@ def function_gap_bound(
             f"need c <= 1 - gamma/2 - beta(1-gamma); got c={c}, "
             f"margin={progress:.6g} at gamma={gamma}, beta={beta}"
         )
-    sketches._require_unit_diag(p, SketchKind.scaled_perm_homog())
+    sketches._require_unit_diag(p, "function_gap_bound")
     h = estimator_bias(p)
     bias_sq = linalg.weighted_sqnorm(h, p.L_bar)
     f_star = p.f(p.solution())

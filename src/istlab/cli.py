@@ -61,14 +61,17 @@ def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
         p = QuadraticProblem.load(path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         return p, {"path": str(path), "sha256": digest}
-    if isinstance(source, dict) and "generator" in source:
+    if isinstance(source, dict) and isinstance(source.get("generator"), dict):
         spec = dict(source["generator"])
+        precondition = spec.get("precondition", False)
+        if not isinstance(precondition, bool):
+            raise ConfigInvalid(f"precondition must be true or false, got {precondition!r}")
         extra = set(spec) - GENERATOR_KEYS
         if extra:
             raise ConfigInvalid(f"unknown generator keys {sorted(extra)}")
         p = generate_problem(
             spec["mode"], _json_int(spec, "n"), _json_int(spec, "d"), _json_int(spec, "seed"),
-            bool(spec.get("precondition", False)),
+            precondition,
         )
         return p, {"generator": spec}
     raise ConfigInvalid("problem must be a path string or {'generator': {...}}")
@@ -230,6 +233,8 @@ def _sketch_from_args(args) -> SketchKind:
 def cmd_theory(args) -> int:
     if args.sigma2_samples is not None and args.sigma2_samples < 1:
         raise ConfigInvalid(f"--sigma2-samples must be >= 1, got {args.sigma2_samples}")
+    if args.gamma is not None:
+        StepSchedule.constant(args.gamma)  # the --gammas rule: rejects nan, inf and gamma <= 0
     p = QuadraticProblem.load(args.problem)
     kind = _sketch_from_args(args)
     cert = certificates.certificate(

@@ -21,8 +21,10 @@ dist_L_to_xstar
 dist_to_xinf
     ||x^k - x_inf|| (needs a sketch family with a closed-form fixed point).
 submodel_loss_avg
-    (1/n) sum_i f_i(C_i x^k) under the round's sketch; the final iterate
-    draws one extra sketch solely for this metric.
+    (1/n) sum_i f_i(C_i x^k) under the round's sketch, computed on each
+    client's kept coordinates (equal to the per-client formula up to
+    round-off); f(x^k) for dgd.  The final iterate draws one extra sketch
+    solely for this metric.
 
 A trajectory whose metric magnitude exceeds 1e100 (or whose iterate leaves
 the float range) is marked diverged at that iteration; its remaining rows
@@ -250,30 +252,31 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     diverged = np.full(shape, -1, dtype=np.int64)
     iterates = np.full(shape + (K + 1, p.d), np.nan) if cfg.record_iterates else None
 
-    L_bar = p.L_bar
+    L_bar, b_bar = p.L_bar, p.b_bar
+    # f(x) and grad f(x) share one product L_bar @ x, in p.f's and p.grad's arithmetic
+    needs_fg = not {"f_gap_rel_log", "grad_sq", "grad_sq_Linv"}.isdisjoint(cfg.metrics) or (
+        "submodel_loss_avg" in cfg.metrics and not draws_last)
 
     def metric_row(x, sample):
         vals = {}
+        if needs_fg:
+            Lx = L_bar @ x
+            f, g = 0.5 * float(x @ Lx) - float(x @ b_bar), Lx - b_bar
         for name in cfg.metrics:
             if name == "f_gap_rel_log":
-                rel = max(p.f(x) - f_star, 1e-300) / gap0
+                rel = max(f - f_star, 1e-300) / gap0
                 vals[name] = np.log10(max(rel, 1e-300))
             elif name == "grad_sq":
-                g = p.grad(x)
                 vals[name] = float(g @ g)
             elif name == "grad_sq_Linv":
-                g = p.grad(x)
                 vals[name] = float(g @ (L_inv @ g))
             elif name == "dist_L_to_xstar":
                 dx = x - x_star
                 vals[name] = float(dx @ (L_bar @ dx))
             elif name == "dist_to_xinf":
                 vals[name] = float(np.linalg.norm(x - x_inf))
-            else:  # submodel_loss_avg
-                total = 0.0
-                for i in range(p.n):
-                    total += p.f_client(i, sample.apply(i, x) if sample is not None else x)
-                vals[name] = total / p.n
+            else:  # submodel_loss_avg; dgd keeps the whole model, C_i = I
+                vals[name] = f if sample is None else sample.submodel_loss(p, x)
         return vals
 
     def one_repeat(r: int) -> None:

@@ -188,6 +188,12 @@ class SketchSample:
         cb = _times(self.factors, _rows(p.b, self.idx)[..., None])
         return _accumulate(self.idx, cb, self.d) / self.n
 
+    def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float:
+        """(1/n) sum_i f_i(C_i x), evaluated on each client's kept coordinates."""
+        w = _times(self.factors, x[self.idx][..., None])
+        return float(np.sum(w * (0.5 * (_sub_blocks(p, self.idx) @ w)
+                                 - _rows(p.b, self.idx)[..., None]))) / self.n
+
     def _blocks(self) -> NDArray:
         """C_i restricted to S_i as an (n, q, q) stack."""
         return _times(self.factors, np.eye(self.idx.shape[1]))
@@ -249,9 +255,9 @@ def _require_positive_diagonal(p: QuadraticProblem) -> None:
         raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
 
 
-def _require_unit_diag(p: QuadraticProblem, kind: SketchKind) -> None:
+def _require_unit_diag(p: QuadraticProblem, what: str) -> None:
     if not p.homogeneous:
-        raise WrongKind(f"{kind.kind} fixed point requires a homogeneous problem")
+        raise WrongKind(f"{what} requires a homogeneous problem")
     if np.abs(p.diag[0] - 1.0).max(initial=0.0) > UNIT_DIAG_TOL:
         raise WrongKind("problem must be diagonally preconditioned (unit diagonal)")
 
@@ -454,7 +460,7 @@ class _ScaledPartition(_Partition):
             # q > 1 keeps random within-block cross terms in the curvature,
             # so the mean update is no longer the scalar affine map
             raise WrongKind("closed-form fixed point needs one coordinate per client")
-        _require_unit_diag(p, kind)
+        _require_unit_diag(p, f"{kind.kind} fixed point")
         return p.b_bar / self._scale(p.n, p.d, 1)
 
     def sigma2(self, kind, p, n_samples=None, rng=None):

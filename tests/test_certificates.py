@@ -316,6 +316,11 @@ class TestFunctionGapBound:
         with pytest.raises(WrongKind):
             function_gap_bound(p, gamma=0.5, beta=0.2, c=0.25, k=3, f0=1.0)
 
+    def test_heterogeneous_problem_error_names_the_bound(self):
+        p = gen_heterogeneous(3, 3, seed=1)
+        with pytest.raises(WrongKind, match="function_gap_bound requires a homogeneous"):
+            function_gap_bound(p, gamma=0.5, beta=0.2, c=0.25, k=3, f0=1.0)
+
 
 class TestNeighborhoodPsi:
     def test_gamma_one_gives_one(self):

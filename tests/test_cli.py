@@ -120,6 +120,15 @@ class TestTheory:
                                      "scaled_perm_het", "--sigma2-samples", count],
                             "--sigma2-samples must be >= 1")
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-1", "0"])
+    def test_gamma_not_finite_positive_exits_2(self, tmp_path, capsys, gamma):
+        out = tmp_path / "p.json"
+        run_cli("gen", "--n", "3", "--d", "3", "--seed", "1", "--mode", "het",
+                "--out", str(out))
+        assert_config_error(capsys, ["theory", "--problem", str(out), "--sketch",
+                                     "scaled_perm_het", "--gamma", gamma],
+                            "step size must be a finite positive")
+
     def test_shape_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         run_cli("gen", "--n", "3", "--d", "4", "--seed", "2", "--mode", "het",
@@ -320,6 +329,10 @@ class TestExperimentValidation:
         ({"sketch": {"kind": "rand_q", "q": 2, "p": 0.5}}, "rand_q takes no p parameter"),
         ({"sketch": {"kind": "perm_q", "p": 0.5}}, "perm_q takes no p parameter"),
         ({"sketch": {"q": 2}}, "unknown sketch kind None"),
+        ({"problem": {"generator": 5}}, "problem must be a path string or {'generator'"),
+        ({"problem": {"generator": {"mode": "hom", "n": 4, "d": 4, "seed": 1,
+                                    "precondition": "no"}}},
+         "precondition must be true or false"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
         cfg_path = tmp_path / "exp.json"

@@ -11,7 +11,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_sketch_gallery.py", "02_certificates.py", "03_one_step_convergence.py"]
+    "demo",
+    ["01_sketch_gallery.py", "02_certificates.py", "03_one_step_convergence.py",
+     "05_step_size_tradeoff.py"],
 )
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -4,11 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from istlab import linalg
+from istlab import linalg, sketches
 from istlab.certificates import estimator_bias, expected_iterate
 from istlab.errors import ConfigInvalid
 from istlab.estimators import EstimatorKind
-from istlab.quadratics import gen_heterogeneous, gen_homogeneous, precondition_homogeneous
+from istlab.quadratics import (
+    QuadraticProblem,
+    gen_heterogeneous,
+    gen_homogeneous,
+    precondition_homogeneous,
+)
 from istlab.runner import RunConfig, StepSchedule, run, sweep
 from istlab.sketches import SketchKind
 
@@ -317,3 +322,59 @@ class TestSweep:
             tail = t.metrics["f_gap_rel_log"][:, -120:]
             plateau_gap = np.mean(10.0**tail) * gap0
             assert plateau_gap >= 0.8 * floor
+
+
+# family -> (estimator, n, d); bernoulli pads its rows, scaled_perm_het at
+# d = 2n keeps 2 x 2 blocks
+SUBMODEL_CASES = {
+    "identity": (EstimatorKind.ist(SketchKind.identity()), 3, 5),
+    "perm_q": (EstimatorKind.ist(SketchKind.perm_q()), 3, 6),
+    "perm_multiset": (EstimatorKind.ist(SketchKind.perm_multiset()), 4, 2),
+    "scaled_perm_homog": (EstimatorKind.ist(SketchKind.scaled_perm_homog()), 2, 4),
+    "scaled_perm_het": (EstimatorKind.ist(SketchKind.scaled_perm_het()), 3, 6),
+    "rand_q": (EstimatorKind.ist(SketchKind.rand_q(2)), 3, 5),
+    "bernoulli": (EstimatorKind.cgd(SketchKind.bernoulli(0.5)), 3, 6),
+}
+
+
+class TestSubmodelLoss:
+    @pytest.mark.parametrize("case", sorted(sketches.FAMILIES) + ["scaled_perm_het_q1", "dgd"])
+    def test_matches_dense_per_client_reference(self, case):
+        if case == "scaled_perm_het_q1":
+            est, n, d = EstimatorKind.ist(SketchKind.scaled_perm_het()), 3, 3
+        elif case == "dgd":
+            est, n, d = EstimatorKind.dgd(), 3, 5
+        else:
+            est, n, d = SUBMODEL_CASES[case]
+        p = gen_heterogeneous(n, d, seed=60 + n + d)
+        cfg = RunConfig(problem=p, estimator=est, schedule=StepSchedule.constant(0.05),
+                        K=6, seed=8, repeats=2, metrics=("submodel_loss_avg",),
+                        record_iterates=True)
+        t = run(cfg)
+        padded = False
+        for r in range(cfg.repeats):
+            # replay the repeat's draws from its documented substream
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+            for k in range(cfg.K + 1):
+                x = t.iterates[r, k]
+                if est.sketch is None:
+                    ref = np.mean([p.f_client(i, x) for i in range(n)])
+                else:
+                    s = sketches.sample(est.sketch, p, rng)
+                    padded |= s.factors.ndim == 2 and not s.factors.all()
+                    ref = np.mean([p.f_client(i, s.client_matrix(i) @ x) for i in range(n)])
+                np.testing.assert_allclose(t.metrics["submodel_loss_avg"][r, k], ref,
+                                           rtol=1e-12, atol=0)
+        assert padded == (case == "bernoulli")
+
+    def test_makes_no_per_client_loss_calls(self, monkeypatch):
+        calls = []
+        f_client = QuadraticProblem.f_client
+        monkeypatch.setattr(QuadraticProblem, "f_client",
+                            lambda self, i, x: calls.append(i) or f_client(self, i, x))
+        p = gen_heterogeneous(3, 6, seed=9)
+        for est in (EstimatorKind.cgd(SketchKind.bernoulli(0.3)), EstimatorKind.dgd()):
+            cfg = RunConfig(problem=p, estimator=est, schedule=StepSchedule.constant(0.05),
+                            K=5, seed=1, metrics=("submodel_loss_avg",))
+            assert np.isfinite(run(cfg).metrics["submodel_loss_avg"]).all()
+        assert calls == []
