@@ -68,8 +68,7 @@ class EstimatorKind:
 
 
 def _ist_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    wx = sketches._times(s.factors, x[s.idx][..., None])
-    t = sketches._sub_blocks(p, s.idx) @ wx - sketches._rows(p.b, s.idx)[..., None]
+    t = s.local_product(p, x)[1] - sketches._rows(p.b, s.idx)[..., None]
     return sketches._accumulate(s.idx, sketches._times(s.factors, t), p.d) / p.n
 
 

@@ -21,10 +21,11 @@ dist_L_to_xstar
 dist_to_xinf
     ||x^k - x_inf|| (needs a sketch family with a closed-form fixed point).
 submodel_loss_avg
-    (1/n) sum_i f_i(C_i x^k) under the round's sketch, computed on each
-    client's kept coordinates (equal to the per-client formula up to
-    round-off); f(x^k) for dgd.  The final iterate draws one extra sketch
-    solely for this metric.
+    (1/n) sum_i f_i(C_i x^k) under the round's sketch, for all clients at
+    once: on each client's kept coordinates when they are few, else with
+    dense C_i x (equal to the per-client formula up to round-off).  It is
+    f(x^k) for dgd and the identity sketch.  Other estimators draw one extra
+    sketch at the final iterate solely for this metric.
 
 A trajectory whose metric magnitude exceeds 1e100 (or whose iterate leaves
 the float range) is marked diverged at that iteration; its remaining rows
@@ -242,8 +243,10 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
         if cfg.estimator.sketch is None:
             raise ConfigInvalid("dist_to_xinf needs a sketch-based estimator")
         x_inf = certificates.fixed_point(p, cfg.estimator.sketch)
-    # submodel_loss_avg draws one extra sketch for the final iterate
-    draws_last = "submodel_loss_avg" in cfg.metrics and cfg.estimator.kind != "dgd"
+    # where every C_i = I (dgd, the identity sketch) the submodel loss is f(x);
+    # otherwise it draws one extra sketch for the final iterate
+    whole_model = cfg.estimator.kind == "dgd" or cfg.estimator.sketch.family.whole_model
+    draws_last = "submodel_loss_avg" in cfg.metrics and not whole_model
     L_inv = linalg.psd_pinv(p.L_bar) if "grad_sq_Linv" in cfg.metrics else None
 
     shape = (n_lanes, cfg.repeats)
@@ -255,7 +258,7 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     L_bar, b_bar = p.L_bar, p.b_bar
     # f(x) and grad f(x) share one product L_bar @ x, in p.f's and p.grad's arithmetic
     needs_fg = not {"f_gap_rel_log", "grad_sq", "grad_sq_Linv"}.isdisjoint(cfg.metrics) or (
-        "submodel_loss_avg" in cfg.metrics and not draws_last)
+        "submodel_loss_avg" in cfg.metrics and whole_model)
 
     def metric_row(x, sample):
         vals = {}
@@ -275,8 +278,8 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
                 vals[name] = float(dx @ (L_bar @ dx))
             elif name == "dist_to_xinf":
                 vals[name] = float(np.linalg.norm(x - x_inf))
-            else:  # submodel_loss_avg; dgd keeps the whole model, C_i = I
-                vals[name] = f if sample is None else sample.submodel_loss(p, x)
+            else:  # submodel_loss_avg
+                vals[name] = f if whole_model else sample.submodel_loss(p, x)
         return vals
 
     def one_repeat(r: int) -> None:

@@ -48,6 +48,10 @@ ENUMERATION_BUDGET = 1_000_000
 #: Unit-diagonal tolerance when a preconditioned homogeneous problem is required.
 UNIT_DIAG_TOL = 1e-9
 
+#: Largest q / d at which SketchSample.submodel_loss gathers L_i[S_i, S_i]: the gather's
+#: n q^2 scattered reads cost as much as streaming n d^2 near q = 0.3 d (d = 200 and 2000).
+GATHER_MAX_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class SketchKind:
@@ -188,11 +192,21 @@ class SketchSample:
         cb = _times(self.factors, _rows(p.b, self.idx)[..., None])
         return _accumulate(self.idx, cb, self.d) / self.n
 
-    def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float:
-        """(1/n) sum_i f_i(C_i x), evaluated on each client's kept coordinates."""
+    def local_product(self, p: QuadraticProblem, x: NDArray) -> tuple[NDArray, NDArray]:
+        """w_i = (C_i x)[S_i] and L_i[S_i, S_i] w_i for every client, (n, q, 1) each."""
         w = _times(self.factors, x[self.idx][..., None])
-        return float(np.sum(w * (0.5 * (_sub_blocks(p, self.idx) @ w)
-                                 - _rows(p.b, self.idx)[..., None]))) / self.n
+        return w, _sub_blocks(p, self.idx) @ w
+
+    def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float:
+        """(1/n) sum_i f_i(C_i x): on the kept coordinates when q <= GATHER_MAX_FRACTION * d,
+        otherwise with C_i x scattered to a dense vector and multiplied by all of L_i."""
+        if self.idx.shape[1] <= GATHER_MAX_FRACTION * self.d:
+            w, lw = self.local_product(p, x)
+            return float(np.sum(w * (0.5 * lw - _rows(p.b, self.idx)[..., None]))) / self.n
+        n, d = self.n, self.d
+        w = _times(self.factors, x[self.idx][..., None])
+        z = _accumulate(self.idx + _client_offsets(n, d), w, n * d).reshape(n, d)
+        return float(np.sum(z * (0.5 * (p.L @ z[..., None])[..., 0] - p.b))) / n
 
     def _blocks(self) -> NDArray:
         """C_i restricted to S_i as an (n, q, q) stack."""
@@ -318,6 +332,7 @@ class _Family:
 
     fixed_point = None
     sigma2 = None
+    whole_model = False  # True where every C_i = I
 
     def __init__(self, name: str, params: dict[str, bool] | None = None):
         self.name, self.params = name, params or {}
@@ -350,6 +365,8 @@ class _Family:
 class _Identity(_Family):
     """identity: C_i = I for every client, consuming no randomness.  E[B] is
     L_bar, E[B L_bar B] is L_bar^3 and the mean linear term is b_bar."""
+
+    whole_model = True
 
     def count(self, kind, n, d):
         return 1

@@ -90,7 +90,7 @@ class TestDeterminism:
     def test_dgd_equals_ist_identity_bitwise(self):
         p = gen_heterogeneous(3, 5, seed=3)
         base = dict(schedule=StepSchedule.constant(0.01), K=20, seed=7, repeats=2,
-                    metrics=("grad_sq", "dist_L_to_xstar"))
+                    metrics=("grad_sq", "dist_L_to_xstar", "submodel_loss_avg"))
         t_dgd = run(RunConfig(problem=p, estimator=EstimatorKind.dgd(), **base))
         t_ist = run(RunConfig(problem=p, estimator=EstimatorKind.ist(SketchKind.identity()), **base))
         for name in base["metrics"]:
@@ -338,8 +338,11 @@ SUBMODEL_CASES = {
 
 
 class TestSubmodelLoss:
+    # 1.0 always gathers L_i[S_i, S_i]; 0.0 always takes the dense product
+    @pytest.mark.parametrize("gather_max", [1.0, 0.0], ids=["gather", "dense"])
     @pytest.mark.parametrize("case", sorted(sketches.FAMILIES) + ["scaled_perm_het_q1", "dgd"])
-    def test_matches_dense_per_client_reference(self, case):
+    def test_matches_dense_per_client_reference(self, case, gather_max, monkeypatch):
+        monkeypatch.setattr(sketches, "GATHER_MAX_FRACTION", gather_max)
         if case == "scaled_perm_het_q1":
             est, n, d = EstimatorKind.ist(SketchKind.scaled_perm_het()), 3, 3
         elif case == "dgd":
@@ -363,6 +366,7 @@ class TestSubmodelLoss:
                     s = sketches.sample(est.sketch, p, rng)
                     padded |= s.factors.ndim == 2 and not s.factors.all()
                     ref = np.mean([p.f_client(i, s.client_matrix(i) @ x) for i in range(n)])
+                    np.testing.assert_allclose(s.submodel_loss(p, x), ref, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(t.metrics["submodel_loss_avg"][r, k], ref,
                                            rtol=1e-12, atol=0)
         assert padded == (case == "bernoulli")
