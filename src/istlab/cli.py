@@ -45,6 +45,7 @@ def counterexample_fixture_path() -> Path:
 def generate_problem(mode: str, n: int, d: int, seed: int, precond: bool = False):
     if mode not in MODES:
         raise ConfigInvalid(f"mode must be one of {MODES}")
+    runner.check_seed(seed)
     base = mode.split("-")[0]
     p = quadratics.gen_heterogeneous(n, d, seed) if base == "het" else quadratics.gen_homogeneous(n, d, seed)
     if precond:
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     except IncompatibleShape as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigInvalid, IstLabError, FileNotFoundError, KeyError) as exc:
+    except (ConfigInvalid, IstLabError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,8 @@ Randomness contract
 -------------------
 All generators draw from ``numpy.random.Generator`` (PCG64) seeded through
 ``numpy.random.SeedSequence``.  Client ``i`` of a generated ensemble uses the
-substream ``SeedSequence(seed, spawn_key=(i,))``, so ensembles are bitwise
-reproducible regardless of how the work is scheduled.
+substream ``SeedSequence(seed, spawn_key=(i,))``.  Ensembles are bitwise
+reproducible at a fixed BLAS thread count only: ``B.T @ B`` rounds with it.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The update is x^{k+1} = x^k - gamma_k * g^k with a fresh joint sketch per
 round.  A run executes ``repeats`` independent trajectories that share the
 problem and the initial point; repeat ``r`` draws its sketches from the
-substream ``SeedSequence(seed, spawn_key=(r,))``, so a trace is bitwise
-reproducible for a fixed config regardless of thread count or scheduling.
+substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run on the calling
+thread unless ``IST_LAB_THREADS`` asks for more threads (see the README); a
+trace is bitwise reproducible for a fixed config and problem either way.
 A sweep advances its step sizes in lockstep: each round's joint sketch is
 drawn once and shared by every step size, and each step size's trace is
 bitwise equal to a separate run at that step size.
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from . import certificates, estimators, linalg
+from . import certificates, estimators, linalg, sketches
 from .errors import ConfigInvalid
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
@@ -67,6 +68,11 @@ def _finite_real(v) -> bool:
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_seed(seed) -> None:
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigInvalid(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -147,13 +153,14 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.K < 0:
             raise ConfigInvalid("K must be >= 0")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         if self.repeats < 1:
             raise ConfigInvalid("repeats must be >= 1")
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ConfigInvalid(f"unknown metrics {sorted(unknown)}")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ConfigInvalid(f"metrics must not repeat a name, got {list(self.metrics)}")
 
 
 @dataclass
@@ -197,7 +204,7 @@ def _thread_budget() -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigInvalid(f"IST_LAB_THREADS={env!r} is not an integer") from exc
-    return os.cpu_count() or 1
+    return 1
 
 
 def resolve_x0(cfg: RunConfig) -> NDArray:
@@ -245,7 +252,8 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
         x_inf = certificates.fixed_point(p, cfg.estimator.sketch)
     # where every C_i = I (dgd, the identity sketch) the submodel loss is f(x);
     # otherwise it draws one extra sketch for the final iterate
-    whole_model = cfg.estimator.kind == "dgd" or cfg.estimator.sketch.family.whole_model
+    sketch = cfg.estimator.sketch
+    whole_model = sketch is None or sketch.family.whole_model
     draws_last = "submodel_loss_avg" in cfg.metrics and not whole_model
     L_inv = linalg.psd_pinv(p.L_bar) if "grad_sq_Linv" in cfg.metrics else None
 
@@ -288,15 +296,16 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
         last_valid = [x0] * n_lanes
         live = list(range(n_lanes))
         for k in range(K + 1):
-            sample = None  # the round's draw, made by its first live lane
+            # the round's draw, shared by every live lane
+            sample = sketches.sample(sketch, p, rng) if sketch and (k < K or draws_last) else None
             for j in tuple(live):
                 x = xs[j]
                 if not np.isfinite(x).all():
                     diverged[j, r] = k
                     live.remove(j)
                     continue
-                if k < K or draws_last:
-                    g, sample = estimators.estimate(cfg.estimator, p, x, rng, sample)
+                if k < K:
+                    g = estimators.estimate(cfg.estimator, p, x, rng, sample)[0]
                 vals = metric_row(x, sample)
                 if any(not np.isfinite(v) or abs(v) > DIVERGENCE_LIMIT for v in vals.values()):
                     diverged[j, r] = k

@@ -135,7 +135,8 @@ class SketchSample:
 
     ``coords[i]`` and ``weights[i]`` read client i's kept coordinates and
     their weights without padding; ``blocks`` is the block stack, or None
-    for diagonal factors, in which case ``weights`` is not None.
+    for diagonal factors, in which case ``weights`` is not None.  ``local`` is
+    the (n, q, q) stack L_i[S_i, S_i] where the draw gathered it, else None.
     """
 
     kind: SketchKind
@@ -143,6 +144,7 @@ class SketchSample:
     d: int
     idx: NDArray
     factors: NDArray
+    local: NDArray | None = None
     permutation: NDArray | None = None
 
     @property
@@ -195,7 +197,8 @@ class SketchSample:
     def local_product(self, p: QuadraticProblem, x: NDArray) -> tuple[NDArray, NDArray]:
         """w_i = (C_i x)[S_i] and L_i[S_i, S_i] w_i for every client, (n, q, 1) each."""
         w = _times(self.factors, x[self.idx][..., None])
-        return w, _sub_blocks(p, self.idx) @ w
+        local = _sub_blocks(p, self.idx) if self.local is None else self.local
+        return w, local @ w
 
     def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float:
         """(1/n) sum_i f_i(C_i x): on the kept coordinates when q <= GATHER_MAX_FRACTION * d,
@@ -276,12 +279,13 @@ def _require_unit_diag(p: QuadraticProblem, what: str) -> None:
         raise WrongKind("problem must be diagonally preconditioned (unit diagonal)")
 
 
-def _het_factors(p: QuadraticProblem, idx: NDArray) -> NDArray:
-    """Factors sqrt(n) (L_i[S_i, S_i])^{-1/2}: weights for q = 1, else blocks."""
+def _het_factors(p: QuadraticProblem, idx: NDArray) -> tuple[NDArray, NDArray]:
+    """sqrt(n) (L_i[S_i, S_i])^{-1/2} (weights for q = 1, else blocks) and L_i[S_i, S_i]."""
     _require_positive_diagonal(p)
+    local = _sub_blocks(p, idx)
     if idx.shape[1] == 1:
-        return np.sqrt(p.n / _rows(p.diag, idx))
-    return math.sqrt(p.n) * linalg.spd_inv_sqrt(_sub_blocks(p, idx))
+        return np.sqrt(p.n / local[..., 0]), local
+    return math.sqrt(p.n) * linalg.spd_inv_sqrt(local), local
 
 
 def fixed_point_het(p: QuadraticProblem) -> NDArray:
@@ -431,7 +435,7 @@ class _Partition(_Family):
         # an int draws the permutation of [d] without building [d] first
         perm = rng.permutation(d if n <= d else np.repeat(np.arange(d), n // d))
         idx = perm.reshape(n, -1)
-        return SketchSample(kind, n, d, idx, self._factors(p, idx), permutation=perm)
+        return SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
 
     def outcomes(self, kind, p):
         # Permuting the multiset yields each arrangement a uniform number
@@ -441,10 +445,10 @@ class _Partition(_Family):
         for perm in itertools.permutations(np.repeat(np.arange(d), max(n // d, 1)).tolist()):
             perm = np.array(perm)
             idx = perm.reshape(n, -1)
-            yield prob, SketchSample(kind, n, d, idx, self._factors(p, idx), permutation=perm)
+            yield prob, SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
 
     def _factors(self, p, idx):
-        return np.full(idx.shape, math.sqrt(self.w2(p.n, p.d)))
+        return np.full(idx.shape, math.sqrt(self.w2(p.n, p.d))), None
 
     def _scale(self, n, d, q):
         return math.sqrt(d * d / (self.w2(n, d) * q * q))

@@ -74,6 +74,13 @@ class TestGen:
                        "--out", str(tmp_path / "x.json"))
         assert code == 3
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert_config_error(capsys, ["gen", "--n", "2", "--d", "2", "--seed", "-1", "--mode",
+                                     "het", "--out", str(out)],
+                            "seed must be a non-negative integer, got -1")
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("gen", "--n", "2")
@@ -192,6 +199,13 @@ class TestRun:
         rows = cli.read_trace_csv(out)
         assert len(rows) == 2
         assert {r[0] for r in rows} == {0, 1}
+
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        out.mkdir()
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(out)))
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], "Is a directory")
 
     def test_unknown_key_rejected(self, tmp_path):
         out = tmp_path / "trace.csv"
@@ -333,6 +347,7 @@ class TestExperimentValidation:
         ({"problem": {"generator": {"mode": "hom", "n": 4, "d": 4, "seed": 1,
                                     "precondition": "no"}}},
          "precondition must be true or false"),
+        ({"metrics": ["grad_sq", "grad_sq"]}, "metrics must not repeat a name"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
         cfg_path = tmp_path / "exp.json"

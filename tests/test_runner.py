@@ -1,10 +1,11 @@
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from istlab import linalg, sketches
+from istlab import estimators, linalg, runner, sketches
 from istlab.certificates import estimator_bias, expected_iterate
 from istlab.errors import ConfigInvalid
 from istlab.estimators import EstimatorKind
@@ -86,6 +87,41 @@ class TestDeterminism:
             else:
                 os.environ["IST_LAB_THREADS"] = old
         np.testing.assert_array_equal(t1.metrics["grad_sq"], t2.metrics["grad_sq"])
+
+    def test_repeats_run_on_calling_thread_by_default(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("repeat thread pool entered without IST_LAB_THREADS")
+
+        monkeypatch.delenv("IST_LAB_THREADS", raising=False)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", NoPool)
+        p = gen_heterogeneous(3, 9, seed=4)
+        cfg = scaled_het_cfg(p, repeats=4, metrics=("grad_sq",))
+        run(cfg)
+        sweep(cfg, [0.2, 0.5])
+
+    def test_two_repeat_threads_match_serial_bitwise(self, monkeypatch):
+        entered = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                entered.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", CountingPool)
+        p = gen_heterogeneous(3, 9, seed=6)
+        cfg = scaled_het_cfg(p, repeats=5, metrics=LANE_METRICS, record_iterates=True)
+        monkeypatch.delenv("IST_LAB_THREADS", raising=False)
+        serial = sweep(cfg, [0.2, 0.5])
+        assert entered == []
+        monkeypatch.setenv("IST_LAB_THREADS", "2")
+        threaded = sweep(cfg, [0.2, 0.5])
+        assert entered == [2]
+        for a, b in zip(serial, threaded):
+            for name in cfg.metrics:
+                assert_bitwise(a.metrics[name], b.metrics[name])
+            for attr in ("final_f", "diverged_at", "iterates"):
+                assert_bitwise(getattr(a, attr), getattr(b, attr))
 
     def test_dgd_equals_ist_identity_bitwise(self):
         p = gen_heterogeneous(3, 5, seed=3)
@@ -275,6 +311,20 @@ class TestSweep:
         assert (traces[0].diverged_at < 0).all() and (traces[1].diverged_at < 0).all()
         assert (traces[2].diverged_at > 0).all()
 
+    def test_each_round_gathers_local_blocks_once(self, monkeypatch):
+        # the draw's L_i[S_i, S_i] stack serves every lane's gradient and
+        # gather-path submodel loss: one gather per round for K + 1 = 11 rounds
+        monkeypatch.setattr(sketches, "GATHER_MAX_FRACTION", 1.0)
+        calls = []
+        sub_blocks = sketches._sub_blocks
+        monkeypatch.setattr(sketches, "_sub_blocks",
+                            lambda p, idx: calls.append(idx.shape) or sub_blocks(p, idx))
+        p = gen_heterogeneous(3, 9, seed=12)
+        cfg = scaled_het_cfg(p, K=10, repeats=1, metrics=("submodel_loss_avg",))
+        traces = sweep(cfg, [0.1, 0.2, 0.3])
+        assert all((t.diverged_at < 0).all() for t in traces)
+        assert calls == [(3, 3)] * 11
+
     def test_invalid_gamma_rejected_before_running(self):
         p = gen_heterogeneous(3, 3, seed=18)
         with pytest.raises(ConfigInvalid):
@@ -370,6 +420,19 @@ class TestSubmodelLoss:
                 np.testing.assert_allclose(t.metrics["submodel_loss_avg"][r, k], ref,
                                            rtol=1e-12, atol=0)
         assert padded == (case == "bernoulli")
+
+    def test_final_iterate_draws_without_a_gradient(self, monkeypatch):
+        calls = []
+        estimate = estimators.estimate
+        monkeypatch.setattr(estimators, "estimate",
+                            lambda *args: calls.append(1) or estimate(*args))
+        p = gen_heterogeneous(3, 6, seed=9)
+        for est in (EstimatorKind.ist(SketchKind.rand_q(2)), EstimatorKind.dgd()):
+            calls.clear()
+            cfg = RunConfig(problem=p, estimator=est, schedule=StepSchedule.constant(0.05),
+                            K=7, seed=1, repeats=3, metrics=("submodel_loss_avg",))
+            assert np.isfinite(run(cfg).metrics["submodel_loss_avg"]).all()
+            assert len(calls) == cfg.repeats * cfg.K
 
     def test_makes_no_per_client_loss_calls(self, monkeypatch):
         calls = []
