@@ -3,9 +3,9 @@
 The update is x^{k+1} = x^k - gamma_k * g^k with a fresh joint sketch per
 round.  A run executes ``repeats`` independent trajectories that share the
 problem and the initial point; repeat ``r`` draws its sketches from the
-substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run on the calling
-thread unless ``IST_LAB_THREADS`` asks for more threads (see the README); a
-trace is bitwise reproducible for a fixed config and problem either way.
+substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run one after
+another on the calling thread, so a trace is bitwise reproducible for a fixed
+config and problem.
 A sweep advances its step sizes in lockstep: each round's joint sketch is
 drawn once and shared by every step size, and each step size's trace is
 bitwise equal to a separate run at that step size.
@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by bench/tracer.py)
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,12 +197,7 @@ class Trace:
 
 
 def _thread_budget() -> int:
-    env = os.environ.get("IST_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigInvalid(f"IST_LAB_THREADS={env!r} is not an integer") from exc
+    """Threads that run repeats: always 1 (recorded by bench/run_bench.py)."""
     return 1
 
 
@@ -297,7 +291,8 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
         live = list(range(n_lanes))
         for k in range(K + 1):
             # the round's draw, shared by every live lane
-            sample = sketches.sample(sketch, p, rng) if sketch and (k < K or draws_last) else None
+            draws = sketch is not None and (k < K or draws_last)
+            sample = sketches.sample(sketch, p, rng) if draws else None
             for j in tuple(live):
                 x = xs[j]
                 if not np.isfinite(x).all():
@@ -323,13 +318,8 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
         for j in range(n_lanes):
             final_f[j, r] = p.f(last_valid[j])
 
-    workers = min(_thread_budget(), cfg.repeats)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one_repeat, range(cfg.repeats)))
-    else:
-        for r in range(cfg.repeats):
-            one_repeat(r)
+    for r in range(cfg.repeats):
+        one_repeat(r)
 
     return [
         Trace(

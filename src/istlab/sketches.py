@@ -136,7 +136,9 @@ class SketchSample:
     ``coords[i]`` and ``weights[i]`` read client i's kept coordinates and
     their weights without padding; ``blocks`` is the block stack, or None
     for diagonal factors, in which case ``weights`` is not None.  ``local`` is
-    the (n, q, q) stack L_i[S_i, S_i] where the draw gathered it, else None.
+    the (n, q, q) stack L_i[S_i, S_i] where the draw gathered it, else None;
+    so the methods that take a problem must get the one the sample was drawn
+    for (``local_product`` and ``submodel_loss`` read ``local`` over ``p.L``).
     """
 
     kind: SketchKind
@@ -195,7 +197,10 @@ class SketchSample:
         return _accumulate(self.idx, cb, self.d) / self.n
 
     def local_product(self, p: QuadraticProblem, x: NDArray) -> tuple[NDArray, NDArray]:
-        """w_i = (C_i x)[S_i] and L_i[S_i, S_i] w_i for every client, (n, q, 1) each."""
+        """w_i = (C_i x)[S_i] and L_i[S_i, S_i] w_i for every client, (n, q, 1) each.
+
+        ``p`` must be the problem the sample was drawn for: a stored ``local``
+        stack is used in place of ``p.L``."""
         w = _times(self.factors, x[self.idx][..., None])
         local = _sub_blocks(p, self.idx) if self.local is None else self.local
         return w, local @ w

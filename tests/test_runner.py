@@ -1,5 +1,4 @@
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -88,40 +87,21 @@ class TestDeterminism:
                 os.environ["IST_LAB_THREADS"] = old
         np.testing.assert_array_equal(t1.metrics["grad_sq"], t2.metrics["grad_sq"])
 
-    def test_repeats_run_on_calling_thread_by_default(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_repeats_run_on_calling_thread(self, monkeypatch, threads):
         class NoPool:
             def __init__(self, *args, **kwargs):
-                raise AssertionError("repeat thread pool entered without IST_LAB_THREADS")
+                raise AssertionError("repeat thread pool entered")
 
-        monkeypatch.delenv("IST_LAB_THREADS", raising=False)
+        if threads is None:
+            monkeypatch.delenv("IST_LAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("IST_LAB_THREADS", threads)
         monkeypatch.setattr(runner, "ThreadPoolExecutor", NoPool)
         p = gen_heterogeneous(3, 9, seed=4)
         cfg = scaled_het_cfg(p, repeats=4, metrics=("grad_sq",))
         run(cfg)
         sweep(cfg, [0.2, 0.5])
-
-    def test_two_repeat_threads_match_serial_bitwise(self, monkeypatch):
-        entered = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                entered.append(kwargs.get("max_workers"))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", CountingPool)
-        p = gen_heterogeneous(3, 9, seed=6)
-        cfg = scaled_het_cfg(p, repeats=5, metrics=LANE_METRICS, record_iterates=True)
-        monkeypatch.delenv("IST_LAB_THREADS", raising=False)
-        serial = sweep(cfg, [0.2, 0.5])
-        assert entered == []
-        monkeypatch.setenv("IST_LAB_THREADS", "2")
-        threaded = sweep(cfg, [0.2, 0.5])
-        assert entered == [2]
-        for a, b in zip(serial, threaded):
-            for name in cfg.metrics:
-                assert_bitwise(a.metrics[name], b.metrics[name])
-            for attr in ("final_f", "diverged_at", "iterates"):
-                assert_bitwise(getattr(a, attr), getattr(b, attr))
 
     def test_dgd_equals_ist_identity_bitwise(self):
         p = gen_heterogeneous(3, 5, seed=3)
