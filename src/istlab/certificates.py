@@ -92,7 +92,13 @@ def step_constant(
     elif moments.curvature_second is None:
         moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    return _theta(linalg.eig_sym(W), moments.curvature_second, psd_tol, rank_tol_factor)
+    return _theta(_descent_spectrum(p, W), moments.curvature_second, psd_tol, rank_tol_factor)
+
+
+def _descent_spectrum(p: QuadraticProblem, W: NDArray) -> linalg.Spectrum:
+    """Eigendecomposition of W: the problem's cached spectrum of L_bar where W
+    equals L_bar bit for bit (E[B] = I makes L_bar @ I + I @ L_bar exact)."""
+    return p.spectrum if np.array_equal(W, p.L_bar) else linalg.eig_sym(W)
 
 
 def _theta(
@@ -127,7 +133,7 @@ def _theta(
 
 def contraction_factor(p: QuadraticProblem, W: NDArray, gamma: float) -> float:
     """rho = 1 - gamma * lambda_min(L_bar^{-1/2} W L_bar^{-1/2})."""
-    inv_sqrt = linalg.psd_inv_sqrt(p.L_bar)
+    inv_sqrt = p.spectrum.apply_function(lambda v: 1.0 / np.sqrt(v))
     inner = linalg.symmetrize(inv_sqrt @ W @ inv_sqrt)
     lam_min = float(np.linalg.eigvalsh(inner).min())
     return 1.0 - gamma * lam_min
@@ -152,7 +158,7 @@ def interpolation_rates(
     """
     moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    theta = _theta(linalg.eig_sym(W), moments.curvature_second)
+    theta = _theta(_descent_spectrum(p, W), moments.curvature_second)
     if theta is None:
         raise ThetaInadmissible(f"sketch {kind.kind!r} admits no step constant here")
     if not (0.0 < gamma <= 1.0 / theta * (1.0 + 1e-12)):
@@ -420,7 +426,7 @@ def certificate(
     notes: list[str] = []
     moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    spec = linalg.eig_sym(W)
+    spec = _descent_spectrum(p, W)
     psd = linalg.psd_eigenvalues(spec.eigenvalues)
     theta = _theta(spec, moments.curvature_second)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta

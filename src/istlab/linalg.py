@@ -84,12 +84,15 @@ class Spectrum:
         scale = float(np.abs(self.eigenvalues).max(initial=0.0))
         return np.abs(self.eigenvalues) > rank_tol_factor * scale
 
+    def function_values(self, fn, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
+        """fn(lambda) on the numerically nonzero eigenvalues, 0 on the clamped ones."""
+        mask = self.rank_mask(rank_tol_factor)
+        return np.where(mask, fn(np.where(mask, self.eigenvalues, 1.0)), 0.0)
+
     def apply_function(self, fn, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
         """Return V diag(fn(lambda)) V^T, sending clamped eigenvalues to 0."""
-        mask = self.rank_mask(rank_tol_factor)
-        vals = np.where(mask, fn(np.where(mask, self.eigenvalues, 1.0)), 0.0)
         v = self.eigenvectors
-        return (v * vals) @ v.T
+        return (v * self.function_values(fn, rank_tol_factor)) @ v.T
 
 
 def eig_sym(m: NDArray) -> Spectrum:

@@ -5,7 +5,8 @@ A problem is a collection of client losses
     f_i(x) = 1/2 x^T L_i x - x^T b_i,      f(x) = (1/n) sum_i f_i(x),
 
 with L_i symmetric.  The mean matrix ``L_bar`` and mean linear term
-``b_bar`` are cached, so the full gradient is ``L_bar @ x - b_bar``.
+``b_bar`` are cached, so the full gradient is ``L_bar @ x - b_bar``; the
+eigendecomposition of ``L_bar`` is cached on first use.
 
 Randomness contract
 -------------------
@@ -143,6 +144,18 @@ class QuadraticProblem:
         """True iff every [L_i]_jj > 0; computed on first use, then cached."""
         return bool((self.diag > 0.0).all())
 
+    @cached_property
+    def spectrum(self) -> linalg.Spectrum:
+        """Read-only eigendecomposition of L_bar; computed on first use, then cached.
+
+        Every consumer of L_bar's eigenvectors reads this one: the minimizer,
+        the L_bar^{-1} metric weight and the contraction factor's L_bar^{-1/2}.
+        """
+        spec = linalg.eig_sym(self.L_bar)
+        for arr in (spec.eigenvalues, spec.eigenvectors):
+            arr.setflags(write=False)
+        return spec
+
     # -- evaluation -------------------------------------------------------
 
     def grad(self, x: NDArray) -> NDArray:
@@ -172,7 +185,7 @@ class QuadraticProblem:
         SingularMatrix
             If lambda_min(L_bar) is below the rank tolerance.
         """
-        spec = linalg.eig_sym(self.L_bar)
+        spec = self.spectrum
         vmax = float(spec.eigenvalues.max(initial=0.0))
         if vmax <= 0.0 or spec.eigenvalues.min() <= rank_tol_factor * vmax:
             raise SingularMatrix("mean matrix is numerically singular")

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from . import certificates, estimators, linalg, sketches
+from . import certificates, estimators, sketches
 from .errors import ConfigInvalid
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
@@ -249,7 +249,10 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     sketch = cfg.estimator.sketch
     whole_model = sketch is None or sketch.family.whole_model
     draws_last = "submodel_loss_avg" in cfg.metrics and not whole_model
-    L_inv = linalg.psd_pinv(p.L_bar) if "grad_sq_Linv" in cfg.metrics else None
+    if "grad_sq_Linv" in cfg.metrics:
+        # g' L_bar^+ g = sum_j z_j^2 / lambda_j with z = V' g: no d x d pseudo-inverse,
+        # whose gemm rounding moves with the BLAS thread count, is formed
+        V, inv_vals = p.spectrum.eigenvectors, p.spectrum.function_values(lambda v: 1.0 / v)
 
     shape = (n_lanes, cfg.repeats)
     out = {m: np.full(shape + (K + 1,), np.nan) for m in cfg.metrics}
@@ -274,7 +277,8 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             elif name == "grad_sq":
                 vals[name] = float(g @ g)
             elif name == "grad_sq_Linv":
-                vals[name] = float(g @ (L_inv @ g))
+                z = V.T @ g
+                vals[name] = float((z * z * inv_vals).sum())
             elif name == "dist_L_to_xstar":
                 dx = x - x_star
                 vals[name] = float(dx @ (L_bar @ dx))

@@ -136,9 +136,11 @@ class SketchSample:
     ``coords[i]`` and ``weights[i]`` read client i's kept coordinates and
     their weights without padding; ``blocks`` is the block stack, or None
     for diagonal factors, in which case ``weights`` is not None.  ``local`` is
-    the (n, q, q) stack L_i[S_i, S_i] where the draw gathered it, else None;
-    so the methods that take a problem must get the one the sample was drawn
-    for (``local_product`` and ``submodel_loss`` read ``local`` over ``p.L``).
+    the (n, q, q) stack L_i[S_i, S_i]: gathered by the draw where its factors
+    need it, else by the first ``local_product`` call, and then kept, so every
+    lane of a sweep reads one gather per draw.  The methods that take a
+    problem must therefore get the one the sample was drawn for
+    (``local_product`` and ``submodel_loss`` read ``local`` over ``p.L``).
     """
 
     kind: SketchKind
@@ -199,11 +201,13 @@ class SketchSample:
     def local_product(self, p: QuadraticProblem, x: NDArray) -> tuple[NDArray, NDArray]:
         """w_i = (C_i x)[S_i] and L_i[S_i, S_i] w_i for every client, (n, q, 1) each.
 
-        ``p`` must be the problem the sample was drawn for: a stored ``local``
-        stack is used in place of ``p.L``."""
+        ``p`` must be the problem the sample was drawn for: the ``local``
+        stack, gathered from it on first use and kept, is used in place of
+        ``p.L``."""
         w = _times(self.factors, x[self.idx][..., None])
-        local = _sub_blocks(p, self.idx) if self.local is None else self.local
-        return w, local @ w
+        if self.local is None:
+            object.__setattr__(self, "local", _sub_blocks(p, self.idx))  # frozen dataclass
+        return w, self.local @ w
 
     def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float:
         """(1/n) sum_i f_i(C_i x): on the kept coordinates when q <= GATHER_MAX_FRACTION * d,

@@ -437,6 +437,24 @@ class TestCertificate:
         certificate(p, SketchKind.identity())
         assert calls == {"eigh": 2, "eigvalsh": 2}
 
+    @pytest.mark.parametrize("kind, first, again", [
+        # E[B] = I: W is L_bar bit for bit, so W, rho and x* share one spectrum
+        (SketchKind.scaled_perm_het(), 1, 0),
+        # W needs its own eigh on every call; L_bar's (for rho) is cached
+        (SketchKind.perm_q(), 2, 1),
+    ], ids=["scaled_perm_het", "perm_q"])
+    def test_problem_spectrum_computed_once(self, monkeypatch, kind, first, again):
+        p = gen_heterogeneous(4, 4, seed=4).as_interpolation()
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        cert = certificate(p, kind)
+        assert cert.rho is not None
+        assert len(calls) == first
+        calls.clear()
+        certificate(p, kind)
+        assert len(calls) == again
+
     def test_contraction_factor_monotone_in_gamma(self):
         p = gen_heterogeneous(3, 4, seed=25)
         W = descent_matrix(p, SketchKind.identity())

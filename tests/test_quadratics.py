@@ -134,6 +134,16 @@ class TestEvaluation:
         with pytest.raises(SingularMatrix):
             p.solution()
 
+    def test_spectrum_is_cached_and_read_only(self):
+        p = gen_heterogeneous(3, 4, seed=22)
+        spec = p.spectrum
+        assert p.spectrum is spec
+        np.testing.assert_allclose(spec.reconstruct(), p.L_bar, atol=1e-12)
+        with pytest.raises(ValueError):
+            spec.eigenvectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            spec.eigenvalues[0] = 1.0
+
 
 class TestFunctionalIdentities:
     def test_gap_equals_half_weighted_grad_sqnorm(self):

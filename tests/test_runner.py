@@ -227,6 +227,25 @@ class TestMetricsAndDivergence:
         with pytest.raises(ConfigInvalid):
             scaled_het_cfg(p, metrics=("nope",))
 
+    def test_setup_eigendecomposes_L_bar_once(self, monkeypatch):
+        # x* (for f_gap_rel_log) and the L_bar^{-1} weight read one cached spectrum
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        p = gen_heterogeneous(3, 5, seed=23)
+        run(RunConfig(problem=p, estimator=EstimatorKind.dgd(), schedule=StepSchedule.constant(0.01),
+                      K=3, seed=1, metrics=("f_gap_rel_log", "grad_sq_Linv")))
+        assert len(calls) == 1
+
+    def test_grad_sq_Linv_matches_pseudo_inverse(self):
+        p = gen_heterogeneous(3, 6, seed=24)
+        t = run(RunConfig(problem=p, estimator=EstimatorKind.dgd(),
+                          schedule=StepSchedule.constant(0.01), K=5, seed=2,
+                          metrics=("grad_sq_Linv",), record_iterates=True))
+        inv = linalg.psd_pinv(p.L_bar)
+        ref = [float(p.grad(x) @ (inv @ p.grad(x))) for x in t.iterates[0]]
+        np.testing.assert_allclose(t.metrics["grad_sq_Linv"][0], ref, rtol=1e-12, atol=0)
+
     def test_x0_policies(self):
         p = gen_heterogeneous(3, 3, seed=17)
         z = run(scaled_het_cfg(p.as_interpolation(), K=1, repeats=1,
@@ -304,6 +323,25 @@ class TestSweep:
         traces = sweep(cfg, [0.1, 0.2, 0.3])
         assert all((t.diverged_at < 0).all() for t in traces)
         assert calls == [(3, 3)] * 11
+
+    @pytest.mark.parametrize("est, gathers", [
+        (EstimatorKind.ist(SketchKind.perm_q()), 10),
+        (EstimatorKind.ist(SketchKind.rand_q(3)), 10),
+        (EstimatorKind.cgd(SketchKind.rand_q(3)), 0),
+    ], ids=["ist-perm_q", "ist-rand_q", "cgd-rand_q"])
+    def test_draw_gathers_local_blocks_on_first_use(self, monkeypatch, est, gathers):
+        # a draw that needs no L_i[S_i, S_i] for its factors gathers it at the
+        # first lane's ist gradient and keeps it for the others; cgd never reads it
+        calls = []
+        sub_blocks = sketches._sub_blocks
+        monkeypatch.setattr(sketches, "_sub_blocks",
+                            lambda p, idx: calls.append(idx.shape) or sub_blocks(p, idx))
+        p = gen_heterogeneous(3, 9, seed=12)
+        cfg = RunConfig(problem=p, estimator=est, schedule=StepSchedule.constant(0.001),
+                        K=10, seed=3, repeats=1, metrics=("grad_sq",))
+        traces = sweep(cfg, [0.001, 0.002, 0.003])
+        assert all((t.diverged_at < 0).all() for t in traces)
+        assert calls == [(3, 3)] * gathers
 
     def test_invalid_gamma_rejected_before_running(self):
         p = gen_heterogeneous(3, 3, seed=18)
