@@ -132,15 +132,9 @@ def expected_estimate(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> ND
 
 
 def _enumerated_mean(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> NDArray:
+    gradient = _ist_gradient if est.kind == "ist" else _cgd_gradient
     try:
-        outcomes = sketches.enumerate_outcomes(est.sketch, p)
-        acc = np.zeros(p.d)
-        for prob, s in outcomes:
-            if est.kind == "ist":
-                acc += prob * _ist_gradient(p, s, x)
-            else:
-                acc += prob * _cgd_gradient(p, s, x)
-        return acc
+        return sketches.outcome_sums(est.sketch, p, lambda s: (gradient(p, s, x),))[0]
     except TooLarge as exc:
         raise NoClosedForm(
             f"no closed-form mean for {est.kind}/{est.sketch.kind} and enumeration infeasible"

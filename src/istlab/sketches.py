@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +44,9 @@ from .quadratics import QuadraticProblem
 
 #: Maximum number of joint outcomes the exact enumerator will visit.
 ENUMERATION_BUDGET = 1_000_000
+
+#: Bytes of the largest stack an enumeration chunk makes, (chunk, d, max(d, n q)) floats.
+CHUNK_BYTES = 2 * 2**20
 
 #: Unit-diagonal tolerance when a preconditioned homogeneous problem is required.
 UNIT_DIAG_TOL = 1e-9
@@ -190,7 +193,7 @@ class SketchSample:
     def curvature(self, p: QuadraticProblem) -> NDArray:
         """Per-round curvature B = (1/n) sum_i C_i L_i C_i, dense."""
         cl = _times(self.factors, _sub_blocks(p, self.idx))
-        clc = _times(self.factors, np.swapaxes(cl, 1, 2))
+        clc = _times(self.factors, np.swapaxes(cl, -1, -2))
         return _scatter(self.idx, clc, self.d) / self.n
 
     def linear_term(self, p: QuadraticProblem) -> NDArray:
@@ -222,17 +225,18 @@ class SketchSample:
 
     def _blocks(self) -> NDArray:
         """C_i restricted to S_i as an (n, q, q) stack."""
-        return _times(self.factors, np.eye(self.idx.shape[1]))
+        q = self.idx.shape[-1]
+        return _times(self.factors, np.broadcast_to(np.eye(q), self.idx.shape + (q,)))
 
 
 def _times(factors: NDArray, m: NDArray) -> NDArray:
     """C_i restricted to S_i times m[i], for every client i.
 
-    ``factors`` is (n, q) weights or (n, q, q) blocks and ``m`` is (n, q, k),
-    or (q, k) shared by all clients: weights scale rows, blocks multiply.
-    This is the one place that tells diagonal factors from blocks.
+    ``m`` is (..., n, q, k) and ``factors`` is (..., n, q) weights or
+    (..., n, q, q) blocks: weights scale rows, blocks multiply.  This is the
+    one place that tells diagonal factors from blocks.
     """
-    if factors.ndim == 2:
+    if factors.ndim < m.ndim:
         return factors[..., None] * m
     return factors @ m
 
@@ -250,30 +254,39 @@ def _client_offsets(n: int, d: int) -> NDArray:
 # pairs: numpy releases the interpreter lock for multi-array fancy indexing,
 # and on tiny problems the repeat threads then spend more time handing the
 # lock over than gathering.
+#
+# Each helper takes idx of shape (..., n, q): any leading axes stack the
+# outcomes of an enumeration chunk and give one result per outcome.
 
 
 def _rows(a: NDArray, idx: NDArray) -> NDArray:
-    """a[i][idx[i]] for every client i; ``a`` is (n, d, ...) per-client data."""
+    """a[i][idx[..., i, :]] for every client i; ``a`` is (n, d, ...) per-client data."""
     n, d = a.shape[:2]
     return a.reshape((n * d,) + a.shape[2:])[idx + _client_offsets(n, d)]
 
 
 def _sub_blocks(p: QuadraticProblem, idx: NDArray) -> NDArray:
-    """L_i[S_i, S_i] for every client, shape (n, q, q)."""
+    """L_i[S_i, S_i] for every client, shape (..., n, q, q)."""
     d = p.d
     flat_rows = (idx + _client_offsets(p.n, d)) * d
-    return p.L.reshape(-1)[flat_rows[:, :, None] + idx[:, None, :]]
+    return p.L.reshape(-1)[flat_rows[..., :, None] + idx[..., None, :]]
 
 
 def _accumulate(idx: NDArray, v: NDArray, d: int) -> NDArray:
-    """sum_i of the per-client values v[i] placed at idx[i] in a length-d vector."""
+    """v placed at idx and summed over the last two axes into (..., d) vectors."""
+    lead = idx.shape[:-2]
+    if lead:  # one run of d bins per stacked outcome
+        m = math.prod(lead)
+        idx = idx + (np.arange(m) * d).reshape(lead + (1, 1))
+        return np.bincount(idx.ravel(), weights=v.ravel(), minlength=m * d).reshape(lead + (d,))
     return np.bincount(idx.ravel(), weights=v.ravel(), minlength=d)
 
 
 def _scatter(idx: NDArray, blocks: NDArray, d: int) -> NDArray:
-    """sum_i of the q x q blocks placed at idx[i] x idx[i] in a d x d matrix."""
-    flat = idx[..., :, None] * d + idx[..., None, :]
-    return _accumulate(flat, blocks, d * d).reshape(d, d)
+    """sum_i of the q x q blocks placed at idx[i] x idx[i] in (..., d, d) matrices."""
+    q = idx.shape[-1]
+    flat = (idx[..., :, None] * d + idx[..., None, :]).reshape(idx.shape[:-1] + (q * q,))
+    return _accumulate(flat, blocks, d * d).reshape(idx.shape[:-2] + (d, d))
 
 
 def _require_positive_diagonal(p: QuadraticProblem) -> None:
@@ -292,7 +305,7 @@ def _het_factors(p: QuadraticProblem, idx: NDArray) -> tuple[NDArray, NDArray]:
     """sqrt(n) (L_i[S_i, S_i])^{-1/2} (weights for q = 1, else blocks) and L_i[S_i, S_i]."""
     _require_positive_diagonal(p)
     local = _sub_blocks(p, idx)
-    if idx.shape[1] == 1:
+    if idx.shape[-1] == 1:
         return np.sqrt(p.n / local[..., 0]), local
     return math.sqrt(p.n) * linalg.spd_inv_sqrt(local), local
 
@@ -306,14 +319,14 @@ def fixed_point_het(p: QuadraticProblem) -> NDArray:
 
 
 def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
-    """Assemble a Bernoulli sample from an (n, d) boolean keep mask."""
-    n, d = mask.shape
-    kept = mask.sum(axis=1)
+    """Assemble a Bernoulli sample from a (..., n, d) boolean keep mask."""
+    n, d = mask.shape[-2:]
+    kept = mask.sum(axis=-1)
     q = int(kept.max(initial=0))
     # a stable sort puts each row's kept coordinates first, in order, and
     # pads with coordinates the client dropped
-    idx = np.argsort(~mask, axis=1, kind="stable")[:, :q]
-    weights = np.where(np.arange(q) < kept[:, None], 1.0 / kind.p, 0.0)
+    idx = np.argsort(~mask, axis=-1, kind="stable")[..., :q]
+    weights = np.where(np.arange(q) < kept[..., None], 1.0 / kind.p, 0.0)
     return SketchSample(kind, n, d, idx, weights)
 
 
@@ -336,11 +349,14 @@ class _Family:
     """Everything istlab knows about one sketch family.
 
     A family gives ``count(kind, n, d)``, the number of joint outcomes;
-    ``draw(kind, p, rng)``, one sample; and ``outcomes(kind, p)``, which
-    yields (probability, sample) over every outcome.  ``params`` maps each
-    parameter the family takes to whether it is required.  ``fixed_point``
-    and ``sigma2`` are None for a family without those quantities; where
-    defined, they raise :class:`WrongKind` on problems they do not cover.
+    ``draw(kind, p, rng)``, one sample; and ``chunks(kind, p, m)``, which
+    yields the outcomes in order as chunks of at most m: their probabilities
+    and (positions, sample) parts, each sample stacking the outcomes at those
+    positions on a leading axis (Bernoulli: one part per padded width).
+    ``params`` maps each parameter the family takes to whether it is
+    required.  ``fixed_point`` and ``sigma2`` are None for a family without
+    those quantities; where defined, they raise :class:`WrongKind` on
+    problems they do not cover.
     """
 
     fixed_point = None
@@ -389,8 +405,9 @@ class _Identity(_Family):
         idx = np.broadcast_to(np.arange(d), (n, d))
         return SketchSample(kind, n, d, idx, np.broadcast_to(1.0, (n, d)))
 
-    def outcomes(self, kind, p):
-        yield 1.0, self.draw(kind, p, None)
+    def chunks(self, kind, p, m):
+        s = self.draw(kind, p, None)
+        yield np.ones(1), [(slice(None), replace(s, idx=s.idx[None], factors=s.factors[None]))]
 
     def moments(self, kind, p):
         L_bar = p.L_bar
@@ -446,15 +463,17 @@ class _Partition(_Family):
         idx = perm.reshape(n, -1)
         return SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
 
-    def outcomes(self, kind, p):
+    def chunks(self, kind, p, m):
         # Permuting the multiset yields each arrangement a uniform number
         # of times, so equal weights remain exact.
         n, d = p.n, p.d
         prob = 1.0 / self.count(kind, n, d)
-        for perm in itertools.permutations(np.repeat(np.arange(d), max(n // d, 1)).tolist()):
-            perm = np.array(perm)
-            idx = perm.reshape(n, -1)
-            yield prob, SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
+        perms = itertools.permutations(np.repeat(np.arange(d), max(n // d, 1)).tolist())
+        while block := list(itertools.islice(perms, m)):
+            perm = np.array(block)
+            idx = perm.reshape(len(perm), n, -1)
+            s = SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
+            yield np.full(len(perm), prob), [(slice(None), s)]
 
     def _factors(self, p, idx):
         return np.full(idx.shape, math.sqrt(self.w2(p.n, p.d))), None
@@ -540,9 +559,13 @@ class _ScaledHet(_Partition):
         if p.interpolation:
             return 0.0
         if n_samples is None:
-            terms = [(prob, s.linear_term(p)) for prob, s in enumerate_outcomes(kind, p)]
-            mean = sum(prob * v for prob, v in terms)
-            return float(sum(prob * ((v - mean) @ (p.L_bar @ (v - mean))) for prob, v in terms))
+            (mean,) = outcome_sums(kind, p, lambda s: (s.linear_term(p),))
+
+            def spread(s):  # per outcome, the mat-vec and dot of the (d,) loop
+                c = (s.linear_term(p) - mean)[..., None]
+                return ((np.swapaxes(c, -1, -2) @ (p.L_bar @ c))[:, 0, 0],)
+
+            return float(outcome_sums(kind, p, spread)[0])
         if rng is None:
             raise ValueError("Monte Carlo fallback requires an rng")
         draws = np.array([sample(kind, p, rng).linear_term(p) for _ in range(n_samples)])
@@ -568,13 +591,16 @@ class _RandQ(_Family):
         idx = np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
         return SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q))
 
-    def outcomes(self, kind, p):
+    def chunks(self, kind, p, m):
         n, d = p.n, p.d
-        weights = np.broadcast_to(d / kind.q, (n, kind.q))  # read-only, shared by every outcome
-        prob = 1.0 / self.count(kind, n, d)
-        subsets = list(itertools.combinations(range(d), kind.q))
-        for joint in itertools.product(subsets, repeat=n):
-            yield prob, SketchSample(kind, n, d, np.array(joint), weights)
+        count = self.count(kind, n, d)
+        subsets = np.array(list(itertools.combinations(range(d), kind.q)))
+        for t0 in range(0, count, m):
+            # outcome t picks subset t // C^(n-1-i) mod C for client i
+            t = np.arange(t0, min(t0 + m, count))[:, None]
+            idx = subsets[t // len(subsets) ** np.arange(n - 1, -1, -1) % len(subsets)]
+            s = SketchSample(kind, n, d, idx, np.broadcast_to(d / kind.q, idx.shape))
+            yield np.full(len(t), 1.0 / count), [(slice(None), s)]
 
 
 class _Bernoulli(_Family):
@@ -588,18 +614,25 @@ class _Bernoulli(_Family):
         # one (n, d) draw is the stream of n draws of length d
         return _from_mask(kind, rng.random((p.n, p.d)) < kind.p)
 
-    def outcomes(self, kind, p):
-        # outcomes are NOT equiprobable; weight each mask by its
-        # probability p^{kept} (1-p)^{dropped}.
-        d = p.d
-        masks = list(itertools.product((0, 1), repeat=d))
-        mask_prob = {
-            m: (kind.p ** sum(m)) * ((1.0 - kind.p) ** (d - sum(m))) for m in masks
-        }
-        for joint in itertools.product(masks, repeat=p.n):
-            prob = math.prod(mask_prob[m] for m in joint)
-            if prob != 0.0:
-                yield prob, _from_mask(kind, np.array(joint, dtype=bool))
+    def chunks(self, kind, p, m):
+        # outcomes are NOT equiprobable; weight each client's mask by its
+        # probability p^{kept} (1-p)^{dropped}, and multiply over clients.
+        n, d = p.n, p.d
+        kept_prob = np.array([(kind.p ** c) * ((1.0 - kind.p) ** (d - c)) for c in range(d + 1)])
+        count = self.count(kind, n, d)
+        for t0 in range(0, count, m):
+            # the bits of outcome t, most significant first, are the n masks in turn
+            t = np.arange(t0, min(t0 + m, count))[:, None]
+            mask = (t >> np.arange(n * d - 1, -1, -1) & 1).astype(bool).reshape(-1, n, d)
+            kept = mask.sum(axis=-1)
+            prob = functools.reduce(np.multiply, kept_prob[kept].T)  # client by client
+            live = prob != 0.0
+            if not live.any():
+                continue
+            mask, prob, width = mask[live], prob[live], kept[live].max(axis=1)
+            # one part per width: a sample is padded only to its own widest client
+            parts = [np.flatnonzero(width == w) for w in np.unique(width)]
+            yield prob, [(pos, _from_mask(kind, mask[pos])) for pos in parts]
 
 
 #: Every sketch family by its config tag.
@@ -639,15 +672,26 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
     """Yield (probability, SketchSample) over the entire joint outcome space.
 
     Probabilities sum to one exactly for the uniform families and up to
-    float round-off for Bernoulli masks.
+    float round-off for Bernoulli masks.  Each outcome is sliced from the
+    stacked chunks that :func:`outcome_sums` evaluates whole.
 
     Raises
     ------
     TooLarge
         If the outcome count exceeds :data:`ENUMERATION_BUDGET`.
     """
+    for prob, parts in _chunks(kind, p):
+        samples = [None] * len(prob)
+        for pos, s in parts:
+            for j, k in enumerate(np.arange(len(prob))[pos]):
+                perm = None if s.permutation is None else s.permutation[j]
+                samples[k] = SketchSample(kind, p.n, p.d, s.idx[j], s.factors[j], permutation=perm)
+        yield from zip(prob.tolist(), samples)
+
+
+def _chunks(kind: SketchKind, p: QuadraticProblem):
     family, n, d = kind.family, p.n, p.d
-    family.block_size(kind, n, d)
+    q = family.block_size(kind, n, d)
     if family.count(kind, n, d) > ENUMERATION_BUDGET:
         # the count itself is left out: n! can exceed Python's limit on the
         # digits an int may format
@@ -655,7 +699,32 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
             f"{kind.kind} at n={n}, d={d} has more joint outcomes than the budget "
             f"{ENUMERATION_BUDGET}"
         )
-    yield from family.outcomes(kind, p)
+    yield from family.chunks(kind, p, _chunk_len(n, d, q))
+
+
+def _chunk_len(n: int, d: int, q: int) -> int:
+    return max(1, CHUNK_BYTES // (8 * d * max(d, n * q)))
+
+
+def outcome_sums(kind: SketchKind, p: QuadraticProblem, fn) -> list[NDArray]:
+    """Sums over every joint outcome of prob * v, for each (k, ...) array v that
+    ``fn`` returns for a chunk sample stacking k outcomes.  Terms are added
+    one at a time in outcome order, so each sum is bitwise that of a loop over
+    :func:`enumerate_outcomes`, whatever the chunk size."""
+    sums = None
+    for prob, parts in _chunks(kind, p):
+        values = None
+        for pos, s in parts:
+            out = fn(s)
+            if values is None:
+                values = [np.empty((len(prob),) + v.shape[1:]) for v in out]
+            for v, o in zip(values, out):
+                v[pos] = o
+        sums = sums or [np.zeros(v.shape[1:]) for v in values]
+        for acc, v in zip(sums, values):
+            buf = np.concatenate([acc[None], prob.reshape((-1,) + (1,) * acc.ndim) * v])
+            acc[...] = np.add.accumulate(buf, axis=0, out=buf)[-1]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -704,25 +773,18 @@ def closed_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
 def enumerated_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
     """Exact expectations by visiting every joint outcome.
 
-    Independent of :func:`closed_moments`; used as the oracle in tests.
+    Chunks are evaluated stacked (:func:`outcome_sums`).  Independent of
+    :func:`closed_moments`; used as the oracle in tests.
     """
-    d = p.d
     L_bar = p.L_bar
-    curv = np.zeros((d, d))
-    second = np.zeros((d, d))
-    linear = np.zeros(d)
-    total = 0.0
-    for prob, s in enumerate_outcomes(kind, p):
+
+    def terms(s):
         B = s.curvature(p)
-        curv += prob * B
-        second += prob * (B @ L_bar @ B)
-        linear += prob * s.linear_term(p)
-        total += prob
+        return B, B @ L_bar @ B, s.linear_term(p), np.ones(len(B))
+
+    curv, second, linear, total = outcome_sums(kind, p, terms)
     # Bernoulli probabilities accumulate float error ~1e-15; renormalize.
-    curv /= total
-    second /= total
-    linear /= total
-    return SketchMoments(curv, second, linear, method="enumeration")
+    return SketchMoments(curv / total, second / total, linear / total, method="enumeration")
 
 
 def monte_carlo_moments(

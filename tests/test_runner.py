@@ -1,4 +1,3 @@
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -70,22 +69,6 @@ class TestDeterminism:
         for name in cfg.metrics:
             np.testing.assert_array_equal(t1.metrics[name], t2.metrics[name])
         np.testing.assert_array_equal(t1.final_f, t2.final_f)
-
-    def test_thread_count_does_not_change_results(self):
-        p = gen_heterogeneous(4, 4, seed=2)
-        cfg = scaled_het_cfg(p, repeats=6, metrics=("grad_sq",))
-        old = os.environ.get("IST_LAB_THREADS")
-        try:
-            os.environ["IST_LAB_THREADS"] = "1"
-            t1 = run(cfg)
-            os.environ["IST_LAB_THREADS"] = "4"
-            t2 = run(cfg)
-        finally:
-            if old is None:
-                os.environ.pop("IST_LAB_THREADS", None)
-            else:
-                os.environ["IST_LAB_THREADS"] = old
-        np.testing.assert_array_equal(t1.metrics["grad_sq"], t2.metrics["grad_sq"])
 
     @pytest.mark.parametrize("threads", [None, "2"])
     def test_repeats_run_on_calling_thread(self, monkeypatch, threads):
