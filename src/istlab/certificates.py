@@ -18,6 +18,11 @@ iteration x^{k+1} = x^k - gamma * g^k:
 (E[B L_bar B], W) restricted to range(W); if W fails the PSD check, or the
 second moment leaks outside range(W), the certificate reports the pair as
 inadmissible (a value, not an error, so sweeps can tabulate it).
+
+Where the sketch fixes a value, bitwise tests on the matrices return it
+exactly, with no products, pencil or eigvalsh: E[B] = I gives W = sym(L_bar),
+E[B L_bar B] = W gives theta = 1, and W = L_bar positive definite gives
+rho = 1 - gamma.  scaled_perm_het (B = I on every draw) meets all three.
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ def descent_matrix(
         except NoClosedForm:
             moments = sketches.enumerated_moments(kind, p)
     eb = moments.curvature
+    if np.count_nonzero(eb) == p.d and (eb.diagonal() == 1.0).all():
+        # E[B] = I bit for bit: the product formula below is exactly sym(L_bar)
+        return linalg.symmetrize(p.L_bar)
     return 0.5 * linalg.symmetrize(p.L_bar @ eb + eb @ p.L_bar)
 
 
@@ -85,33 +93,37 @@ def step_constant(
 
     Inadmissible means either W fails the PSD check or the second moment is
     nonzero on the null space of W beyond the rank tolerance, in which case
-    no finite theta exists.
+    no finite theta exists.  Exactly 1.0 when E[B L_bar B] equals a PSD,
+    nonzero W bit for bit (B = I on every draw), with no pencil formed.
     """
     if moments is None:
         moments = _moments_with_second(kind, p)
     elif moments.curvature_second is None:
         moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    return _theta(_descent_spectrum(p, W), moments.curvature_second, psd_tol, rank_tol_factor)
+    return _theta(_descent_spectrum(p, W), W, moments.curvature_second, psd_tol, rank_tol_factor)
 
 
 def _descent_spectrum(p: QuadraticProblem, W: NDArray) -> linalg.Spectrum:
     """Eigendecomposition of W: the problem's cached spectrum of L_bar where W
-    equals L_bar bit for bit (E[B] = I makes L_bar @ I + I @ L_bar exact)."""
+    equals L_bar bit for bit (E[B] = I and L_bar bitwise symmetric)."""
     return p.spectrum if np.array_equal(W, p.L_bar) else linalg.eig_sym(W)
 
 
 def _theta(
     spec: linalg.Spectrum,
+    W: NDArray,
     curvature_second: NDArray,
     psd_tol: float = linalg.PSD_TOL,
     rank_tol_factor: float = linalg.RANK_TOL_FACTOR,
 ) -> float | None:
-    """:func:`step_constant` given the eigendecomposition ``spec`` of W."""
+    """:func:`step_constant` given W and its eigendecomposition ``spec``."""
     if not linalg.psd_eigenvalues(spec.eigenvalues, psd_tol):
         return None
-    second = linalg.symmetrize(curvature_second)
     mask = spec.rank_mask(rank_tol_factor)
+    if mask.any() and np.array_equal(curvature_second, W):
+        return 1.0  # the pencil (W, W) is the identity on range(W)
+    second = linalg.symmetrize(curvature_second)
 
     def second_scale() -> float:
         return float(np.abs(np.linalg.eigvalsh(second)).max(initial=0.0))
@@ -132,8 +144,13 @@ def _theta(
 
 
 def contraction_factor(p: QuadraticProblem, W: NDArray, gamma: float) -> float:
-    """rho = 1 - gamma * lambda_min(L_bar^{-1/2} W L_bar^{-1/2})."""
-    inv_sqrt = p.spectrum.apply_function(lambda v: 1.0 / np.sqrt(v))
+    """rho = 1 - gamma * lambda_min(L_bar^{-1/2} W L_bar^{-1/2}); exactly 1 - gamma
+    when W is L_bar bit for bit and every eigenvalue of L_bar is positive and
+    above the rank tolerance, so that the inner matrix is I."""
+    spec = p.spectrum
+    if np.array_equal(W, p.L_bar) and (spec.eigenvalues > 0.0).all() and spec.rank_mask().all():
+        return 1.0 - gamma
+    inv_sqrt = spec.apply_function(lambda v: 1.0 / np.sqrt(v))
     inner = linalg.symmetrize(inv_sqrt @ W @ inv_sqrt)
     lam_min = float(np.linalg.eigvalsh(inner).min())
     return 1.0 - gamma * lam_min
@@ -158,7 +175,7 @@ def interpolation_rates(
     """
     moments = _moments_with_second(kind, p)
     W = descent_matrix(p, kind, moments)
-    theta = _theta(_descent_spectrum(p, W), moments.curvature_second)
+    theta = _theta(_descent_spectrum(p, W), W, moments.curvature_second)
     if theta is None:
         raise ThetaInadmissible(f"sketch {kind.kind!r} admits no step constant here")
     if not (0.0 < gamma <= 1.0 / theta * (1.0 + 1e-12)):
@@ -428,7 +445,7 @@ def certificate(
     W = descent_matrix(p, kind, moments)
     spec = _descent_spectrum(p, W)
     psd = linalg.psd_eigenvalues(spec.eigenvalues)
-    theta = _theta(spec, moments.curvature_second)
+    theta = _theta(spec, W, moments.curvature_second)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
     rho = None
     used_gamma = None

@@ -250,10 +250,8 @@ def _client_offsets(n: int, d: int) -> NDArray:
     return off
 
 
-# The gathers below index one flattened axis rather than (client, coordinate)
-# pairs: numpy releases the interpreter lock for multi-array fancy indexing,
-# and on tiny problems the repeat threads then spend more time handing the
-# lock over than gathering.
+# The gathers below turn (client, coordinate) pairs into row numbers of the
+# flattened per-client data (:func:`_client_offsets`) and index that one axis.
 #
 # Each helper takes idx of shape (..., n, q): any leading axes stack the
 # outcomes of an enumeration chunk and give one result per outcome.

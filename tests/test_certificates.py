@@ -140,6 +140,11 @@ class TestStepConstantRankDeficient:
     def test_zero_descent_with_nonzero_second_moment_is_inadmissible(self):
         assert rank_deficient_theta(np.zeros((3, 3)), np.diag([1.0, 0.0, 0.0])) is None
 
+    def test_second_moment_equal_to_descent_gives_exactly_one(self):
+        # curvature_second == W bit for bit: the pencil is the identity on range(W)
+        W = np.diag([2.0, 1.0, 0.0])
+        assert rank_deficient_theta(W, W) == 1.0
+
 
 class TestInterpolationRates:
     def test_scaled_het_one_step(self):
@@ -402,6 +407,19 @@ class TestFenchelYoung:
                 assert lhs <= rhs + 1e-10
 
 
+def count_eigensolves(monkeypatch) -> dict:
+    """Count np.linalg.eigh and eigvalsh calls from here on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
 class TestCertificate:
     def test_full_certificate_scaled_het(self):
         p = gen_heterogeneous(4, 4, seed=24)
@@ -438,28 +456,62 @@ class TestCertificate:
         assert calls == {"eigh": 2, "eigvalsh": 2}
 
     @pytest.mark.parametrize("kind, first, again", [
-        # E[B] = I: W is L_bar bit for bit, so W, rho and x* share one spectrum
-        (SketchKind.scaled_perm_het(), 1, 0),
-        # W needs its own eigh on every call; L_bar's (for rho) is cached
-        (SketchKind.perm_q(), 2, 1),
+        # E[B] = I: W is L_bar bit for bit, so W, rho and x* share one spectrum,
+        # and theta and rho are exact (no pencil, no eigvalsh)
+        (SketchKind.scaled_perm_het(), (1, 0), (0, 0)),
+        # W needs its own eigh on every call; L_bar's (for rho) is cached;
+        # eigvalsh once for the pencil and once for rho
+        (SketchKind.perm_q(), (2, 2), (1, 2)),
     ], ids=["scaled_perm_het", "perm_q"])
     def test_problem_spectrum_computed_once(self, monkeypatch, kind, first, again):
         p = gen_heterogeneous(4, 4, seed=4).as_interpolation()
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+        calls = count_eigensolves(monkeypatch)
         cert = certificate(p, kind)
         assert cert.rho is not None
-        assert len(calls) == first
-        calls.clear()
+        assert (calls["eigh"], calls["eigvalsh"]) == first
+        calls.update(eigh=0, eigvalsh=0)
         certificate(p, kind)
-        assert len(calls) == again
+        assert (calls["eigh"], calls["eigvalsh"]) == again
 
     def test_contraction_factor_monotone_in_gamma(self):
         p = gen_heterogeneous(3, 4, seed=25)
         W = descent_matrix(p, SketchKind.identity())
         rhos = [contraction_factor(p, W, g) for g in (0.001, 0.01, 0.05)]
         assert rhos[0] > rhos[1] > rhos[2]
+
+
+class TestExactRoute:
+    """E[B] = I (scaled_perm_het): W, theta and rho with no products, no pencil
+    and no eigvalsh, chosen by bitwise tests on the matrices."""
+
+    @pytest.mark.parametrize("n, d", [(4, 4), (10, 100)])
+    def test_scaled_het_certificate_is_exact(self, n, d):
+        p = gen_heterogeneous(n, d, seed=60 + d)
+        kind = SketchKind.scaled_perm_het()
+        cert = certificate(p, kind)
+        assert cert.theta == 1.0
+        assert cert.gamma_max == 1.0
+        assert cert.rho == 0.0
+        assert certificate(p, kind, gamma=0.3).rho == 1.0 - 0.3
+
+    @pytest.mark.parametrize("n, d", [(4, 4), (10, 100)])
+    def test_identity_mean_descent_equals_product_formula(self, n, d):
+        p = gen_heterogeneous(n, d, seed=70 + d)
+        eye = np.eye(d)
+        want = 0.5 * linalg.symmetrize(p.L_bar @ eye + eye @ p.L_bar)
+        np.testing.assert_array_equal(descent_matrix(p, SketchKind.scaled_perm_het()), want)
+
+    def test_singular_mean_matrix_keeps_the_general_rho(self):
+        # unit diagonal, so E[B] = I and W = L_bar, but L_bar = 11^T has rank one
+        L = np.ones((3, 3))
+        p = QuadraticProblem.from_arrays([L] * 3, np.zeros((3, 3)))
+        W = descent_matrix(p, SketchKind.scaled_perm_het())
+        np.testing.assert_array_equal(W, p.L_bar)
+        inv_sqrt = p.spectrum.apply_function(lambda v: 1.0 / np.sqrt(v))
+        lam_min = float(np.linalg.eigvalsh(linalg.symmetrize(inv_sqrt @ W @ inv_sqrt)).min())
+        rho = contraction_factor(p, W, 0.5)
+        assert rho == 1.0 - 0.5 * lam_min
+        assert rho == pytest.approx(1.0, abs=1e-12)
 
 
 def _public_composition(p, kind):
