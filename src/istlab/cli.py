@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -158,34 +159,18 @@ def write_trace_csv(trace: runner.Trace, path: Path) -> None:
             writer.writerow([row[0], row[1], row[2], repr(row[3])])
 
 
-def read_trace_csv(path: Path) -> list[tuple[int, int, str, float]]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["repeat", "k", "metric_name", "value"]:
-            raise ConfigInvalid(f"unexpected trace header {header}")
-        for rec in reader:
-            rows.append((int(rec[0]), int(rec[1]), rec[2], float(rec[3])))
-    return rows
-
-
 def trace_json_doc(trace: runner.Trace) -> dict:
-    def clean(arr):
-        return [[None if np.isnan(v) else v for v in row] for row in arr]
+    def finite_or_null(values: list[float]) -> list[float | None]:  # strict JSON has no NaN or inf
+        return [v if math.isfinite(v) else None for v in values]
 
     return {
-        "metrics": {name: clean(trace.metrics[name]) for name in trace.metric_order},
-        "final_f": trace.final_f.tolist(),
+        "metrics": {name: [finite_or_null(row) for row in trace.metrics[name].tolist()]
+                    for name in trace.metric_order},
+        "final_f": finite_or_null(trace.final_f.tolist()),
         "diverged_at": trace.diverged_at.tolist(),
         "gammas": trace.gammas.tolist(),
         "x0": trace.x0.tolist(),
     }
-
-
-def read_trace_json(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def write_outputs(trace: runner.Trace, output: dict, meta: dict) -> None:
@@ -194,7 +179,7 @@ def write_outputs(trace: runner.Trace, output: dict, meta: dict) -> None:
         write_trace_csv(trace, path)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(trace_json_doc(trace), fh)
+            json.dump(trace_json_doc(trace), fh, allow_nan=False)
             fh.write("\n")
     meta_path = path.with_name(path.name + ".meta.json")
     doc = dict(meta)

@@ -168,17 +168,12 @@ def psd_pinv(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
     return eig_sym(m).apply_function(lambda v: 1.0 / v, rank_tol_factor)
 
 
-def psd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
-    """Symmetric inverse square root of a PSD matrix (pseudo-inverse style)."""
-    return eig_sym(m).apply_function(lambda v: 1.0 / np.sqrt(v), rank_tol_factor)
-
-
 def spd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
     """Inverse square root of a strictly positive-definite matrix, or of each
     matrix in a stack of shape (..., k, k).
 
-    Unlike :func:`psd_inv_sqrt` this refuses singular input instead of
-    silently projecting it away.
+    This refuses singular input instead of silently projecting it away, as a
+    pseudo-inverse square root would.
 
     Raises
     ------
@@ -193,11 +188,3 @@ def spd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArra
     v = spec.eigenvectors
     return (v * (1.0 / np.sqrt(vals))[..., None, :]) @ np.swapaxes(v, -1, -2)
 
-
-def solve_psd(m: NDArray, v: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
-    """Solve M x = v for symmetric PSD M via the clamped eigen factorization."""
-    v = np.asarray(v, dtype=np.float64)
-    m = _as_square(m)
-    if v.shape != (m.shape[0],):
-        raise DimMismatch("right-hand side length must match matrix dimension")
-    return psd_pinv(m, rank_tol_factor) @ v

@@ -28,16 +28,18 @@ submodel_loss_avg
     f(x^k) for dgd and the identity sketch.  Other estimators draw one extra
     sketch at the final iterate solely for this metric.
 
-A trajectory whose metric magnitude exceeds 1e100 (or whose iterate leaves
-the float range) is marked diverged at that iteration; its remaining rows
-are NaN and the run still returns normally.
+Metrics are computed per block of up to ``BLOCK_ROUNDS`` recorded iterates,
+bitwise equal to the per-iterate formulas.  The first iterate that is
+non-finite, or has a non-finite metric or one above 1e100 in magnitude, marks
+the trajectory diverged there; its remaining rows are NaN and the run still
+returns normally.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by bench/tracer.py)
 from dataclasses import dataclass, field, replace
 
@@ -59,6 +61,9 @@ METRICS = (
 )
 
 DIVERGENCE_LIMIT = 1e100
+
+#: rounds each lane steps through before the block's metrics are computed in one pass
+BLOCK_ROUNDS = 256
 
 
 def _finite_real(v) -> bool:
@@ -219,111 +224,134 @@ def resolve_x0(cfg: RunConfig) -> NDArray:
     return x0
 
 
+def _dots(A: NDArray, B: NDArray) -> NDArray:
+    """``a @ b`` for each row a of the stack ``A`` and the matching row of ``B`` (or vector ``B``)."""
+    return (A[:, None, :] @ B[..., None])[:, 0, 0]
+
+
+def _mat_rows(M: NDArray, X: NDArray) -> NDArray:
+    """``M @ x`` for each row x of ``X``: one gemv each, where ``X @ M.T`` would round differently."""
+    return (M @ X[..., None])[..., 0]
+
+
+def _metric_fns(cfg: RunConfig, x0: NDArray, whole_model: bool) -> dict[str, Callable]:
+    """One vectorised function per requested metric, in ``cfg.metrics`` order: it maps
+    iterates ``X`` (m, d), their f, grad f and recorded submodel losses to one value
+    per iterate, bitwise equal to its formula applied to one iterate at a time."""
+    p, names = cfg.problem, cfg.metrics
+    if "f_gap_rel_log" in names or "dist_L_to_xstar" in names:
+        x_star = p.solution()
+        f_star = p.f(x_star)
+        gap0 = max(p.f(x0) - f_star, 1e-300)
+    if "dist_to_xinf" in names:
+        if cfg.estimator.sketch is None:
+            raise ConfigInvalid("dist_to_xinf needs a sketch-based estimator")
+        x_inf = certificates.fixed_point(p, cfg.estimator.sketch)
+    if "grad_sq_Linv" in names:
+        # g' L_bar^+ g = sum_j z_j^2 / lambda_j with z = V' g: no d x d pseudo-inverse,
+        # whose gemm rounding moves with the BLAS thread count, is formed
+        V, inv_vals = p.spectrum.eigenvectors, p.spectrum.function_values(lambda v: 1.0 / v)
+    fns = {
+        "f_gap_rel_log": lambda X, f, g, sub: np.log10(
+            np.maximum(np.maximum(f - f_star, 1e-300) / gap0, 1e-300)),
+        "grad_sq": lambda X, f, g, sub: _dots(g, g),
+        "grad_sq_Linv": lambda X, f, g, sub: ((z := _mat_rows(V.T, g)) * z * inv_vals).sum(axis=-1),
+        "dist_L_to_xstar": lambda X, f, g, sub: _dots(dx := X - x_star, _mat_rows(p.L_bar, dx)),
+        # np.linalg.norm of a vector is the sqrt of its dot with itself
+        "dist_to_xinf": lambda X, f, g, sub: np.sqrt(_dots(dx := X - x_inf, dx)),
+        "submodel_loss_avg": lambda X, f, g, sub: f if whole_model else sub,
+    }
+    return {name: fns[name] for name in names}
+
+
 def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     """Execute all repeats of ``cfg`` once per schedule, the schedules in lockstep.
 
     Each schedule is a lane with its own iterate.  A round draws one joint
     sketch from the repeat's substream and every live lane steps with that
-    draw.  Draws never depend on the iterate, so the trace of lane ``j`` is
-    bitwise the trace of a run at ``schedules[j]`` alone.  A lane that
-    diverges stops; draws continue while any lane of the repeat is alive.
+    draw, which never depends on the iterate, so lane ``j``'s trace is
+    bitwise a run at ``schedules[j]`` alone.  Lanes step through blocks of up
+    to ``BLOCK_ROUNDS`` rounds, then the block's metrics are computed at once.
     """
     p = cfg.problem
     x0 = resolve_x0(cfg)
-    K, n_lanes = cfg.K, len(schedules)
+    K, n_lanes, d = cfg.K, len(schedules), p.d
     gammas = np.array([[s.gamma_at(k) for k in range(K)] for s in schedules],
                       dtype=np.float64).reshape(n_lanes, K)
-
-    needs_star = any(m in cfg.metrics for m in ("f_gap_rel_log", "dist_L_to_xstar"))
-    x_star = p.solution() if needs_star else None
-    f_star = p.f(x_star) if needs_star else None
-    if "f_gap_rel_log" in cfg.metrics:
-        gap0 = max(p.f(x0) - f_star, 1e-300)
-    x_inf = None
-    if "dist_to_xinf" in cfg.metrics:
-        if cfg.estimator.sketch is None:
-            raise ConfigInvalid("dist_to_xinf needs a sketch-based estimator")
-        x_inf = certificates.fixed_point(p, cfg.estimator.sketch)
-    # where every C_i = I (dgd, the identity sketch) the submodel loss is f(x);
-    # otherwise it draws one extra sketch for the final iterate
+    # where every C_i = I (dgd, the identity sketch) the submodel loss is f(x); otherwise
+    # each round records it under its own draw, one extra draw serving the final iterate
     sketch = cfg.estimator.sketch
     whole_model = sketch is None or sketch.family.whole_model
-    draws_last = "submodel_loss_avg" in cfg.metrics and not whole_model
-    if "grad_sq_Linv" in cfg.metrics:
-        # g' L_bar^+ g = sum_j z_j^2 / lambda_j with z = V' g: no d x d pseudo-inverse,
-        # whose gemm rounding moves with the BLAS thread count, is formed
-        V, inv_vals = p.spectrum.eigenvectors, p.spectrum.function_values(lambda v: 1.0 / v)
+    records_sub = "submodel_loss_avg" in cfg.metrics and not whole_model
+    metric_fns = _metric_fns(cfg, x0, whole_model)
+    needs_fg = not {"f_gap_rel_log", "grad_sq", "grad_sq_Linv"}.isdisjoint(cfg.metrics) or (
+        "submodel_loss_avg" in cfg.metrics and whole_model)
 
     shape = (n_lanes, cfg.repeats)
     out = {m: np.full(shape + (K + 1,), np.nan) for m in cfg.metrics}
     final_f = np.full(shape, np.nan)
     diverged = np.full(shape, -1, dtype=np.int64)
-    iterates = np.full(shape + (K + 1, p.d), np.nan) if cfg.record_iterates else None
+    iterates = np.full(shape + (K + 1, d), np.nan) if cfg.record_iterates else None
 
-    L_bar, b_bar = p.L_bar, p.b_bar
-    # f(x) and grad f(x) share one product L_bar @ x, in p.f's and p.grad's arithmetic
-    needs_fg = not {"f_gap_rel_log", "grad_sq", "grad_sq_Linv"}.isdisjoint(cfg.metrics) or (
-        "submodel_loss_avg" in cfg.metrics and whole_model)
-
-    def metric_row(x, sample):
-        vals = {}
-        if needs_fg:
-            Lx = L_bar @ x
-            f, g = 0.5 * float(x @ Lx) - float(x @ b_bar), Lx - b_bar
-        for name in cfg.metrics:
-            if name == "f_gap_rel_log":
-                rel = max(f - f_star, 1e-300) / gap0
-                vals[name] = np.log10(max(rel, 1e-300))
-            elif name == "grad_sq":
-                vals[name] = float(g @ g)
-            elif name == "grad_sq_Linv":
-                z = V.T @ g
-                vals[name] = float((z * z * inv_vals).sum())
-            elif name == "dist_L_to_xstar":
-                dx = x - x_star
-                vals[name] = float(dx @ (L_bar @ dx))
-            elif name == "dist_to_xinf":
-                vals[name] = float(np.linalg.norm(x - x_inf))
-            else:  # submodel_loss_avg
-                vals[name] = f if whole_model else sample.submodel_loss(p, x)
-        return vals
+    def record(r: int, j: int, k0: int, X: NDArray, sub: NDArray | None) -> int:
+        """Keep lane ``j``'s block rows ``X[:-1]`` up to its first diverged one;
+        return that row's index, or the block length if none diverged."""
+        rows = X[:-1]
+        f = g = None
+        if needs_fg:  # one L_bar @ x per row, in p.f's and p.grad's arithmetic
+            Lx = _mat_rows(p.L_bar, rows)
+            f = 0.5 * _dots(rows, Lx) - _dots(rows, p.b_bar)
+            g = np.subtract(Lx, p.b_bar, out=Lx)
+        vals = {name: fn(rows, f, g, sub) for name, fn in metric_fns.items()}
+        ok = np.isfinite(rows).all(axis=-1)
+        for v in vals.values():
+            ok &= np.isfinite(v) & (np.abs(v) <= DIVERGENCE_LIMIT)
+        stop = len(ok) if ok.all() else int(np.argmin(ok))
+        for name, v in vals.items():
+            out[name][j, r, k0:k0 + stop] = v[:stop]
+        if iterates is not None:
+            iterates[j, r, k0:k0 + stop] = rows[:stop]
+        return stop
 
     def one_repeat(r: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-        xs = [x0] * n_lanes
+        carry = x0  # each lane's iterate at the block's start
         last_valid = [x0] * n_lanes
         live = list(range(n_lanes))
-        for k in range(K + 1):
-            # the round's draw, shared by every live lane
-            draws = sketch is not None and (k < K or draws_last)
-            sample = sketches.sample(sketch, p, rng) if draws else None
+        for k0 in range(0, K + 1, BLOCK_ROUNDS):
+            m = min(BLOCK_ROUNDS, K + 1 - k0)
+            # X[j, i] is lane j's iterate x^{k0 + i}; row m starts the next block
+            X = np.empty((n_lanes, m + 1, d))
+            X[:, 0] = carry
+            sub = np.empty((n_lanes, m)) if records_sub else None
+            for i, k in enumerate(range(k0, k0 + m)):
+                # the round's draw, shared by every live lane
+                draws = sketch is not None and (k < K or records_sub)
+                sample = sketches.sample(sketch, p, rng) if draws else None
+                for j in live:
+                    x = X[j, i]
+                    if records_sub:
+                        sub[j, i] = sample.submodel_loss(p, x)
+                    if k < K:
+                        g = estimators.estimate(cfg.estimator, p, x, rng, sample)[0]
+                        X[j, i + 1] = x - gammas[j, k] * g
+            carry = X[:, m]
             for j in tuple(live):
-                x = xs[j]
-                if not np.isfinite(x).all():
-                    diverged[j, r] = k
+                stop = record(r, j, k0, X[j], None if sub is None else sub[j])
+                if stop:
+                    last_valid[j] = X[j, stop - 1]
+                if stop < m:
+                    diverged[j, r] = k0 + stop
                     live.remove(j)
-                    continue
-                if k < K:
-                    g = estimators.estimate(cfg.estimator, p, x, rng, sample)[0]
-                vals = metric_row(x, sample)
-                if any(not np.isfinite(v) or abs(v) > DIVERGENCE_LIMIT for v in vals.values()):
-                    diverged[j, r] = k
-                    live.remove(j)
-                    continue
-                for name, v in vals.items():
-                    out[name][j, r, k] = v
-                if iterates is not None:
-                    iterates[j, r, k] = x
-                last_valid[j] = x
-                if k < K:
-                    xs[j] = x - gammas[j, k] * g
             if not live:
                 break
         for j in range(n_lanes):
             final_f[j, r] = p.f(last_valid[j])
 
-    for r in range(cfg.repeats):
-        one_repeat(r)
+    # a diverging lane overflows until its block ends, then its steps past diverged_at are dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(cfg.repeats):
+            one_repeat(r)
 
     return [
         Trace(

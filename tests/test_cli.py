@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -10,6 +11,25 @@ from istlab.quadratics import QuadraticProblem
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def read_trace_csv(path):
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["repeat", "k", "metric_name", "value"]
+        for rec in reader:
+            rows.append((int(rec[0]), int(rec[1]), rec[2], float(rec[3])))
+    return rows
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
+def read_trace_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject_constant)
 
 
 def experiment_doc(out_path, fmt="csv", **overrides):
@@ -149,7 +169,7 @@ class TestRun:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(experiment_doc(out)))
         assert run_cli("run", "--config", str(cfg_path)) == 0
-        rows = cli.read_trace_csv(out)
+        rows = read_trace_csv(out)
         # repeats * (K+1) rows per metric
         assert len(rows) == 2 * 7 * 2
         assert rows[0][:3] == (0, 0, "f_gap_rel_log")
@@ -186,7 +206,7 @@ class TestRun:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(experiment_doc(out, fmt="json")))
         run_cli("run", "--config", str(cfg_path))
-        doc = cli.read_trace_json(out)
+        doc = read_trace_json(out)
         assert set(doc["metrics"]) == {"f_gap_rel_log", "grad_sq"}
         assert len(doc["final_f"]) == 2
         assert doc["diverged_at"] == [-1, -1]
@@ -196,7 +216,7 @@ class TestRun:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(experiment_doc(out, K=0, metrics=["grad_sq"])))
         run_cli("run", "--config", str(cfg_path))
-        rows = cli.read_trace_csv(out)
+        rows = read_trace_csv(out)
         assert len(rows) == 2
         assert {r[0] for r in rows} == {0, 1}
 
@@ -225,6 +245,23 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg_path)) == 0
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert all(v >= 0 for v in meta["diverged_at"])
+
+    def test_diverged_json_trace_is_strict_json(self, tmp_path):
+        # f at the last finite iterate overflows; it is written as null, not Infinity
+        prob_path = tmp_path / "p.json"
+        run_cli("gen", "--n", "3", "--d", "4", "--seed", "11", "--mode", "het",
+                "--out", str(prob_path))
+        out = tmp_path / "trace.json"
+        cfg_path = tmp_path / "exp.json"
+        doc = experiment_doc(out, fmt="json", problem=str(prob_path), estimator="dgd",
+                             K=400, repeats=1, metrics=[])
+        del doc["sketch"]
+        doc["schedule"] = {"type": "constant", "gamma": 50.0}
+        cfg_path.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", str(cfg_path)) == 0
+        trace = read_trace_json(out)
+        assert trace["final_f"] == [None]
+        assert trace["diverged_at"][0] > 0
 
     def test_problem_from_file_with_checksum(self, tmp_path):
         prob_path = tmp_path / "p.json"
@@ -270,7 +307,7 @@ class TestHomogeneousRunThroughCli:
         )
         cfg_path.write_text(json.dumps(doc))
         assert run_cli("run", "--config", str(cfg_path)) == 0
-        rows = cli.read_trace_csv(out)
+        rows = read_trace_csv(out)
         dist = np.array([v for (_, _, name, v) in rows if name == "dist_to_xinf"])
         ratios = dist[1:] / dist[:-1]
         np.testing.assert_allclose(ratios, 0.5, rtol=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from istlab import estimators, linalg, runner, sketches
-from istlab.certificates import estimator_bias, expected_iterate
+from istlab.certificates import estimator_bias, expected_iterate, fixed_point
 from istlab.errors import ConfigInvalid
 from istlab.estimators import EstimatorKind
 from istlab.quadratics import (
@@ -373,6 +373,81 @@ class TestSweep:
             tail = t.metrics["f_gap_rel_log"][:, -120:]
             plateau_gap = np.mean(10.0**tail) * gap0
             assert plateau_gap >= 0.8 * floor
+
+
+def per_iterate_metrics(cfg, x0, x, sample):
+    """Every metric of ``cfg`` at one iterate, by its formula for a single vector."""
+    p, sketch = cfg.problem, cfg.estimator.sketch
+    Lx = p.L_bar @ x
+    f, g = 0.5 * float(x @ Lx) - float(x @ p.b_bar), Lx - p.b_bar
+    vals = {}
+    for name in cfg.metrics:
+        if name == "f_gap_rel_log":
+            f_star = p.f(p.solution())
+            gap0 = max(p.f(x0) - f_star, 1e-300)
+            vals[name] = np.log10(max(max(f - f_star, 1e-300) / gap0, 1e-300))
+        elif name == "grad_sq":
+            vals[name] = float(g @ g)
+        elif name == "grad_sq_Linv":
+            z = p.spectrum.eigenvectors.T @ g
+            vals[name] = float((z * z * p.spectrum.function_values(lambda v: 1.0 / v)).sum())
+        elif name == "dist_L_to_xstar":
+            dx = x - p.solution()
+            vals[name] = float(dx @ (p.L_bar @ dx))
+        elif name == "dist_to_xinf":
+            vals[name] = float(np.linalg.norm(x - fixed_point(p, sketch)))
+        else:  # submodel_loss_avg
+            whole_model = sketch is None or sketch.family.whole_model
+            vals[name] = f if whole_model else sample.submodel_loss(p, x)
+    return vals
+
+
+BLOCK_CASES = dict(LANE_CASES, cgd_bernoulli_d200=(
+    EstimatorKind.cgd(SketchKind.bernoulli(0.1)), 10, 200, StepSchedule.constant(2e-4), ()))
+
+
+class TestBlockMetrics:
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_rows_bitwise_equal_per_iterate_formulas(self, case):
+        # the d = 200 case runs past the first block of BLOCK_ROUNDS rounds;
+        # the second lane diverges, so only its rows before diverged_at count
+        est, n, d, schedule, extra = BLOCK_CASES[case]
+        K = 300 if d == 200 else 40
+        cfg = RunConfig(problem=gen_heterogeneous(n, d, seed=n + d), estimator=est,
+                        schedule=schedule, K=K, seed=5, repeats=1 if d == 200 else 2,
+                        metrics=LANE_METRICS + extra, record_iterates=True)
+        traces = sweep(cfg, [schedule.gamma, 100 * schedule.gamma])
+        assert (traces[0].diverged_at < 0).all() and (traces[1].diverged_at > 0).all()
+        for r in range(cfg.repeats):
+            # replay the repeat's draws: one per round, the last for the submodel loss
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
+            for k in range(K + 1):
+                sample = None if est.sketch is None else sketches.sample(est.sketch, cfg.problem, rng)
+                for t in traces:
+                    if 0 <= t.diverged_at[r] <= k:
+                        assert all(np.isnan(t.metrics[name][r, k]) for name in cfg.metrics)
+                        continue
+                    ref = per_iterate_metrics(cfg, t.x0, t.iterates[r, k], sample)
+                    for name in cfg.metrics:
+                        assert_bitwise(t.metrics[name][r, k], np.float64(ref[name]))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_traces_do_not_depend_on_block_length(self, monkeypatch, block):
+        # lane 1 diverges at k = 29, inside a 7-round block; lane 2 at k = 35,
+        # the first row of a block, so its last valid iterate is in the block before
+        cfg = RunConfig(problem=gen_heterogeneous(3, 7, seed=10),
+                        estimator=EstimatorKind.ist(SketchKind.rand_q(3)),
+                        schedule=StepSchedule.constant(0.05), K=40, seed=5, repeats=2,
+                        metrics=LANE_METRICS, record_iterates=True)
+        gammas = [0.05, 2.242, 1.2]
+        ref = sweep(cfg, gammas)
+        assert [t.diverged_at.tolist() for t in ref] == [[-1, -1], [29, 29], [35, 35]]
+        monkeypatch.setattr(runner, "BLOCK_ROUNDS", block)
+        for t, t_ref in zip(sweep(cfg, gammas), ref):
+            for name in cfg.metrics:
+                assert_bitwise(t.metrics[name], t_ref.metrics[name])
+            for attr in ("final_f", "diverged_at", "iterates"):
+                assert_bitwise(getattr(t, attr), getattr(t_ref, attr))
 
 
 # family -> (estimator, n, d); bernoulli pads its rows, scaled_perm_het at
