@@ -37,33 +37,15 @@ from . import estimators, linalg, sketches
 from .errors import (
     BetaOutOfRange,
     DenominatorNonpositive,
-    NoClosedForm,
     NoExpectation,
     SingularMatrix,
     StepSizeOutOfRange,
     StepTooLarge,
     ThetaInadmissible,
-    TooLarge,
     WrongKind,
 )
 from .quadratics import QuadraticProblem
 from .sketches import UNIT_DIAG_TOL, SketchKind, SketchMoments, fixed_point_het  # noqa: F401
-
-
-def _moments_with_second(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
-    """Moments including E[B L_bar B], via closed form or enumeration."""
-    try:
-        m = sketches.closed_moments(kind, p)
-        if m.curvature_second is not None:
-            return m
-    except NoClosedForm:
-        pass
-    try:
-        return sketches.enumerated_moments(kind, p)
-    except TooLarge as exc:
-        raise NoExpectation(
-            f"no exact route to E[B L B] for sketch {kind.kind!r} at n={p.n}, d={p.d}"
-        ) from exc
 
 
 def descent_matrix(
@@ -71,10 +53,7 @@ def descent_matrix(
 ) -> NDArray:
     """W = (L_bar E[B] + E[B] L_bar) / 2."""
     if moments is None:
-        try:
-            moments = sketches.closed_moments(kind, p)
-        except NoClosedForm:
-            moments = sketches.enumerated_moments(kind, p)
+        moments = sketches._moments(kind, p)
     eb = moments.curvature
     if np.count_nonzero(eb) == p.d and (eb.diagonal() == 1.0).all():
         # E[B] = I bit for bit: the product formula below is exactly sym(L_bar)
@@ -96,10 +75,8 @@ def step_constant(
     no finite theta exists.  Exactly 1.0 when E[B L_bar B] equals a PSD,
     nonzero W bit for bit (B = I on every draw), with no pencil formed.
     """
-    if moments is None:
-        moments = _moments_with_second(kind, p)
-    elif moments.curvature_second is None:
-        moments = _moments_with_second(kind, p)
+    if moments is None or moments.curvature_second is None:
+        moments = sketches._moments(kind, p, second=True)
     W = descent_matrix(p, kind, moments)
     return _theta(_descent_spectrum(p, W), W, moments.curvature_second, psd_tol, rank_tol_factor)
 
@@ -173,7 +150,7 @@ def interpolation_rates(
     StepTooLarge
         If gamma is outside (0, 1/theta].
     """
-    moments = _moments_with_second(kind, p)
+    moments = sketches._moments(kind, p, second=True)
     W = descent_matrix(p, kind, moments)
     theta = _theta(_descent_spectrum(p, W), W, moments.curvature_second)
     if theta is None:
@@ -441,7 +418,7 @@ def certificate(
     scaled permutation estimators.
     """
     notes: list[str] = []
-    moments = _moments_with_second(kind, p)
+    moments = sketches._moments(kind, p, second=True)
     W = descent_matrix(p, kind, moments)
     spec = _descent_spectrum(p, W)
     psd = linalg.psd_eigenvalues(spec.eigenvalues)
@@ -470,7 +447,7 @@ def certificate(
         est = estimators.EstimatorKind.ist(kind)
         try:
             sigma2 = estimators.heterogeneity_variance(p, est)
-        except TooLarge:
+        except NoExpectation:
             if sigma2_samples is not None:
                 sigma2 = estimators.heterogeneity_variance(p, est, sigma2_samples, rng)
                 notes.append(f"sigma2 via monte carlo ({sigma2_samples} draws)")

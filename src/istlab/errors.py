@@ -41,8 +41,9 @@ class TooLarge(IstLabError):
     """Exact enumeration would exceed the outcome budget."""
 
 
-class NoExpectation(IstLabError):
-    """Required sketch expectation is unavailable by any exact route."""
+class NoExpectation(NoClosedForm, TooLarge):
+    """No closed form, enumeration or Monte Carlo route gives the sketch
+    expectation; handlers of either base class catch it."""
 
 
 class ThetaInadmissible(IstLabError):

@@ -23,12 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import sketches
-from .errors import (
-    IncompatibleShape,
-    NoClosedForm,
-    TooLarge,
-    WrongKind,
-)
+from .errors import IncompatibleShape, WrongKind
 from .quadratics import QuadraticProblem
 from .sketches import SketchKind, SketchSample
 
@@ -107,38 +102,33 @@ def expected_estimate(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> ND
     """Exact E[g] at a fixed point ``x``.
 
     Closed forms are used where the sketch family admits them; otherwise the
-    joint outcome space is enumerated.  Raises :class:`NoClosedForm` when
-    neither route is feasible.
+    joint outcome space is enumerated.  Raises :class:`NoExpectation` (a
+    :class:`NoClosedForm`) when neither route is feasible.
     """
     x = np.asarray(x, dtype=np.float64)
     if est.kind == "dgd":
         return p.grad(x)
-    if est.kind == "cgd":
-        means = est.sketch.family.client_means(est.sketch, p)
-        if means is not None:
+    sketch = est.sketch
+
+    def closed():
+        if est.kind == "cgd":
+            means = sketch.family.client_means(sketch, p)
+            if means is None:
+                return None
             acc = np.zeros(p.d)
             for i in range(p.n):
                 acc += means[i] @ (p.L[i] @ x - p.b[i])
             return acc / p.n
-        return _enumerated_mean(est, p, x)
-    # ist
-    try:
-        m = sketches.closed_moments(est.sketch, p)
-        if m.linear is not None:
-            return m.curvature @ x - m.linear
-    except NoClosedForm:
-        pass
-    return _enumerated_mean(est, p, x)
+        m = sketches.closed_moments(sketch, p)
+        return None if m.linear is None else m.curvature @ x - m.linear
+
+    return sketches._expectation(sketch, p, f"the mean of {est.kind}", closed,
+                                 lambda: _enumerated_mean(est, p, x))
 
 
 def _enumerated_mean(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> NDArray:
     gradient = _ist_gradient if est.kind == "ist" else _cgd_gradient
-    try:
-        return sketches.outcome_sums(est.sketch, p, lambda s: (gradient(p, s, x),))[0]
-    except TooLarge as exc:
-        raise NoClosedForm(
-            f"no closed-form mean for {est.kind}/{est.sketch.kind} and enumeration infeasible"
-        ) from exc
+    return sketches.outcome_sums(est.sketch, p, lambda s: (gradient(p, s, x),))[0]
 
 
 def heterogeneity_variance(
@@ -156,8 +146,6 @@ def heterogeneity_variance(
     """
     if est.kind != "ist" or est.sketch is None:
         raise WrongKind("heterogeneity variance is defined for ist estimators")
-    if n_samples is not None and n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     family = est.sketch.family
     if family.sigma2 is None:
         raise WrongKind(f"heterogeneity variance not defined for sketch {est.sketch.kind!r}")

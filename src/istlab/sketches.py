@@ -1,4 +1,4 @@
-"""Sketch operators: sampling, application, and exact expectations.
+"""Sketch operators: sampling, application, and expectations.
 
 Every sketch used here selects coordinates: client ``i`` receives a
 symmetric PSD matrix ``C_i`` supported on a coordinate set ``S_i`` of q
@@ -17,6 +17,13 @@ owns the parameter check, block-size rule, outcome count, sampling,
 enumeration and whatever closed forms the family has: moments, E[C_i], the
 fixed point and sigma2.  The module functions route to it, so a new family
 is one class here and one entry in FAMILIES.
+
+Expectations
+------------
+:func:`_expectation` is the one route policy: closed form, else enumeration
+within :data:`ENUMERATION_BUDGET`, else Monte Carlo where a draw count was
+given.  Enumeration (:func:`_chunks`) and Monte Carlo (:func:`_draws`) feed
+one consumer, :func:`_sums`; Monte Carlo sums are shifted by the first draw.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .errors import (
     DimMismatch,
     IncompatibleShape,
     NoClosedForm,
+    NoExpectation,
     NonPositiveDiagonal,
     SingularMatrix,
     TooLarge,
@@ -45,7 +53,8 @@ from .quadratics import QuadraticProblem
 #: Maximum number of joint outcomes the exact enumerator will visit.
 ENUMERATION_BUDGET = 1_000_000
 
-#: Bytes of the largest stack an enumeration chunk makes, (chunk, d, max(d, n q)) floats.
+#: Bytes of the largest stack a chunk makes: (outcomes, d, max(d, n q)) floats in
+#: enumeration, (draws, d, d) in Monte Carlo.
 CHUNK_BYTES = 2 * 2**20
 
 #: Unit-diagonal tolerance when a preconditioned homogeneous problem is required.
@@ -553,10 +562,12 @@ class _ScaledHet(_Partition):
         return fixed_point_het(p)
 
     def sigma2(self, kind, p, n_samples=None, rng=None):
+        """sigma2 by :func:`_expectation`: 0 under interpolation; else, without
+        ``n_samples``, two passes over the outcomes (the mean, then the
+        spread); else one shifted pass over ``n_samples`` draws of ``rng``."""
         self.block_size(kind, p.n, p.d)
-        if p.interpolation:
-            return 0.0
-        if n_samples is None:
+
+        def enumerated():
             (mean,) = outcome_sums(kind, p, lambda s: (s.linear_term(p),))
 
             def spread(s):  # per outcome, the mat-vec and dot of the (d,) loop
@@ -564,11 +575,14 @@ class _ScaledHet(_Partition):
                 return ((np.swapaxes(c, -1, -2) @ (p.L_bar @ c))[:, 0, 0],)
 
             return float(outcome_sums(kind, p, spread)[0])
-        if rng is None:
-            raise ValueError("Monte Carlo fallback requires an rng")
-        draws = np.array([sample(kind, p, rng).linear_term(p) for _ in range(n_samples)])
-        centered = draws - draws.mean(axis=0)
-        return float(np.mean(np.einsum("td,dc,tc->t", centered, p.L_bar, centered)))
+
+        def sampled(draws):
+            _, (var,) = _sample_stats(draws, lambda s: (s.linear_term(p),),
+                                      lambda c: np.sum(c * (c @ p.L_bar), axis=-1))
+            return float(var)
+
+        return _expectation(kind, p, "sigma2", lambda: 0.0 if p.interpolation else None,
+                            enumerated if n_samples is None else None, sampled, n_samples, rng)
 
 
 class _RandQ(_Family):
@@ -704,13 +718,37 @@ def _chunk_len(n: int, d: int, q: int) -> int:
     return max(1, CHUNK_BYTES // (8 * d * max(d, n * q)))
 
 
-def outcome_sums(kind: SketchKind, p: QuadraticProblem, fn) -> list[NDArray]:
-    """Sums over every joint outcome of prob * v, for each (k, ...) array v that
-    ``fn`` returns for a chunk sample stacking k outcomes.  Terms are added
-    one at a time in outcome order, so each sum is bitwise that of a loop over
-    :func:`enumerate_outcomes`, whatever the chunk size."""
+def _draws(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator, n_samples: int):
+    """The samples of ``n_samples`` :func:`sample` calls on ``rng``, in stream
+    order, as chunks at weight 1 / n_samples (narrower Bernoulli draws padded
+    with coordinate 0 at weight 0); rng ends where those calls leave it."""
+    if not _PARAMS["q"][1](n_samples):  # the rule for q: an integer >= 1, not a bool
+        raise ValueError(f"n_samples must be >= 1 and an integer, got {n_samples!r}")
+    if rng is None:
+        raise ValueError("Monte Carlo needs an rng")
+
+    def stack(arrays, q):
+        out = np.zeros((len(arrays),) + arrays[0].shape[:-1] + (q,), arrays[0].dtype)
+        for row, a in zip(out, arrays):
+            row[..., : a.shape[-1]] = a
+        return out
+
+    m = max(1, CHUNK_BYTES // (8 * p.d * p.d))
+    for t0 in range(0, n_samples, m):
+        block = [sample(kind, p, rng) for _ in range(min(m, n_samples - t0))]
+        q = max(s.idx.shape[1] for s in block)
+        s = SketchSample(kind, p.n, p.d, stack([s.idx for s in block], q),
+                         stack([s.factors for s in block], q))
+        yield np.full(len(block), 1.0 / n_samples), [(slice(None), s)]
+
+
+def _sums(chunks, fn) -> list[NDArray]:
+    """Sums of prob * v over the outcomes of ``chunks``, for each (k, ...) array
+    v that ``fn`` returns for a chunk sample stacking k outcomes.  Terms are
+    added one at a time in outcome order, so each sum is bitwise that of a
+    loop over the outcomes, whatever the chunk size."""
     sums = None
-    for prob, parts in _chunks(kind, p):
+    for prob, parts in chunks:
         values = None
         for pos, s in parts:
             out = fn(s)
@@ -720,9 +758,38 @@ def outcome_sums(kind: SketchKind, p: QuadraticProblem, fn) -> list[NDArray]:
                 v[pos] = o
         sums = sums or [np.zeros(v.shape[1:]) for v in values]
         for acc, v in zip(sums, values):
-            buf = np.concatenate([acc[None], prob.reshape((-1,) + (1,) * acc.ndim) * v])
+            buf = np.empty((len(v) + 1,) + acc.shape)  # the running sum in row 0, then prob * v
+            buf[0] = acc
+            np.multiply(prob.reshape((-1,) + (1,) * acc.ndim), v, out=buf[1:])
             acc[...] = np.add.accumulate(buf, axis=0, out=buf)[-1]
     return sums
+
+
+def outcome_sums(kind: SketchKind, p: QuadraticProblem, fn) -> list[NDArray]:
+    """:func:`_sums` over every joint outcome: bitwise a loop over
+    :func:`enumerate_outcomes`, whatever the chunk size."""
+    return _sums(_chunks(kind, p), fn)
+
+
+def _sample_stats(draws, fn, square=np.square):
+    """Means over ``draws`` of each (k, ...) array v that ``fn`` returns, and
+    the means of square(v - mean), ``square`` acting on (k, ...) stacks.  Both
+    come from sums of v - v0 and square(v - v0), v0 the first draw's v: the
+    shift keeps the spread from cancelling and gives exact zeros where v never
+    moves (Chan, Golub & LeVeque, Amer. Stat. 37(3), 1983)."""
+    first = []
+
+    def terms(s):
+        values = fn(s)
+        if not first:
+            first.extend(v[0].copy() for v in values)
+        dev = [np.subtract(v, v0, out=v) for v, v0 in zip(values, first)]
+        return dev + [square(e) for e in dev]
+
+    sums = _sums(draws, terms)
+    k = len(first)
+    return ([v0 + s1 for v0, s1 in zip(first, sums[:k])],
+            [s2 - square(s1[None])[0] for s1, s2 in zip(sums[:k], sums[k:])])
 
 
 # ---------------------------------------------------------------------------
@@ -785,37 +852,46 @@ def enumerated_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
     return SketchMoments(curv / total, second / total, linear / total, method="enumeration")
 
 
-def monte_carlo_moments(
-    kind: SketchKind,
-    p: QuadraticProblem,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> SketchMoments:
-    """Sample means of B and the linear term with elementwise standard errors."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    d = p.d
-    # Welford updates: exact zeros for deterministic kinds, no cancellation.
-    curv_mean = np.zeros((d, d))
-    curv_m2 = np.zeros((d, d))
-    lin_mean = np.zeros(d)
-    lin_m2 = np.zeros(d)
-    for t in range(1, n_samples + 1):
-        s = sample(kind, p, rng)
-        B = s.curvature(p)
-        v = s.linear_term(p)
-        delta = B - curv_mean
-        curv_mean += delta / t
-        curv_m2 += delta * (B - curv_mean)
-        delta_v = v - lin_mean
-        lin_mean += delta_v / t
-        lin_m2 += delta_v * (v - lin_mean)
-    return SketchMoments(
-        curvature=curv_mean,
-        curvature_second=None,
-        linear=lin_mean,
-        method="monte_carlo",
-        n_samples=n_samples,
-        curvature_stderr=np.sqrt(np.maximum(curv_m2, 0.0)) / n_samples,
-        linear_stderr=np.sqrt(np.maximum(lin_m2, 0.0)) / n_samples,
-    )
+def monte_carlo_moments(kind: SketchKind, p: QuadraticProblem, n_samples: int,
+                        rng: np.random.Generator) -> SketchMoments:
+    """Sample means of B and the linear term over ``n_samples`` draws, with
+    elementwise standard errors sqrt(var / n_samples), var the population
+    variance (:func:`_sample_stats`)."""
+    (curv, linear), var = _sample_stats(
+        _draws(kind, p, rng, n_samples), lambda s: (s.curvature(p), s.linear_term(p)))
+    curv_se, linear_se = (np.sqrt(np.maximum(v, 0.0) / n_samples) for v in var)
+    return SketchMoments(curv, None, linear, "monte_carlo", n_samples, curv_se, linear_se)
+
+
+def _expectation(kind: SketchKind, p: QuadraticProblem, what: str, closed, exact,
+                 sampled=None, n_samples: int | None = None, rng=None):
+    """The one route policy: ``closed()`` unless it raises NoClosedForm or
+    returns None, else ``exact()`` unless its enumeration raises TooLarge,
+    else ``sampled(draws)`` over :func:`_draws` where ``n_samples`` is given.
+    A route that is None is skipped; where none answers, raises NoExpectation."""
+    try:
+        value = closed()
+    except NoClosedForm:
+        value = None
+    if value is None and exact is not None:
+        try:
+            value = exact()
+        except TooLarge:
+            pass
+    if value is None and sampled is not None and n_samples is not None:
+        value = sampled(_draws(kind, p, rng, n_samples))
+    if value is None:
+        raise NoExpectation(
+            f"no exact route to {what} for sketch {kind.kind!r} at n={p.n}, d={p.d}")
+    return value
+
+
+def _moments(kind: SketchKind, p: QuadraticProblem, second: bool = False) -> SketchMoments:
+    """E[B], and E[B L_bar B] if ``second``, by :func:`_expectation`."""
+
+    def closed():
+        m = closed_moments(kind, p)
+        return None if second and m.curvature_second is None else m
+
+    return _expectation(kind, p, "E[B L B]" if second else "E[B]", closed,
+                        lambda: enumerated_moments(kind, p))

@@ -106,3 +106,46 @@ def test_closed_forms_match_enumeration(name, data):
                            for prob, v in terms)
             # a deterministic family's zero is matched relative to E||v||^2
             assert_close(sigma2, variance, scale=max(second, abs(sigma2)))
+
+
+# The Monte Carlo half: every family with closed moments, at a shape whose
+# joint outcomes exceed the enumeration budget (10! > 10^6; identity has one).
+MC_CASES = {
+    "identity": (SketchKind.identity(), 10, 10),
+    "perm_q": (SketchKind.perm_q(), 10, 10),
+    "perm_multiset": (SketchKind.perm_multiset(), 10, 10),
+    "scaled_perm_homog": (SketchKind.scaled_perm_homog(), 10, 10),
+    "scaled_perm_het": (SketchKind.scaled_perm_het(), 10, 10),
+    "scaled_perm_het_q2": (SketchKind.scaled_perm_het(), 5, 10),
+}
+MC_DRAWS = 2000
+
+
+def test_mc_cases_cover_every_family_with_closed_moments():
+    p = gen_heterogeneous(2, 2, seed=0)
+    with_moments = set()
+    for name in FAMILIES:
+        kind = SketchKind(name, q=1 if FAMILIES[name].params.get("q") else None,
+                          p=0.5 if FAMILIES[name].params.get("p") else None)
+        try:
+            sketches.closed_moments(kind, p)
+        except NoClosedForm:
+            continue
+        with_moments.add(name)
+    assert {kind.kind for kind, _, _ in MC_CASES.values()} == with_moments
+
+
+@pytest.mark.parametrize("label", MC_CASES)
+def test_closed_forms_match_monte_carlo(label):
+    """Closed E[B] and mean linear term within 5 Monte Carlo standard errors,
+    entry by entry, plus a round-off allowance (B = I only up to round-off
+    on scaled_perm_het draws)."""
+    kind, n, d = MC_CASES[label]
+    p = gen_heterogeneous(n, d, seed=80 + n)
+    if kind.kind != "identity":
+        assert kind.family.count(kind, n, d) > sketches.ENUMERATION_BUDGET
+    closed = sketches.closed_moments(kind, p)
+    mc = sketches.monte_carlo_moments(kind, p, MC_DRAWS, np.random.default_rng(11))
+    assert np.all(np.abs(mc.curvature - closed.curvature) <= 5.0 * mc.curvature_stderr + 1e-9)
+    if closed.linear is not None:
+        assert np.all(np.abs(mc.linear - closed.linear) <= 5.0 * mc.linear_stderr + 1e-9)
