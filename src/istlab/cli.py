@@ -155,8 +155,7 @@ def write_trace_csv(trace: runner.Trace, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["repeat", "k", "metric_name", "value"])
-        for row in trace.rows():
-            writer.writerow([row[0], row[1], row[2], repr(row[3])])
+        writer.writerows((r, k, name, repr(value)) for r, k, name, value in trace.rows())
 
 
 def trace_json_doc(trace: runner.Trace) -> dict:

@@ -74,11 +74,6 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> NDArray:
-        """Return V diag(lambda) V^T."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
-
     def rank_mask(self, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
         """Boolean mask of eigenvalues treated as numerically nonzero."""
         scale = float(np.abs(self.eigenvalues).max(initial=0.0))

@@ -173,10 +173,6 @@ class QuadraticProblem:
         x = self._check_vec(x)
         return 0.5 * float(x @ (self.L[i] @ x)) - float(x @ self.b[i])
 
-    def grad_client(self, i: int, x: NDArray) -> NDArray:
-        x = self._check_vec(x)
-        return self.L[i] @ x - self.b[i]
-
     def solution(self, rank_tol_factor: float = linalg.RANK_TOL_FACTOR) -> NDArray:
         """Minimizer L_bar^{-1} b_bar.
 
@@ -246,10 +242,6 @@ class ProblemTransform:
 
     kind: str
     diag: NDArray  # (d,) entries of D
-
-    def forward(self, x: NDArray) -> NDArray:
-        """Map original variable to the transformed one."""
-        return np.sqrt(self.diag) * np.asarray(x, dtype=np.float64)
 
     def inverse(self, x_tilde: NDArray) -> NDArray:
         """Map transformed variable back to the original."""

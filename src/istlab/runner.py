@@ -5,7 +5,10 @@ round.  A run executes ``repeats`` independent trajectories that share the
 problem and the initial point; repeat ``r`` draws its sketches from the
 substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run one after
 another on the calling thread, so a trace is bitwise reproducible for a fixed
-config and problem.
+config and problem.  A repeat draws its sketches as tapes: each chunk of
+rounds is one ``sketches.sample`` call whose samples are bit for bit those of
+one draw per round, with chunks of at most ``sketches._chunk_len`` rounds so
+a tape stays within ``sketches.CHUNK_BYTES``.
 A sweep advances its step sizes in lockstep: each round's joint sketch is
 drawn once and shared by every step size, and each step size's trace is
 bitwise equal to a separate run at that step size.
@@ -192,13 +195,12 @@ class Trace:
     def rows(self):
         """Yield (repeat, k, metric_name, value) in long format, stopping
         each repeat at its divergence point."""
-        n_rows = self.metrics[self.metric_order[0]].shape[1] if self.metric_order else 0
-        for r in range(self.repeats):
-            stop = self.diverged_at[r]
-            last = n_rows if stop < 0 else int(stop)
-            for k in range(last):
-                for name in self.metric_order:
-                    yield r, k, name, float(self.metrics[name][r, k])
+        names = self.metric_order
+        for r, stop in enumerate(self.diverged_at.tolist()):
+            columns = [self.metrics[name][r, :None if stop < 0 else stop].tolist() for name in names]
+            for k, values in enumerate(zip(*columns)):
+                for name, value in zip(names, values):
+                    yield r, k, name, value
 
 
 def _thread_budget() -> int:
@@ -284,6 +286,9 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     whole_model = sketch is None or sketch.family.whole_model
     records_sub = "submodel_loss_avg" in cfg.metrics and not whole_model
     metric_fns = _metric_fns(cfg, x0, whole_model)
+    # rounds per tape chunk, resolved only where some round draws (a run without draws takes any shape)
+    if sketch is not None and (K or records_sub):
+        chunk = sketches._chunk_len(p.n, d, sketches.resolve_block_size(sketch, p.n, d))
     needs_fg = not {"f_gap_rel_log", "grad_sq", "grad_sq_Linv"}.isdisjoint(cfg.metrics) or (
         "submodel_loss_avg" in cfg.metrics and whole_model)
 
@@ -313,6 +318,11 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             iterates[j, r, k0:k0 + stop] = rows[:stop]
         return stop
 
+    def tape(rng: np.random.Generator, rounds: int):
+        """The samples of ``rounds`` successive draws, drawn ``chunk`` rounds at a time."""
+        for t0 in range(0, rounds, chunk):
+            yield from sketches.sample(sketch, p, rng, min(chunk, rounds - t0))
+
     def one_repeat(r: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
         carry = x0  # each lane's iterate at the block's start
@@ -324,10 +334,12 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             X = np.empty((n_lanes, m + 1, d))
             X[:, 0] = carry
             sub = np.empty((n_lanes, m)) if records_sub else None
+            # every round before K draws; round K only for the submodel loss
+            n_draws = 0 if sketch is None else m if records_sub else min(m, K - k0)
+            draws = tape(rng, n_draws)
             for i, k in enumerate(range(k0, k0 + m)):
                 # the round's draw, shared by every live lane
-                draws = sketch is not None and (k < K or records_sub)
-                sample = sketches.sample(sketch, p, rng) if draws else None
+                sample = next(draws) if i < n_draws else None
                 for j in live:
                     x = X[j, i]
                     if records_sub:

@@ -356,7 +356,9 @@ class _Family:
     """Everything istlab knows about one sketch family.
 
     A family gives ``count(kind, n, d)``, the number of joint outcomes;
-    ``draw(kind, p, rng)``, one sample; and ``chunks(kind, p, m)``, which
+    ``draw_many(kind, p, rng, k)``, the samples of k successive rounds, bit
+    for bit those of k ``draw`` calls (``draw`` is its k = 1 case) and
+    leaving ``rng`` where they leave it; and ``chunks(kind, p, m)``, which
     yields the outcomes in order as chunks of at most m: their probabilities
     and (positions, sample) parts, each sample stacking the outcomes at those
     positions on a leading axis (Bernoulli: one part per padded width).
@@ -397,6 +399,9 @@ class _Family:
         self.block_size(kind, p.n, p.d)
         return [np.eye(p.d)] * p.n  # unbiased compressors
 
+    def draw(self, kind: SketchKind, p: QuadraticProblem, rng) -> SketchSample:
+        return self.draw_many(kind, p, rng, 1)[0]
+
 
 class _Identity(_Family):
     """identity: C_i = I for every client, consuming no randomness.  E[B] is
@@ -407,10 +412,10 @@ class _Identity(_Family):
     def count(self, kind, n, d):
         return 1
 
-    def draw(self, kind, p, rng):
+    def draw_many(self, kind, p, rng, k):
         n, d = p.n, p.d
-        idx = np.broadcast_to(np.arange(d), (n, d))
-        return SketchSample(kind, n, d, idx, np.broadcast_to(1.0, (n, d)))
+        idx, weights = np.broadcast_to(np.arange(d), (n, d)), np.broadcast_to(1.0, (n, d))
+        return [SketchSample(kind, n, d, idx, weights) for _ in range(k)]
 
     def chunks(self, kind, p, m):
         s = self.draw(kind, p, None)
@@ -462,13 +467,17 @@ class _Partition(_Family):
     def count(self, kind, n, d):
         return math.factorial(max(n, d))
 
-    def draw(self, kind, p, rng):
+    def draw_many(self, kind, p, rng, k):
         n, d = p.n, p.d
-        self.block_size(kind, n, d)
-        # an int draws the permutation of [d] without building [d] first
-        perm = rng.permutation(d if n <= d else np.repeat(np.arange(d), n // d))
-        idx = perm.reshape(n, -1)
-        return SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
+        q = self.block_size(kind, n, d)
+        # permuted shuffles the rows in turn, each as rng.permutation shuffles [d]
+        # (or the multiset), so row t is round t's permutation
+        base = np.arange(d) if n <= d else np.repeat(np.arange(d), n // d)
+        perms = rng.permuted(np.tile(base, (k, 1)), axis=1)
+        idx = perms.reshape(k, n, q)
+        factors, local = self._factors(p, idx)
+        local = [None] * k if local is None else local
+        return [SketchSample(kind, n, d, *parts) for parts in zip(idx, factors, local, perms)]
 
     def chunks(self, kind, p, m):
         # Permuting the multiset yields each arrangement a uniform number
@@ -597,11 +606,12 @@ class _RandQ(_Family):
     def count(self, kind, n, d):
         return math.comb(d, kind.q) ** n
 
-    def draw(self, kind, p, rng):
+    def draw_many(self, kind, p, rng, k):
         n, d = p.n, p.d
         self.block_size(kind, n, d)
-        idx = np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
-        return SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q))
+        rounds = [np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
+                  for _ in range(k)]
+        return [SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q)) for idx in rounds]
 
     def chunks(self, kind, p, m):
         n, d = p.n, p.d
@@ -622,9 +632,10 @@ class _Bernoulli(_Family):
     def count(self, kind, n, d):
         return 2 ** (d * n)
 
-    def draw(self, kind, p, rng):
-        # one (n, d) draw is the stream of n draws of length d
-        return _from_mask(kind, rng.random((p.n, p.d)) < kind.p)
+    def draw_many(self, kind, p, rng, k):
+        # one (k, n, d) draw is the stream of k (n, d) draws; each round is
+        # padded to its own widest client
+        return [_from_mask(kind, mask) for mask in rng.random((k, p.n, p.d)) < kind.p]
 
     def chunks(self, kind, p, m):
         # outcomes are NOT equiprobable; weight each client's mask by its
@@ -670,14 +681,20 @@ def resolve_block_size(kind: SketchKind, n: int, d: int) -> int:
     return kind.family.block_size(kind, n, d)
 
 
-def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator) -> SketchSample:
-    """Draw one joint realization of ``kind`` for problem ``p``.
+def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator,
+           rounds: int | None = None) -> SketchSample | list[SketchSample]:
+    """Draw one joint realization of ``kind`` for problem ``p``, or, given
+    ``rounds``, the list of ``rounds`` realizations that as many one-draw
+    calls return, bit for bit, leaving ``rng`` where they leave it.
 
-    Permutations are drawn with ``rng.permutation`` (Fisher-Yates), so every
-    permutation-family realization is uniform.
+    Permutations are Fisher-Yates shuffles, so every permutation-family
+    realization is uniform.
     """
-    # the dict, not the ``family`` property: this runs once per simulated round
-    return FAMILIES[kind.kind].draw(kind, p, rng)
+    # the dict, not the ``family`` property: this runs once per chunk of rounds
+    family = FAMILIES[kind.kind]
+    if rounds is None:
+        return family.draw(kind, p, rng)
+    return family.draw_many(kind, p, rng, rounds)
 
 
 def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
@@ -720,8 +737,9 @@ def _chunk_len(n: int, d: int, q: int) -> int:
 
 def _draws(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator, n_samples: int):
     """The samples of ``n_samples`` :func:`sample` calls on ``rng``, in stream
-    order, as chunks at weight 1 / n_samples (narrower Bernoulli draws padded
-    with coordinate 0 at weight 0); rng ends where those calls leave it."""
+    order, drawn a chunk at a time and stacked at weight 1 / n_samples
+    (narrower Bernoulli draws padded with coordinate 0 at weight 0); rng ends
+    where those calls leave it."""
     if not _PARAMS["q"][1](n_samples):  # the rule for q: an integer >= 1, not a bool
         raise ValueError(f"n_samples must be >= 1 and an integer, got {n_samples!r}")
     if rng is None:
@@ -735,7 +753,7 @@ def _draws(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator, n_sa
 
     m = max(1, CHUNK_BYTES // (8 * p.d * p.d))
     for t0 in range(0, n_samples, m):
-        block = [sample(kind, p, rng) for _ in range(min(m, n_samples - t0))]
+        block = sample(kind, p, rng, min(m, n_samples - t0))
         q = max(s.idx.shape[1] for s in block)
         s = SketchSample(kind, p.n, p.d, stack([s.idx for s in block], q),
                          stack([s.factors for s in block], q))

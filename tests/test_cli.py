@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from istlab import cli, quadratics
+from istlab import cli, quadratics, runner
 from istlab.errors import DegenerateEnsemble
 from istlab.quadratics import QuadraticProblem
 
@@ -289,6 +289,30 @@ class TestRun:
             experiment_doc(out, problem=str(prob_path), metrics=["grad_sq"])))
         assert_config_error(capsys, ["run", "--config", str(cfg_path)], "must be finite")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "p.json"]
+
+
+    def test_csv_bytes_of_a_diverged_multi_metric_trace_are_pinned(self, tmp_path):
+        # metric_order, not the dict's order, sets the columns' turn; repeat 1
+        # stops at its diverged_at = 2 and repeat 2 writes no row; each value is
+        # its repr, so these bytes hold however Trace.rows walks the arrays
+        nan = float("nan")
+        trace = runner.Trace(
+            metrics={"grad_sq": np.array([[4.0, 0.1 + 0.2, 1 / 3, 1e-300],
+                                          [2.5, 2.5e10, nan, nan], [nan] * 4]),
+                     "f_gap_rel_log": np.array([[0.0, -0.0, -12.25, -310.5],
+                                                [0.0, 7.0, nan, nan], [nan] * 4])},
+            final_f=np.array([-1.0, 3.0, nan]), diverged_at=np.array([-1, 2, 0]),
+            gammas=np.full(3, 0.5), x0=np.zeros(2), metric_order=("grad_sq", "f_gap_rel_log"))
+        out = tmp_path / "pinned.csv"
+        cli.write_trace_csv(trace, out)
+        assert out.read_bytes() == (
+            b"repeat,k,metric_name,value\r\n"
+            b"0,0,grad_sq,4.0\r\n0,0,f_gap_rel_log,0.0\r\n"
+            b"0,1,grad_sq,0.30000000000000004\r\n0,1,f_gap_rel_log,-0.0\r\n"
+            b"0,2,grad_sq,0.3333333333333333\r\n0,2,f_gap_rel_log,-12.25\r\n"
+            b"0,3,grad_sq,1e-300\r\n0,3,f_gap_rel_log,-310.5\r\n"
+            b"1,0,grad_sq,2.5\r\n1,0,f_gap_rel_log,0.0\r\n"
+            b"1,1,grad_sq,25000000000.0\r\n1,1,f_gap_rel_log,7.0\r\n")
 
 
 class TestHomogeneousRunThroughCli:

@@ -89,7 +89,7 @@ class TestEstimate:
         g, s = estimate(EstimatorKind.cgd(SketchKind.perm_q()), p, x, rng)
         manual = np.zeros(4)
         for i in range(2):
-            manual += s.apply(i, p.grad_client(i, x))
+            manual += s.apply(i, p.L[i] @ x - p.b[i])  # client i's gradient
         np.testing.assert_allclose(g, manual / 2.0, atol=1e-12)
 
 

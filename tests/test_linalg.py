@@ -10,6 +10,12 @@ def random_symmetric(rng, d):
     return (a + a.T) / 2.0
 
 
+def reconstruct(spec):
+    """V diag(lambda) V^T of a spectrum."""
+    v = spec.eigenvectors
+    return (v * spec.eigenvalues) @ v.T
+
+
 def psd_inv_sqrt(m):
     """Symmetric inverse square root of a PSD matrix (pseudo-inverse style)."""
     return linalg.eig_sym(m).apply_function(lambda v: 1.0 / np.sqrt(v), linalg.RANK_TOL_FACTOR)
@@ -45,7 +51,7 @@ class TestEigSym:
         rng = np.random.default_rng(d)
         m = random_symmetric(rng, d)
         spec = linalg.eig_sym(m)
-        err = np.linalg.norm(spec.reconstruct() - m) / np.linalg.norm(m)
+        err = np.linalg.norm(reconstruct(spec) - m) / np.linalg.norm(m)
         assert err <= linalg.EIG_TOL
         v = spec.eigenvectors
         assert np.abs(v.T @ v - np.eye(d)).max() <= 1e-9

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -295,17 +296,18 @@ class TestSweep:
 
     def test_each_round_gathers_local_blocks_once(self, monkeypatch):
         # the draw's L_i[S_i, S_i] stack serves every lane's gradient and
-        # gather-path submodel loss: one gather per round for K + 1 = 11 rounds
+        # gather-path submodel loss: one (draw, client) block per client and
+        # round for K + 1 = 11 rounds, however the rounds are stacked in a tape
         monkeypatch.setattr(sketches, "GATHER_MAX_FRACTION", 1.0)
-        calls = []
+        blocks = []
         sub_blocks = sketches._sub_blocks
         monkeypatch.setattr(sketches, "_sub_blocks",
-                            lambda p, idx: calls.append(idx.shape) or sub_blocks(p, idx))
+                            lambda p, idx: blocks.append(idx[..., 0].size) or sub_blocks(p, idx))
         p = gen_heterogeneous(3, 9, seed=12)
         cfg = scaled_het_cfg(p, K=10, repeats=1, metrics=("submodel_loss_avg",))
         traces = sweep(cfg, [0.1, 0.2, 0.3])
         assert all((t.diverged_at < 0).all() for t in traces)
-        assert calls == [(3, 3)] * 11
+        assert sum(blocks) == 11 * 3
 
     @pytest.mark.parametrize("est, gathers", [
         (EstimatorKind.ist(SketchKind.perm_q()), 10),
@@ -448,6 +450,43 @@ class TestBlockMetrics:
                 assert_bitwise(t.metrics[name], t_ref.metrics[name])
             for attr in ("final_f", "diverged_at", "iterates"):
                 assert_bitwise(getattr(t, attr), getattr(t_ref, attr))
+
+    @pytest.mark.parametrize("chunk", [1, 7, "block"])
+    @pytest.mark.parametrize("case", ["scaled_perm_het_q3_staircase", "bernoulli"])
+    def test_traces_do_not_depend_on_tape_length(self, monkeypatch, case, chunk):
+        # K + 1 = 301 draws (the last for the submodel loss) in blocks of 256 and
+        # 45 rounds, none a multiple of 7; the second lane diverges
+        est, n, d, schedule, extra = LANE_CASES[case]
+        cfg = RunConfig(problem=gen_heterogeneous(n, d, seed=n + d), estimator=est,
+                        schedule=schedule, K=300, seed=5, repeats=2,
+                        metrics=LANE_METRICS + extra, record_iterates=True)
+        gammas = [schedule.gamma, 100 * schedule.gamma]
+        ref = sweep(cfg, gammas)
+        assert (ref[0].diverged_at < 0).all() and (ref[1].diverged_at > 0).all()
+        per_round = 8 * d * max(d, n * sketches.resolve_block_size(est.sketch, n, d))
+        rounds = runner.BLOCK_ROUNDS if chunk == "block" else chunk
+        monkeypatch.setattr(sketches, "CHUNK_BYTES", rounds * per_round)
+        assert sketches._chunk_len(n, d, sketches.resolve_block_size(est.sketch, n, d)) == rounds
+        for t, t_ref in zip(sweep(cfg, gammas), ref):
+            for name in cfg.metrics:
+                assert_bitwise(t.metrics[name], t_ref.metrics[name])
+            for attr in ("final_f", "diverged_at", "iterates", "gammas", "x0"):
+                assert_bitwise(getattr(t, attr), getattr(t_ref, attr))
+
+
+class TestMemory:
+    def test_run_peak_stays_within_two_tape_chunks(self):
+        # the c09 shape (q = 10) with the submodel loss: a run holds one tape
+        # chunk of draws at a time, never a whole block's or run's
+        p = gen_heterogeneous(10, 100, seed=30)
+        cfg = scaled_het_cfg(p, K=600, repeats=1, metrics=("submodel_loss_avg",))
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sketches.CHUNK_BYTES
 
 
 # family -> (estimator, n, d); bernoulli pads its rows, scaled_perm_het at

@@ -119,6 +119,67 @@ class TestSampling:
             np.testing.assert_array_equal(w, np.full(idx.size, 2.0))
 
 
+# name -> (kind, n, d): multiset with n > d, scaled_perm_het at q = 1 and q = 2,
+# Bernoulli with rows padded to each round's widest client
+STREAM_CASES = {
+    "identity": (SketchKind.identity(), 3, 4),
+    "perm_q": (SketchKind.perm_q(), 3, 6),
+    "perm_multiset": (SketchKind.perm_multiset(), 6, 3),
+    "scaled_perm_homog": (SketchKind.scaled_perm_homog(), 2, 4),
+    "scaled_perm_het_q1": (SketchKind.scaled_perm_het(), 4, 4),
+    "scaled_perm_het_q2": (SketchKind.scaled_perm_het(), 3, 6),
+    "rand_q": (SketchKind.rand_q(2), 3, 5),
+    "bernoulli": (SketchKind.bernoulli(0.3), 4, 6),
+}
+
+
+def assert_same_sample(a, b):
+    for field in ("idx", "factors", "local", "permutation"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x is None) == (y is None), field
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), field
+
+
+class TestTapes:
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_draw_many_is_the_per_round_stream(self, case):
+        # k successive draws, as one tape or round by round, bit for bit, and the
+        # rng left where the rounds leave it
+        kind, n, d = STREAM_CASES[case]
+        p = het_problem(n, d, seed=n + d)
+        k = 9
+        tape_rng, round_rng = np.random.default_rng(11), np.random.default_rng(11)
+        assert sample(kind, p, tape_rng, 0) == []  # and draws nothing
+        tape = sample(kind, p, tape_rng, k)
+        rounds = [sample(kind, p, round_rng) for _ in range(k)]
+        assert len(tape) == k
+        for a, b in zip(tape, rounds):
+            assert_same_sample(a, b)
+        assert_same_sample(sample(kind, p, tape_rng), sample(kind, p, round_rng))
+        if case == "bernoulli":
+            assert any(not s.factors.all() for s in rounds)
+            assert len({s.idx.shape[1] for s in rounds}) > 1
+
+    @pytest.mark.parametrize("case", ["perm_q", "perm_multiset", "scaled_perm_het_q2", "bernoulli"])
+    def test_tape_rounds_replay_one_generator_call_each(self, case):
+        # round t of a tape is one rng.permutation of [d] (or of the multiset),
+        # or one (n, d) uniform draw thresholded at p
+        kind, n, d = STREAM_CASES[case]
+        p = het_problem(n, d, seed=n + d)
+        tape = sample(kind, p, np.random.default_rng(5), 6)
+        rng = np.random.default_rng(5)
+        for s in tape:
+            if kind.kind == "bernoulli":
+                mask = rng.random((n, d)) < kind.p
+                for i, coords in enumerate(s.coords):
+                    np.testing.assert_array_equal(coords, np.flatnonzero(mask[i]))
+            else:
+                perm = rng.permutation(d if n <= d else np.repeat(np.arange(d), n // d))
+                np.testing.assert_array_equal(s.permutation, perm)
+                np.testing.assert_array_equal(s.idx, perm.reshape(n, -1))
+
+
 class TestApply:
     def test_identity_is_noop(self):
         p = het_problem(2, 4)
