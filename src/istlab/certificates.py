@@ -412,10 +412,11 @@ def certificate(
     """Assemble the full certificate for an IST run with sketch ``kind``.
 
     ``gamma`` defaults to 1/theta when a step constant exists.  The
-    heterogeneity variance uses exact enumeration when feasible, a Monte
-    Carlo fallback when ``sigma2_samples`` is given, and is omitted (None,
-    with a note) otherwise.  Bias-related fields are populated only for the
-    scaled permutation estimators.
+    heterogeneity variance is exact where an exact route exists (for
+    scaled_perm_het, any n = d at q = 1 and enumeration within the budget
+    at q > 1), a Monte Carlo fallback when ``sigma2_samples`` is given, and
+    is omitted (None, with a note) otherwise.  Bias-related fields are
+    populated only for the scaled permutation estimators.
     """
     notes: list[str] = []
     moments = sketches._moments(kind, p, second=True)

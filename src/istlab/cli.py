@@ -233,6 +233,8 @@ def cmd_theory(args) -> int:
         "x_inf": cert.x_inf.tolist() if cert.x_inf is not None else None,
         "sigma2": cert.sigma2,
         "W_psd": cert.descent_psd,
+        "notes": list(cert.notes),
+        "gamma_max": cert.gamma_max,
     }
     print(json.dumps(doc))
     return 0

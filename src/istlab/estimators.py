@@ -141,8 +141,9 @@ def heterogeneity_variance(
 
     Defined by the sketch families whose per-round curvature is
     deterministic, so the noise g - E[g] is the linear-term fluctuation and
-    does not depend on x.  It is exact (by enumeration where needed) unless
-    ``n_samples`` draws from ``rng`` ask for a Monte Carlo estimate.
+    does not depend on x.  It is exact (in O(n d^2) for q = 1
+    scaled_perm_het, else by enumeration where needed) unless ``n_samples``
+    draws from ``rng`` ask for a Monte Carlo estimate.
     """
     if est.kind != "ist" or est.sketch is None:
         raise WrongKind("heterogeneity variance is defined for ist estimators")

@@ -20,10 +20,12 @@ is one class here and one entry in FAMILIES.
 
 Expectations
 ------------
-:func:`_expectation` is the one route policy: closed form, else enumeration
-within :data:`ENUMERATION_BUDGET`, else Monte Carlo where a draw count was
-given.  Enumeration (:func:`_chunks`) and Monte Carlo (:func:`_draws`) feed
-one consumer, :func:`_sums`; Monte Carlo sums are shifted by the first draw.
+:func:`_expectation` is the one route policy: closed form, else an exact
+route (enumeration within :data:`ENUMERATION_BUDGET`, or for q = 1
+scaled_perm_het sigma2 a pair-probability formula), else Monte Carlo where
+a draw count was given.  Enumeration (:func:`_chunks`) and Monte Carlo
+(:func:`_draws`) feed one consumer, :func:`_sums`; Monte Carlo sums are
+shifted by the first draw.
 """
 
 from __future__ import annotations
@@ -317,6 +319,30 @@ def _het_factors(p: QuadraticProblem, idx: NDArray) -> tuple[NDArray, NDArray]:
     return math.sqrt(p.n) * linalg.spd_inv_sqrt(local), local
 
 
+def _pair_sigma2(p: QuadraticProblem) -> float:
+    """sigma2 of the q = 1 scaled_perm_het sketch (n = d) in O(n d^2).
+
+    Coordinate j of the linear term is a_{pi(j) j} / sqrt(n), with
+    a_ij = b_i[j] / sqrt(L_i[jj]) and pi a uniform bijection from coordinates
+    to clients, so distinct coordinates sit on a given pair of distinct
+    clients with probability 1 / (n(n-1)).  With c_ij = a_ij - mean_i a_ij
+    and G = C^T C, the covariance of a_{pi(j) j} is
+    cov = (n Diag(G) - G) / (n(n-1)), and sigma2 = sum(L_bar * cov) / n.
+    c is centred after subtracting client 0's row, so identical clients give
+    exactly 0.
+    """
+    _require_positive_diagonal(p)
+    n = p.n
+    if n == 1:
+        return 0.0  # a single outcome
+    a = p.b / np.sqrt(p.diag)
+    c = a - a[0]
+    c -= c.mean(axis=0)
+    G = c.T @ c
+    cov = n * np.diag(np.diag(G)) - G
+    return float(np.sum(p.L_bar * cov)) / (n * n * (n - 1))
+
+
 def fixed_point_het(p: QuadraticProblem) -> NDArray:
     """x_inf = (1/(n sqrt(n))) sum_i D_i^{-1/2} b_i: the mean linear term of
     the q = 1 scaled_perm_het sketch, defined on any (n, d)."""
@@ -544,7 +570,9 @@ class _ScaledHet(_Partition):
     sqrt(n / L_i[j, j]).  The per-round curvature B is then the identity on
     every realization, so E[B L_bar B] = L_bar and the noise is the
     linear term's fluctuation alone.  The mean linear term is closed-form
-    for q = 1 (or zero linear terms).
+    for q = 1 (or zero linear terms).  sigma2 is exact for q = 1 at any
+    n = d, in O(n d^2) from pair probabilities (:func:`_pair_sigma2`); for
+    q > 1 it is enumerated within the budget.
     """
 
     _factors = staticmethod(_het_factors)
@@ -572,11 +600,14 @@ class _ScaledHet(_Partition):
 
     def sigma2(self, kind, p, n_samples=None, rng=None):
         """sigma2 by :func:`_expectation`: 0 under interpolation; else, without
-        ``n_samples``, two passes over the outcomes (the mean, then the
-        spread); else one shifted pass over ``n_samples`` draws of ``rng``."""
-        self.block_size(kind, p.n, p.d)
+        ``n_samples``, exact: :func:`_pair_sigma2` for q = 1, two passes over
+        the outcomes for q > 1 (the mean, then the spread); else one shifted
+        pass over ``n_samples`` draws of ``rng``."""
+        q = self.block_size(kind, p.n, p.d)
 
-        def enumerated():
+        def exact():
+            if q == 1:
+                return _pair_sigma2(p)
             (mean,) = outcome_sums(kind, p, lambda s: (s.linear_term(p),))
 
             def spread(s):  # per outcome, the mat-vec and dot of the (d,) loop
@@ -591,7 +622,7 @@ class _ScaledHet(_Partition):
             return float(var)
 
         return _expectation(kind, p, "sigma2", lambda: 0.0 if p.interpolation else None,
-                            enumerated if n_samples is None else None, sampled, n_samples, rng)
+                            exact if n_samples is None else None, sampled, n_samples, rng)
 
 
 class _RandQ(_Family):

@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from istlab import cli, quadratics, runner
+from istlab import certificates, cli, quadratics, runner
 from istlab.errors import DegenerateEnsemble
 from istlab.quadratics import QuadraticProblem
+from istlab.sketches import SketchKind
 
 
 def run_cli(*argv):
@@ -126,6 +127,8 @@ class TestTheory:
         doc = json.loads(capsys.readouterr().out)
         assert doc["theta"] == "inadmissible"
         assert doc["W_psd"] is False
+        assert doc["gamma_max"] is None
+        assert any("no finite step constant" in note for note in doc["notes"])
 
     def test_scaled_het_interpolation_has_zero_bias(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -137,6 +140,22 @@ class TestTheory:
         assert doc["h_norm_L"] == pytest.approx(0.0, abs=1e-10)
         assert doc["sigma2"] == pytest.approx(0.0, abs=1e-12)
         assert doc["theta"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_notes_and_gamma_max_follow_the_six_keys(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        run_cli("gen", "--n", "5", "--d", "10", "--seed", "12", "--mode", "het",
+                "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("theory", "--problem", str(out), "--sketch", "scaled_perm_het") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["theta", "rho", "h_norm_L", "x_inf", "sigma2", "W_psd",
+                             "notes", "gamma_max"]
+        cert = certificates.certificate(QuadraticProblem.load(out),
+                                        SketchKind.scaled_perm_het())
+        assert doc["notes"] == list(cert.notes)
+        assert "sigma2 omitted: enumeration infeasible, no sample budget given" in doc["notes"]
+        assert doc["sigma2"] is None
+        assert doc["gamma_max"] == cert.gamma_max == 1.0
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_sigma2_sample_count_below_one_exits_2(self, tmp_path, capsys, count):

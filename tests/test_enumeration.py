@@ -133,14 +133,33 @@ def test_enumerated_mean_bitwise_equal_outcome_loop(label, name, chunk):
     assert _bits(estimators._enumerated_mean(est, p, x)) == _bits(reference_mean(est, p, x))
 
 
-@pytest.mark.parametrize("label", ["scaled_perm_het", "scaled_perm_het_q2"])
-def test_heterogeneity_variance_bitwise_equal_outcome_loop(label, chunk):
-    kind, p = _problem(label)
+def reference_sigma2(kind, p):
+    """The two-pass sigma2 as a loop over single outcomes."""
     terms = [(prob, s.linear_term(p)) for prob, s in sketches.enumerate_outcomes(kind, p)]
     mean = sum(prob * v for prob, v in terms)
-    want = float(sum(prob * ((v - mean) @ (p.L_bar @ (v - mean))) for prob, v in terms))
+    return float(sum(prob * ((v - mean) @ (p.L_bar @ (v - mean))) for prob, v in terms))
+
+
+@pytest.mark.parametrize("label", ["scaled_perm_het_q2"])
+def test_heterogeneity_variance_bitwise_equal_outcome_loop(label, chunk):
+    kind, p = _problem(label)
+    want = reference_sigma2(kind, p)
     got = estimators.heterogeneity_variance(p, EstimatorKind.ist(kind))
     assert got.hex() == want.hex()
+
+
+def test_q1_heterogeneity_variance_enumerates_nothing(monkeypatch):
+    """q = 1 sigma2 is the pair-probability form: no outcome is visited, and
+    it matches the outcome loop to 1e-12 relative."""
+    kind, p = _problem("scaled_perm_het")
+    want = reference_sigma2(kind, p)
+
+    def no_chunks(*args):
+        raise AssertionError("q = 1 sigma2 enumerated its outcomes")
+
+    monkeypatch.setattr(sketches, "_chunks", no_chunks)
+    got = estimators.heterogeneity_variance(p, EstimatorKind.ist(kind))
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_enumerated_moments_memory_is_bounded():

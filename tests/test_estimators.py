@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,19 @@ class TestHeterogeneityVariance:
         est = EstimatorKind.ist(SketchKind.scaled_perm_het())
         # two permutations: linear terms (sqrt2/2)(e1+e2) and 0; variance 1/4
         assert heterogeneity_variance(p, est) == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 12])
+    def test_q1_scaled_het_on_a_homogeneous_problem_is_exactly_zero(self, n):
+        p = gen_homogeneous(n, n, seed=30 + n)
+        est = EstimatorKind.ist(SketchKind.scaled_perm_het())
+        assert heterogeneity_variance(p, est) == 0.0
+
+    def test_single_client_gives_zero_without_a_division_warning(self):
+        p = gen_heterogeneous(1, 1, seed=31)
+        est = EstimatorKind.ist(SketchKind.scaled_perm_het())
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert heterogeneity_variance(p, est) == 0.0
 
     def test_enumeration_matches_monte_carlo(self):
         p = gen_heterogeneous(4, 4, seed=21)

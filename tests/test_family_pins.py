@@ -9,7 +9,11 @@ any change to a single bit of these outputs fails here.  The cert.theta,
 cert.gamma_max, cert.gamma and cert.rho digests of the six scaled_perm_het
 cases were re-taken when the certificate began returning the exact values
 its B = I structure fixes (theta = gamma_max = gamma = 1.0, rho = 0.0) in
-place of round-off around them.
+place of round-off around them.  The sigma2 and cert.sigma2 digests of
+scaled_perm_het/het-3-3 (16c8eab2 -> be194d8d) were re-taken when q = 1
+sigma2 moved from enumeration to the pair-probability closed form: the
+value moved by one unit in the last place, 0x1.36f76aeee8e63p+0 ->
+0x1.36f76aeee8e64p+0.
 """
 
 import dataclasses
@@ -214,9 +218,9 @@ PINS = {
         "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
     ),
     "scaled_perm_het/het-3-3": (
-        "16d292d0 0102fd52 481248c3 677b6af2 e7a34533 16c8eab2 2f944279 d0417c18 "
+        "16d292d0 0102fd52 481248c3 677b6af2 e7a34533 be194d8d 2f944279 d0417c18 "
         "2f944279 d0417c18 9684d56a 5b65dba9 9c03c79b b2908519 376ec8c7 376ec8c7 "
-        "376ec8c7 fd8f7764 65a1a726 530dc497 e7a34533 16c8eab2 e5a3b04a"
+        "376ec8c7 fd8f7764 65a1a726 530dc497 e7a34533 be194d8d e5a3b04a"
     ),
     "scaled_perm_het/het-2-4": (
         "dd47a071 67f08d36 418f6810 28437321 2b352b7c 7be60c62 1e4dc0b1 d1425d16 "

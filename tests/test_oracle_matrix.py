@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from istlab import sketches
 from istlab.errors import IncompatibleShape, NoClosedForm, SingularMatrix, WrongKind
+from istlab.estimators import EstimatorKind, heterogeneity_variance
 from istlab.quadratics import gen_heterogeneous, gen_homogeneous, precondition_homogeneous
 from istlab.sketches import FAMILIES, SketchKind
 
@@ -149,3 +150,21 @@ def test_closed_forms_match_monte_carlo(label):
     assert np.all(np.abs(mc.curvature - closed.curvature) <= 5.0 * mc.curvature_stderr + 1e-9)
     if closed.linear is not None:
         assert np.all(np.abs(mc.linear - closed.linear) <= 5.0 * mc.linear_stderr + 1e-9)
+
+
+def test_q1_scaled_het_sigma2_matches_monte_carlo():
+    """q = 1 scaled_perm_het sigma2 past the enumeration budget within 5 Monte
+    Carlo standard errors; the standard error is that of the mean of the
+    per-draw terms (v - vbar)' L_bar (v - vbar) over the same draws."""
+    kind = SketchKind.scaled_perm_het()
+    p = gen_heterogeneous(10, 10, seed=90)
+    assert kind.family.count(kind, 10, 10) > sketches.ENUMERATION_BUDGET
+    est = EstimatorKind.ist(kind)
+    exact = heterogeneity_variance(p, est)
+    mc = heterogeneity_variance(p, est, MC_DRAWS, np.random.default_rng(12))
+    draws = sketches.sample(kind, p, np.random.default_rng(12), MC_DRAWS)
+    v = np.array([s.linear_term(p) for s in draws])
+    c = v - v.mean(axis=0)
+    terms = np.sum(c * (c @ p.L_bar), axis=1)
+    assert mc == pytest.approx(terms.mean(), rel=1e-9)  # the same draws
+    assert abs(mc - exact) <= 5.0 * terms.std(ddof=1) / np.sqrt(MC_DRAWS)

@@ -60,7 +60,7 @@ class TestCertificateSigma2:
         assert not any("sigma2" in note for note in cert.notes)
 
     def test_monte_carlo_where_enumeration_is_infeasible(self):
-        p = gen_heterogeneous(10, 10, seed=21)  # 10! outcomes
+        p = gen_heterogeneous(5, 10, seed=21)  # q = 2, 10! outcomes
         kind = SketchKind.scaled_perm_het()
         cert = certificate(p, kind, sigma2_samples=200, rng=np.random.default_rng(6))
         assert cert.sigma2 == heterogeneity_variance(p, self.HET, 200, np.random.default_rng(6))
@@ -68,6 +68,15 @@ class TestCertificateSigma2:
         cert = certificate(p, kind)
         assert cert.sigma2 is None
         assert "sigma2 omitted: enumeration infeasible, no sample budget given" in cert.notes
+
+    @pytest.mark.parametrize("budget", [None, 200])
+    def test_q1_sigma2_is_exact_past_the_enumeration_budget(self, budget):
+        p = gen_heterogeneous(10, 10, seed=21)  # q = 1, 10! outcomes
+        rng = None if budget is None else np.random.default_rng(6)
+        cert = certificate(p, SketchKind.scaled_perm_het(), sigma2_samples=budget, rng=rng)
+        assert cert.sigma2 == heterogeneity_variance(p, self.HET)
+        assert cert.sigma2 > 0.0
+        assert not any("sigma2" in note for note in cert.notes)
 
 
 def _mc_moments(p, n_samples, rng):
