@@ -19,10 +19,14 @@ iteration x^{k+1} = x^k - gamma * g^k:
 second moment leaks outside range(W), the certificate reports the pair as
 inadmissible (a value, not an error, so sweeps can tabulate it).
 
-Where the sketch fixes a value, bitwise tests on the matrices return it
-exactly, with no products, pencil or eigvalsh: E[B] = I gives W = sym(L_bar),
-E[B L_bar B] = W gives theta = 1, and W = L_bar positive definite gives
-rho = 1 - gamma.  scaled_perm_het (B = I on every draw) meets all three.
+Where the sketch fixes a value, it is returned exactly, with no products,
+pencil or eigvalsh: E[B] = I gives W = sym(L_bar), E[B L_bar B] = W gives
+theta = 1, and W = L_bar positive definite gives rho = 1 - gamma.
+scaled_perm_het states that B = I on every draw (its family's
+``unit_curvature``), so its W is the problem's cached ``L_bar_sym`` and its
+second moment ``L_bar`` itself; where L_bar is symmetric the two are one
+array, and identity tests on the arrays stand in for d x d scans.  Other
+moments meet the last two tests by value.
 """
 
 from __future__ import annotations
@@ -51,14 +55,33 @@ from .sketches import UNIT_DIAG_TOL, SketchKind, SketchMoments, fixed_point_het 
 def descent_matrix(
     p: QuadraticProblem, kind: SketchKind, moments: SketchMoments | None = None
 ) -> NDArray:
-    """W = (L_bar E[B] + E[B] L_bar) / 2."""
+    """W = (L_bar E[B] + E[B] L_bar) / 2.
+
+    Where the family fixes E[B] = I and ``moments`` are its closed form or
+    not given, W is the problem's read-only ``L_bar_sym``, which the product
+    formula gives bit for bit at E[B] = I.
+    """
+    family = kind.family
+    if family.unit_curvature and (moments is None or moments.method == "closed_form"):
+        family.check_problem(kind, p)
+        return p.L_bar_sym
     if moments is None:
         moments = sketches._moments(kind, p)
     eb = moments.curvature
-    if np.count_nonzero(eb) == p.d and (eb.diagonal() == 1.0).all():
-        # E[B] = I bit for bit: the product formula below is exactly sym(L_bar)
-        return linalg.symmetrize(p.L_bar)
     return 0.5 * linalg.symmetrize(p.L_bar @ eb + eb @ p.L_bar)
+
+
+def _descent(
+    p: QuadraticProblem, kind: SketchKind, moments: SketchMoments | None = None
+) -> tuple[NDArray, NDArray]:
+    """W and E[B L_bar B]: from ``moments`` where they hold the second moment,
+    else by the route policy, which for a family with B = I on every draw is
+    the problem's ``L_bar_sym`` and ``L_bar`` with no d x d pass."""
+    if moments is None or moments.curvature_second is None:
+        if kind.family.unit_curvature:
+            return descent_matrix(p, kind), p.L_bar
+        moments = sketches._moments(kind, p, second=True)
+    return descent_matrix(p, kind, moments), moments.curvature_second
 
 
 def step_constant(
@@ -75,16 +98,14 @@ def step_constant(
     no finite theta exists.  Exactly 1.0 when E[B L_bar B] equals a PSD,
     nonzero W bit for bit (B = I on every draw), with no pencil formed.
     """
-    if moments is None or moments.curvature_second is None:
-        moments = sketches._moments(kind, p, second=True)
-    W = descent_matrix(p, kind, moments)
-    return _theta(_descent_spectrum(p, W), W, moments.curvature_second, psd_tol, rank_tol_factor)
+    W, second = _descent(p, kind, moments)
+    return _theta(_descent_spectrum(p, W), W, second, psd_tol, rank_tol_factor)
 
 
 def _descent_spectrum(p: QuadraticProblem, W: NDArray) -> linalg.Spectrum:
     """Eigendecomposition of W: the problem's cached spectrum of L_bar where W
-    equals L_bar bit for bit (E[B] = I and L_bar bitwise symmetric)."""
-    return p.spectrum if np.array_equal(W, p.L_bar) else linalg.eig_sym(W)
+    is the problem's ``L_bar_sym`` (E[B] = I), whose eigendecomposition it is."""
+    return p.spectrum if W is p.L_bar_sym else linalg.eig_sym(W)
 
 
 def _theta(
@@ -98,7 +119,7 @@ def _theta(
     if not linalg.psd_eigenvalues(spec.eigenvalues, psd_tol):
         return None
     mask = spec.rank_mask(rank_tol_factor)
-    if mask.any() and np.array_equal(curvature_second, W):
+    if mask.any() and (curvature_second is W or np.array_equal(curvature_second, W)):
         return 1.0  # the pencil (W, W) is the identity on range(W)
     second = linalg.symmetrize(curvature_second)
 
@@ -125,7 +146,8 @@ def contraction_factor(p: QuadraticProblem, W: NDArray, gamma: float) -> float:
     when W is L_bar bit for bit and every eigenvalue of L_bar is positive and
     above the rank tolerance, so that the inner matrix is I."""
     spec = p.spectrum
-    if np.array_equal(W, p.L_bar) and (spec.eigenvalues > 0.0).all() and spec.rank_mask().all():
+    exact = W is p.L_bar or np.array_equal(W, p.L_bar)
+    if exact and (spec.eigenvalues > 0.0).all() and spec.rank_mask().all():
         return 1.0 - gamma
     inv_sqrt = spec.apply_function(lambda v: 1.0 / np.sqrt(v))
     inner = linalg.symmetrize(inv_sqrt @ W @ inv_sqrt)
@@ -150,9 +172,8 @@ def interpolation_rates(
     StepTooLarge
         If gamma is outside (0, 1/theta].
     """
-    moments = sketches._moments(kind, p, second=True)
-    W = descent_matrix(p, kind, moments)
-    theta = _theta(_descent_spectrum(p, W), W, moments.curvature_second)
+    W, second = _descent(p, kind)
+    theta = _theta(_descent_spectrum(p, W), W, second)
     if theta is None:
         raise ThetaInadmissible(f"sketch {kind.kind!r} admits no step constant here")
     if not (0.0 < gamma <= 1.0 / theta * (1.0 + 1e-12)):
@@ -419,11 +440,10 @@ def certificate(
     populated only for the scaled permutation estimators.
     """
     notes: list[str] = []
-    moments = sketches._moments(kind, p, second=True)
-    W = descent_matrix(p, kind, moments)
+    W, second = _descent(p, kind)
     spec = _descent_spectrum(p, W)
     psd = linalg.psd_eigenvalues(spec.eigenvalues)
-    theta = _theta(spec, W, moments.curvature_second)
+    theta = _theta(spec, W, second)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
     rho = None
     used_gamma = None

@@ -119,7 +119,7 @@ def expected_estimate(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> ND
             for i in range(p.n):
                 acc += means[i] @ (p.L[i] @ x - p.b[i])
             return acc / p.n
-        m = sketches.closed_moments(sketch, p)
+        m = sketches.closed_moments(sketch, p, second=False)
         return None if m.linear is None else m.curvature @ x - m.linear
 
     return sketches._expectation(sketch, p, f"the mean of {est.kind}", closed,

@@ -6,7 +6,8 @@ A problem is a collection of client losses
 
 with L_i symmetric.  The mean matrix ``L_bar`` and mean linear term
 ``b_bar`` are cached, so the full gradient is ``L_bar @ x - b_bar``; the
-eigendecomposition of ``L_bar`` is cached on first use.
+symmetric part and the eigendecomposition of ``L_bar`` are cached on first
+use.
 
 Randomness contract
 -------------------
@@ -143,6 +144,21 @@ class QuadraticProblem:
     def positive_diagonal(self) -> bool:
         """True iff every [L_i]_jj > 0; computed on first use, then cached."""
         return bool((self.diag > 0.0).all())
+
+    @cached_property
+    def L_bar_sym(self) -> NDArray:
+        """Read-only symmetric part (L_bar + L_bar^T) / 2; computed on first use, then cached.
+
+        It is ``L_bar`` itself when that is bitwise symmetric, as on every
+        problem built by :meth:`from_arrays` or a generator, so no second
+        d x d array is kept; only a problem constructed directly from an
+        asymmetric ``L`` gets a copy.
+        """
+        if np.array_equal(self.L_bar, self.L_bar.T):
+            return self.L_bar
+        sym = linalg.symmetrize(self.L_bar)
+        sym.setflags(write=False)
+        return sym
 
     @cached_property
     def spectrum(self) -> linalg.Spectrum:

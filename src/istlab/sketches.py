@@ -25,7 +25,11 @@ route (enumeration within :data:`ENUMERATION_BUDGET`, or for q = 1
 scaled_perm_het sigma2 a pair-probability formula), else Monte Carlo where
 a draw count was given.  Enumeration (:func:`_chunks`) and Monte Carlo
 (:func:`_draws`) feed one consumer, :func:`_sums`; Monte Carlo sums are
-shifted by the first draw.
+shifted by the first draw.  The closed E[B] and E[B L_bar B] of rand_q,
+bernoulli, perm_q and scaled_perm_homog come from one helper,
+:func:`_selection_moments`, which sums the equality patterns of the four
+indices of E[B L_bar B]; perm_multiset's second moment and q > 1
+scaled_perm_het's sigma2 stay on enumeration or Monte Carlo.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
@@ -364,6 +369,128 @@ def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
 
 
 # ---------------------------------------------------------------------------
+# equality patterns: closed moments of the coordinate-selection families
+# ---------------------------------------------------------------------------
+
+
+def _set_partitions(m: int) -> list[tuple[int, ...]]:
+    """Every set partition of m positions, as the block number of each
+    position, blocks numbered in order of first appearance."""
+    out = [()]
+    for _ in range(m):
+        out = [s + (v,) for s in out for v in range(max(s, default=-1) + 2)]
+    return out
+
+
+#: The 15 equality patterns of the positions (a, c, e, b) in entry (a, b) of
+#: C_i L_i C_i L_bar C_j L_j C_j = sum_{c,e} c_ia c_ic c_je c_jb L_i[a,c] L_bar[c,e] L_j[e,b].
+_PATTERNS = _set_partitions(4)
+
+
+def _finer(s: tuple, t: tuple) -> bool:
+    """True when every equality of pattern s holds in pattern t."""
+    return all(t[x] == t[y] for x in range(len(s)) for y in range(x) if s[x] == s[y])
+
+
+def _mobius(values: dict) -> dict:
+    """G with values[t] = the sum of G[s] over the patterns s finer than t, t
+    included: the Mobius inversion of ``values`` on the partition lattice,
+    in exact arithmetic.  A sum over index tuples of T times values[pattern
+    of the tuple] is then the sum over s of G[s] times the sum of T over the
+    tuples that meet s's equalities."""
+    g: dict = {}
+    for t in sorted(values, key=max, reverse=True):  # finer patterns first
+        g[t] = values[t] - sum((g[s] for s in g if _finer(s, t)), Fraction(0))
+    return g
+
+
+def _pattern_sum(pattern: tuple, X: NDArray, M: NDArray, Y: NDArray) -> NDArray:
+    """The (d, d) matrix over (a, b) of sum_z sum_{c,e} X[z,a,c] M[c,e] Y[z,e,b],
+    the inner sum taken over the (c, e) that meet ``pattern``'s equalities
+    with a and b (nonzero on the diagonal only where the pattern has a = b)."""
+    subscripts, path = _pattern_einsum(pattern, *X.shape[:2])
+    s = np.einsum(subscripts, X, M, Y, optimize=path)
+    return s if s.ndim == 2 else np.diag(s)
+
+
+@functools.lru_cache(maxsize=256)
+def _pattern_einsum(pattern: tuple, z: int, d: int) -> tuple[str, list]:
+    """einsum subscripts of :func:`_pattern_sum` for ``pattern`` and the
+    contraction path einsum's optimizer picks for z stacked (d, d) pairs,
+    found once per shape: at small d, finding it costs more than the sum."""
+    a, c, e, b = ("ijkl"[t] for t in pattern)
+    subscripts = f"z{a}{c},{c}{e},z{e}{b}->{a if a == b else a + b}"
+    X, M = np.broadcast_to(0.0, (z, d, d)), np.broadcast_to(0.0, (d, d))
+    return subscripts, np.einsum_path(subscripts, X, M, X, optimize=True)[0]
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """num / den, or 0 where den = 0: a pattern with more distinct coordinates
+    than d never occurs, so its value is free."""
+    return Fraction(num, den) if den else Fraction(0)
+
+
+def _selection_moments(kind: SketchKind, p: QuadraticProblem,
+                       second: bool = True) -> tuple[NDArray, NDArray | None]:
+    """E[B] and, if ``second``, E[B L_bar B] (else None) for a family whose
+    client i applies C_i = Diag(c_i), c_i = w m_i with m_i a random 0/1 keep
+    mask, in O(n d^3).
+
+    The kind's family gives ``weight2(kind, n, d)``, w^2, and ``keep(kind,
+    n, d, sizes, disjoint)``, the probability that distinct clients keep
+    sizes[t] given distinct coordinates each, ``disjoint`` telling whether
+    no coordinate is given to two clients; both are exact fractions.  Then
+    E[c_ia c_ib] = w^2 keep(k), k the distinct indices among (a, b), so
+    E[B] = g1 Diag(L_bar) + g2 offdiag(L_bar).  Entry (a, b) of
+    E[C_i L_i C_i L_bar C_j L_j C_j] weights each term of its sum over
+    (c, e) by E[c_ia c_ic c_je c_jb], which depends only on the equality
+    pattern of (a, c, e, b) and on whether i = j.  Its Mobius transform turns
+    the sum into one over :data:`_PATTERNS` of restricted sums
+    (:func:`_pattern_sum`).  A restricted sum is bilinear in (L_i, L_j), so
+    the pairs i != j are all pairs, whose L_i and L_j sum to n L_bar, less
+    the pairs i = j.  The coefficients (:func:`_selection_weights`) depend
+    only on the kind and the shape.
+    """
+    g1, g2, terms = _selection_weights(kind, p.n, p.d)
+    L_bar = p.L_bar
+    diag = np.diag(np.diag(L_bar))
+    curv = g1 * diag
+    if g2:
+        curv = curv + g2 * (L_bar - diag)
+    if not second:
+        return curv, None
+    out = np.zeros((p.d, p.d))
+    for s, over_mean, over_clients in terms:
+        if over_mean:
+            out += over_mean * _pattern_sum(s, L_bar[None], L_bar, L_bar[None])
+        if over_clients:
+            out += over_clients * _pattern_sum(s, p.L, L_bar, p.L)
+    return curv, out
+
+
+@functools.lru_cache(maxsize=64)
+def _selection_weights(kind: SketchKind, n: int, d: int) -> tuple[float, float, tuple]:
+    """The coefficients of :func:`_selection_moments` for ``kind`` on an (n, d)
+    problem, each rounded once from an exact fraction: g1 and g2 of E[B],
+    and for each pattern of E[B L_bar B] with a nonzero one, (pattern, its
+    weight over L_bar for every pair of clients, its weight over the
+    clients' own L_i for the pairs i = j, less the first)."""
+    family = kind.family
+    w2 = family.weight2(kind, n, d)
+    g1, g2 = (float(w2 * family.keep(kind, n, d, (k,), True)) for k in (1, 2))
+
+    def split(s):  # distinct coordinates of client i (a, c) and of client j (e, b)
+        ac, eb = set(s[:2]), set(s[2:])
+        return (len(ac), len(eb)), not ac & eb
+
+    same = _mobius({s: w2 * w2 * family.keep(kind, n, d, (max(s) + 1,), True)
+                    for s in _PATTERNS})
+    cross = _mobius({s: w2 * w2 * family.keep(kind, n, d, *split(s)) for s in _PATTERNS})
+    return g1, g2, tuple((s, float(cross[s]), float((same[s] - cross[s]) / (n * n)))
+                         for s in _PATTERNS if cross[s] or same[s] != cross[s])
+
+
+# ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------
 
@@ -397,6 +524,7 @@ class _Family:
     fixed_point = None
     sigma2 = None
     whole_model = False  # True where every C_i = I
+    unit_curvature = False  # True where B = I on every draw: E[B] = I, E[B L_bar B] = L_bar
 
     def __init__(self, name: str, params: dict[str, bool] | None = None):
         self.name, self.params = name, params or {}
@@ -417,7 +545,16 @@ class _Family:
         """Coordinates per client; raises IncompatibleShape on a bad shape."""
         return d
 
-    def moments(self, kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
+    def check_problem(self, kind: SketchKind, p: QuadraticProblem) -> int:
+        """Coordinates per client on ``p``; raises where the family cannot run on ``p``."""
+        return self.block_size(kind, p.n, p.d)
+
+    def count_exceeds(self, kind: SketchKind, n: int, d: int, budget: int) -> bool:
+        """True when the joint outcomes number more than ``budget``."""
+        return self.count(kind, n, d) > budget
+
+    def moments(self, kind: SketchKind, p: QuadraticProblem, second: bool = True) -> SketchMoments:
+        """Closed-form expectations; E[B L_bar B] is left None unless ``second``."""
         raise NoClosedForm(f"no closed-form expectations for kind {self.name!r}")
 
     def client_means(self, kind: SketchKind, p: QuadraticProblem) -> list[NDArray] | None:
@@ -447,9 +584,10 @@ class _Identity(_Family):
         s = self.draw(kind, p, None)
         yield np.ones(1), [(slice(None), replace(s, idx=s.idx[None], factors=s.factors[None]))]
 
-    def moments(self, kind, p):
+    def moments(self, kind, p, second=True):
         L_bar = p.L_bar
-        return SketchMoments(L_bar.copy(), L_bar @ L_bar @ L_bar, p.b_bar.copy(), "closed_form")
+        return SketchMoments(L_bar.copy(), L_bar @ L_bar @ L_bar if second else None,
+                             p.b_bar.copy(), "closed_form")
 
     def sigma2(self, kind, p, n_samples=None, rng=None):
         return 0.0
@@ -469,9 +607,16 @@ class _Partition(_Family):
     Client i's run is a uniform q-subset of [d], so
     E[B] = (w2 q/d) Diag(L_bar) + w2 q(q-1)/(d(d-1)) offdiag(L_bar), and
     E[C_i] and the mean linear term are I and b_bar divided by
-    s = sqrt(d^2 / (w2 q^2)).  E[B L_bar B] has a closed form only for
-    q = 1 on a homogeneous problem, where B is the same on every
-    realization, so it is E[B] L_bar E[B].
+    s = sqrt(d^2 / (w2 q^2)).  E[B L_bar B] is closed for perm_q and
+    scaled_perm_homog at any q (:func:`_selection_moments`, the Perm-K
+    moments of Szlendak, Tyurin & Richtarik, arXiv 2110.03300): k given
+    coordinates all lie in one client's run with probability
+    q^(k) / d^(k) (falling factorials), and two clients' runs are disjoint,
+    so k1 coordinates lie in client i's run and k2 others in client j's with
+    probability q^(k1) q^(k2) / d^(k1 + k2).  perm_multiset hands a
+    coordinate to several clients, so its E[B L_bar B] is enumerated, except
+    where B is the same on every realization (q = 1 on a homogeneous
+    problem, any of these families), where it is E[B] L_bar E[B].
     """
 
     def __init__(self, name, w2=None, multiset=False, params=None):
@@ -492,6 +637,15 @@ class _Partition(_Family):
 
     def count(self, kind, n, d):
         return math.factorial(max(n, d))
+
+    def count_exceeds(self, kind, n, d, budget):
+        # builds 1 * 2 * ... only until it passes the budget: d! has 5736
+        # digits at d = 2000
+        total, k = 1, 1
+        while total <= budget and k < max(n, d):
+            k += 1
+            total *= k
+        return total > budget
 
     def draw_many(self, kind, p, rng, k):
         n, d = p.n, p.d
@@ -523,17 +677,23 @@ class _Partition(_Family):
     def _scale(self, n, d, q):
         return math.sqrt(d * d / (self.w2(n, d) * q * q))
 
-    def moments(self, kind, p):
+    def weight2(self, kind, n, d):
+        return Fraction(self.w2(n, d))
+
+    def keep(self, kind, n, d, sizes, disjoint):
+        q = self.block_size(kind, n, d)
+        if not disjoint:
+            return Fraction(0)
+        return _ratio(math.prod(math.perm(q, k) for k in sizes), math.perm(d, sum(sizes)))
+
+    def moments(self, kind, p, second=True):
         n, d = p.n, p.d
         q = self.block_size(kind, n, d)
-        w2 = self.w2(n, d)
-        L_bar = p.L_bar
-        diag = np.diag(np.diag(L_bar))
-        curv = (w2 * q / d) * diag
-        if q > 1:
-            curv = curv + (w2 * q * (q - 1) / (d * (d - 1))) * (L_bar - diag)
-        second = curv @ L_bar @ curv if q == 1 and p.homogeneous else None
-        return SketchMoments(curv, second, p.b_bar / self._scale(n, d, q), "closed_form")
+        fixed = q == 1 and p.homogeneous  # B is the same on every realization
+        curv, curv2 = _selection_moments(kind, p, second and not (fixed or self.multiset))
+        if second and fixed:
+            curv2 = curv @ p.L_bar @ curv
+        return SketchMoments(curv, curv2, p.b_bar / self._scale(n, d, q), "closed_form")
 
     def client_means(self, kind, p):
         q = self.block_size(kind, p.n, p.d)
@@ -568,25 +728,30 @@ class _ScaledHet(_Partition):
     """scaled_perm_het  (d = q * n): client i applies
     sqrt(n) (L_i[S_i, S_i])^{-1/2} on its run, for q = 1 the weight
     sqrt(n / L_i[j, j]).  The per-round curvature B is then the identity on
-    every realization, so E[B L_bar B] = L_bar and the noise is the
-    linear term's fluctuation alone.  The mean linear term is closed-form
-    for q = 1 (or zero linear terms).  sigma2 is exact for q = 1 at any
+    every realization (``unit_curvature``), so E[B L_bar B] = L_bar and the
+    noise is the linear term's fluctuation alone.  The mean linear term is
+    closed-form for q = 1 (or zero linear terms).  sigma2 is exact for q = 1 at any
     n = d, in O(n d^2) from pair probabilities (:func:`_pair_sigma2`); for
     q > 1 it is enumerated within the budget.
     """
 
     _factors = staticmethod(_het_factors)
+    unit_curvature = True
 
-    def moments(self, kind, p):
+    def check_problem(self, kind, p):
         q = self.block_size(kind, p.n, p.d)
         _require_positive_diagonal(p)
+        return q
+
+    def moments(self, kind, p, second=True):
+        q = self.check_problem(kind, p)
         if q == 1:
             linear = fixed_point_het(p)
         elif p.interpolation:
             linear = np.zeros(p.d)
         else:
             linear = None  # block factors have no closed-form linear mean
-        return SketchMoments(np.eye(p.d), p.L_bar.copy(), linear, "closed_form")
+        return SketchMoments(np.eye(p.d), p.L_bar.copy() if second else None, linear, "closed_form")
 
     def client_means(self, kind, p):
         if self.block_size(kind, p.n, p.d) > 1:
@@ -625,9 +790,28 @@ class _ScaledHet(_Partition):
                             exact if n_samples is None else None, sampled, n_samples, rng)
 
 
-class _RandQ(_Family):
+class _Independent(_Family):
+    """A family whose clients draw their keep masks independently, each
+    keeping a coordinate with weight w and probability 1/w, so that
+    E[C_i] = I and the mean linear term is b_bar.  E[B] and E[B L_bar B]
+    are closed (:func:`_selection_moments`): for one client, E[c_ia c_ic
+    c_je c_jb] is w^4 times the probability that it keeps the k distinct
+    coordinates among them, and for two clients it factors, so the pairs
+    i != j contribute M_i L_bar M_j with M_i = E[C_i L_i C_i] (the
+    independent-client analogue of the Perm-K moments of Szlendak, Tyurin &
+    Richtarik, arXiv 2110.03300)."""
+
+    def moments(self, kind, p, second=True):
+        self.block_size(kind, p.n, p.d)
+        curv, curv2 = _selection_moments(kind, p, second)
+        return SketchMoments(curv, curv2, p.b_bar.copy(), "closed_form")
+
+
+class _RandQ(_Independent):
     """rand_q: each client independently keeps a uniform q-subset with
-    weight d / q."""
+    weight d / q; k given coordinates are all kept with probability
+    q^(k) / d^(k) (falling factorials), so E[B] = (d/q) Diag(L_bar) +
+    d(q-1)/(q(d-1)) offdiag(L_bar)."""
 
     def block_size(self, kind, n, d):
         if kind.q > d:
@@ -636,6 +820,12 @@ class _RandQ(_Family):
 
     def count(self, kind, n, d):
         return math.comb(d, kind.q) ** n
+
+    def weight2(self, kind, n, d):
+        return Fraction(d, kind.q) ** 2
+
+    def keep(self, kind, n, d, sizes, disjoint):
+        return math.prod(_ratio(math.perm(kind.q, k), math.perm(d, k)) for k in sizes)
 
     def draw_many(self, kind, p, rng, k):
         n, d = p.n, p.d
@@ -656,12 +846,19 @@ class _RandQ(_Family):
             yield np.full(len(t), 1.0 / count), [(slice(None), s)]
 
 
-class _Bernoulli(_Family):
+class _Bernoulli(_Independent):
     """bernoulli: each client independently keeps each coordinate with
-    probability p and weight 1 / p."""
+    probability p and weight 1 / p; k given coordinates are all kept with
+    probability p^k, so E[B] = Diag(L_bar) / p + offdiag(L_bar)."""
 
     def count(self, kind, n, d):
         return 2 ** (d * n)
+
+    def weight2(self, kind, n, d):
+        return 1 / Fraction(kind.p) ** 2
+
+    def keep(self, kind, n, d, sizes, disjoint):
+        return Fraction(kind.p) ** sum(sizes)
 
     def draw_many(self, kind, p, rng, k):
         # one (k, n, d) draw is the stream of k (n, d) draws; each round is
@@ -752,7 +949,7 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
 def _chunks(kind: SketchKind, p: QuadraticProblem):
     family, n, d = kind.family, p.n, p.d
     q = family.block_size(kind, n, d)
-    if family.count(kind, n, d) > ENUMERATION_BUDGET:
+    if family.count_exceeds(kind, n, d, ENUMERATION_BUDGET):
         # the count itself is left out: n! can exceed Python's limit on the
         # digits an int may format
         raise TooLarge(
@@ -855,7 +1052,7 @@ class SketchMoments:
     curvature : ndarray (d, d)
         E[B] with B = (1/n) sum_i C_i L_i C_i.
     curvature_second : ndarray (d, d) or None
-        E[B L_bar B]; None when no exact route produced it.
+        E[B L_bar B]; None when no exact route produced it or it was not asked for.
     linear : ndarray (d,) or None
         E[(1/n) sum_i C_i b_i]; None when unavailable.
     method : str
@@ -875,13 +1072,17 @@ class SketchMoments:
     linear_stderr: NDArray | None = None
 
 
-def closed_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
-    """Closed-form expectations where the sketch family admits them.
+def closed_moments(kind: SketchKind, p: QuadraticProblem, second: bool = True) -> SketchMoments:
+    """Closed-form expectations of ``kind`` on ``p``.
 
-    Each family's class documents its forms.  Raises :class:`NoClosedForm`
-    for rand_q / bernoulli.
+    Each family's class documents its forms.  Every family has E[B] and the
+    mean linear term (None for q > 1 scaled_perm_het on a problem with
+    linear terms).  E[B L_bar B] is None for perm_multiset except where B is
+    the same on every realization; rand_q, bernoulli, perm_q and
+    scaled_perm_homog get it in O(n d^3) from :func:`_selection_moments`.
+    It is left None, and not computed, when ``second`` is false.
     """
-    return kind.family.moments(kind, p)
+    return kind.family.moments(kind, p, second)
 
 
 def enumerated_moments(kind: SketchKind, p: QuadraticProblem) -> SketchMoments:
@@ -939,7 +1140,7 @@ def _moments(kind: SketchKind, p: QuadraticProblem, second: bool = False) -> Ske
     """E[B], and E[B L_bar B] if ``second``, by :func:`_expectation`."""
 
     def closed():
-        m = closed_moments(kind, p)
+        m = closed_moments(kind, p, second)
         return None if second and m.curvature_second is None else m
 
     return _expectation(kind, p, "E[B L B]" if second else "E[B]", closed,

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +160,36 @@ class TestTheory:
         assert "sigma2 omitted: enumeration infeasible, no sample budget given" in doc["notes"]
         assert doc["sigma2"] is None
         assert doc["gamma_max"] == cert.gamma_max == 1.0
+
+    def test_random_sparsifiers_certify_at_readme_scale(self, tmp_path):
+        """theory with rand_q(20) and bernoulli(0.1) on a gen 10 x 200 file
+        exits 0 with a numeric theta, each call in under 1 s on one OpenBLAS
+        thread (timed in a child process: the thread count is read when
+        numpy loads)."""
+        path = tmp_path / "p.json"
+        assert run_cli("gen", "--n", "10", "--d", "200", "--seed", "5", "--mode", "het",
+                       "--out", str(path)) == 0
+        child = (
+            "import contextlib, io, json, sys, time\n"
+            "from istlab import cli\n"
+            "for flags in (['--sketch', 'rand_q', '--q', '20'], ['--sketch', 'bernoulli', '--p', '0.1']):\n"
+            "    out = io.StringIO()\n"
+            "    t0 = time.perf_counter()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = cli.main(['theory', '--problem', sys.argv[1]] + flags)\n"
+            "    print(json.dumps([code, time.perf_counter() - t0, json.loads(out.getvalue())]))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(runs) == 2
+        for code, seconds, doc in runs:
+            assert code == 0
+            assert isinstance(doc["theta"], float) and doc["theta"] > 0.0
+            assert seconds < 1.0
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_sigma2_sample_count_below_one_exits_2(self, tmp_path, capsys, count):

@@ -163,10 +163,21 @@ class TestExpectedEstimate:
         assert np.linalg.norm(mean - p.grad(x)) > 1e-3
 
     def test_no_closed_form_when_enumeration_infeasible(self):
-        p = gen_heterogeneous(12, 12, seed=18)
-        x = np.zeros(12)
+        # q = 2 scaled_perm_het with linear terms: no closed mean linear term,
+        # and 10! outcomes
+        p = gen_heterogeneous(5, 10, seed=18)
         with pytest.raises(NoClosedForm):
-            expected_estimate(EstimatorKind.ist(SketchKind.rand_q(3)), p, x)
+            expected_estimate(EstimatorKind.ist(SketchKind.scaled_perm_het()), p, np.zeros(10))
+
+    def test_random_sparsifier_ist_mean_is_closed_past_the_budget(self):
+        """rand_q(3) at n = d = 12 has C(12, 3)^12 outcomes; its ist mean is
+        E[B] x - b_bar in closed form."""
+        p = gen_heterogeneous(12, 12, seed=18)
+        x = np.random.default_rng(3).standard_normal(12)
+        kind = SketchKind.rand_q(3)
+        m = sketches.closed_moments(kind, p)
+        np.testing.assert_array_equal(expected_estimate(EstimatorKind.ist(kind), p, x),
+                                      m.curvature @ x - p.b_bar)
 
 
 class TestHeterogeneityVariance:

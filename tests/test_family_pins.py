@@ -14,6 +14,66 @@ scaled_perm_het/het-3-3 (16c8eab2 -> be194d8d) were re-taken when q = 1
 sigma2 moved from enumeration to the pair-probability closed form: the
 value moved by one unit in the last place, 0x1.36f76aeee8e63p+0 ->
 0x1.36f76aeee8e64p+0.
+
+The digests below were re-taken when E[B] and E[B L_bar B] of rand_q,
+bernoulli, and perm_q / scaled_perm_homog off the q = 1 homogeneous case
+moved from enumeration to the equality-pattern closed form
+(``sketches._selection_moments``).  closed_moments moved because it now
+holds a second moment (rand_q, bernoulli: a value where NoClosedForm was
+pinned); expected_ist because rand_q and bernoulli take E[B] and the mean
+linear term in closed form; the certificate fields because W and theta
+now come from closed moments in place of enumerated ones.  The partition
+E[B] and linear forms, and every other digest, are unchanged.  Old -> new:
+
+perm_q/het-3-3: closed_moments e530730a->ec818685, cert.descent
+  eef7ba9d->c566622e, cert.theta 72fa1dcb->1aafdaa7, cert.gamma_max and
+  cert.gamma 7ba364a9->d312e28b, cert.rho 078394d9->3262a365.
+perm_q/het-2-4 and perm_q2/het-2-4: closed_moments c11cce12->365e26bc,
+  cert.descent ad9390d3->5fd94b7d, cert.theta 1a207800->dcd12cc5,
+  cert.gamma_max and cert.gamma 92a5d730->41821671, cert.rho
+  abcf59ad->5d40e613.
+perm_q/hom-2-4: closed_moments b6e34c95->1b77b38b, cert.descent
+  1a2f75b3->1354298e, cert.theta fc5ff36a->70d2628e, cert.gamma_max and
+  cert.gamma 527d4ebe->ea85929b, cert.rho d9a407db->cd7956b1.
+perm_q/het-3-6: closed_moments 8e9b9796->563dff07, cert.descent
+  6fedd129->8b0b7cbc, cert.theta f70da901->e105366a, cert.gamma_max and
+  cert.gamma d92d8e88->eb621ac4, cert.rho e0c507ce->f7cbf4cf.
+scaled_perm_homog/het-3-3: closed_moments 324a4744->5de18189,
+  cert.descent 5fb79ec4->4097f323, cert.theta eece665c->5323368e,
+  cert.gamma_max and cert.gamma bede15e0->e7d8b3fa, cert.rho
+  078394d9->14200652.
+scaled_perm_homog/het-2-4: closed_moments 63948f36->e1c40c57,
+  cert.descent b262d1c3->3e1c4f37, cert.theta 144943a1->9abddc43,
+  cert.gamma_max and cert.gamma 5e1d66eb->8dc91825, cert.rho
+  c44110c7->abcf59ad.
+scaled_perm_homog/hom-2-4: closed_moments 194070fe->766cc459,
+  cert.descent 5961e37f->1678bb45, cert.theta 65a30ec6->07374d1e,
+  cert.gamma_max and cert.gamma 2b779101->388c5a2d, cert.rho
+  96f11a90->8c5acbb4.
+rand_q1/het-2-3: closed_moments 9f26e217->c5001dfd, expected_ist
+  06e575b2->0e85e4c8, cert.descent a44b9fa8->9309a888, cert.theta
+  ef09de1e->0b499304, cert.gamma_max and cert.gamma 9272aee3->14411e20,
+  cert.rho b58e2e06->e22b337f.
+rand_q2/het-2-3: closed_moments 9f26e217->74db1464, expected_ist
+  23d0fb56->a5ff1bc1, cert.descent 305e9da9->aa810f8b, cert.theta
+  b6106c8c->936a0ffd, cert.gamma_max and cert.gamma 800f6384->893a8f73,
+  cert.rho 7c588e45->50843724.
+rand_q2/hom-2-3: closed_moments 9f26e217->d265962c, expected_ist
+  bf0b1cad->99e2930f, cert.descent ec6cacc2->a6e4a90e, cert.theta
+  d3829de2->a5bab599, cert.gamma_max and cert.gamma aa524ea7->6f4a7bbc,
+  cert.rho 29b35c57->0f536a17.
+bernoulli/het-2-3: closed_moments 9f26e217->1eb9f7c2, expected_ist
+  24fb28da->580b9244, cert.descent efab0481->3dbd6bd9, cert.theta
+  6a29b690->76c97b2d, cert.gamma_max and cert.gamma 883477a1->2daacab7,
+  cert.rho 475d341e->7fb81fec.
+bernoulli/hom-2-2: closed_moments 9f26e217->ce786c28, expected_ist
+  c197ecf1->2166675c, cert.theta 34ccc3a4->9f2ef45e, cert.gamma_max and
+  cert.gamma 5e0847c1->172aa2d2.
+bernoulli1/het-2-2: closed_moments 9f26e217->a9316128, expected_ist
+  52da70e0->af76641c.
+
+Each moved value is within 1e-13 relative of the enumerated one (largest:
+theta of scaled_perm_homog/hom-2-4, 9.6e-14).
 """
 
 import dataclasses
@@ -148,14 +208,14 @@ PINS = {
         "9bda046b 6de3d684 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
     ),
     "perm_q/het-3-3": (
-        "e530730a 1db329a9 b6422be4 4e6a2a30 2b352b7c 2b352b7c b7f1735c 36cabcd5 "
-        "b7f1735c 36cabcd5 154b18a5 7ae46af7 eef7ba9d b2908519 72fa1dcb 7ba364a9 "
-        "7ba364a9 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "ec818685 1db329a9 b6422be4 4e6a2a30 2b352b7c 2b352b7c b7f1735c 36cabcd5 "
+        "b7f1735c 36cabcd5 154b18a5 7ae46af7 c566622e b2908519 1aafdaa7 d312e28b "
+        "d312e28b 3262a365 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/het-2-4": (
-        "c11cce12 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
-        "62a19e61 c5f41601 6024a47b 7628ef81 ad9390d3 b2908519 1a207800 92a5d730 "
-        "92a5d730 abcf59ad 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "365e26bc 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
+        "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 dcd12cc5 41821671 "
+        "41821671 5d40e613 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/hom-3-3": (
         "9f786e6f ae71862f 202364f2 64a945ff 2b352b7c 2b352b7c b7f1735c 2697c057 "
@@ -163,29 +223,29 @@ PINS = {
         "cc12fc0d 3005f2f4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/hom-2-4": (
-        "b6e34c95 3f9812a3 b279f199 2815fb0e 2b352b7c 2b352b7c 9355f47b c3e4b7f1 "
-        "62a19e61 c3e4b7f1 6024a47b 1541ae74 1a2f75b3 b2908519 fc5ff36a 527d4ebe "
-        "527d4ebe d9a407db 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "1b77b38b 3f9812a3 b279f199 2815fb0e 2b352b7c 2b352b7c 9355f47b c3e4b7f1 "
+        "62a19e61 c3e4b7f1 6024a47b 1541ae74 1354298e b2908519 70d2628e ea85929b "
+        "ea85929b cd7956b1 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q2/het-2-4": (
-        "c11cce12 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
-        "62a19e61 c5f41601 6024a47b 7628ef81 ad9390d3 b2908519 1a207800 92a5d730 "
-        "92a5d730 abcf59ad 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "365e26bc 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
+        "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 dcd12cc5 41821671 "
+        "41821671 5d40e613 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/het-3-6": (
-        "8e9b9796 c58d7493 c957d4c7 d0e34be2 2b352b7c 2b352b7c 120803bf 3aa42e15 "
-        "da91ee48 49a446e0 d219a133 f96257da 6fedd129 b2908519 f70da901 d92d8e88 "
-        "d92d8e88 e0c507ce 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "563dff07 c58d7493 c957d4c7 d0e34be2 2b352b7c 2b352b7c 120803bf 3aa42e15 "
+        "da91ee48 49a446e0 d219a133 f96257da 8b0b7cbc b2908519 e105366a eb621ac4 "
+        "eb621ac4 f7cbf4cf 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "scaled_perm_homog/het-3-3": (
-        "324a4744 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
-        "fa648520 81ccf4be 907157ed f8dd20a0 5fb79ec4 b2908519 eece665c bede15e0 "
-        "bede15e0 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 37dce168"
+        "5de18189 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
+        "fa648520 81ccf4be 907157ed f8dd20a0 4097f323 b2908519 5323368e e7d8b3fa "
+        "e7d8b3fa 14200652 319dfbc3 319dfbc3 319dfbc3 319dfbc3 37dce168"
     ),
     "scaled_perm_homog/het-2-4": (
-        "63948f36 6ee233b9 512145dc 7985d374 2b352b7c 2b352b7c 595d7711 b4fab45e "
-        "ef2957cf b4fab45e 3e2dc480 9f924395 b262d1c3 b2908519 144943a1 5e1d66eb "
-        "5e1d66eb c44110c7 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
+        "e1c40c57 6ee233b9 512145dc 7985d374 2b352b7c 2b352b7c 595d7711 b4fab45e "
+        "ef2957cf b4fab45e 3e2dc480 9f924395 3e1c4f37 b2908519 9abddc43 8dc91825 "
+        "8dc91825 abcf59ad 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
     ),
     "scaled_perm_homog/hom-3-3": (
         "3ffd3024 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
@@ -193,9 +253,9 @@ PINS = {
         "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
     ),
     "scaled_perm_homog/hom-2-4": (
-        "194070fe 50d8fa23 0f5958db 08d26c0a 2b352b7c 2b352b7c 595d7711 c1a06133 "
-        "ef2957cf c1a06133 3e2dc480 8e2dbab5 5961e37f b2908519 65a30ec6 2b779101 "
-        "2b779101 96f11a90 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
+        "766cc459 50d8fa23 0f5958db 08d26c0a 2b352b7c 2b352b7c 595d7711 c1a06133 "
+        "ef2957cf c1a06133 3e2dc480 8e2dbab5 1678bb45 b2908519 07374d1e 388c5a2d "
+        "388c5a2d 8c5acbb4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
     ),
     "perm_multiset/het-3-3": (
         "324a4744 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
@@ -248,32 +308,32 @@ PINS = {
         "376ec8c7 fd8f7764 319dfbc3 319dfbc3 319dfbc3 e1a27033 12f30002"
     ),
     "rand_q1/het-2-3": (
-        "9f26e217 20dda014 06e575b2 78b65efd 2b352b7c 2b352b7c 413c1a07 c2a93e45 "
-        "7837f62e b44a0781 69ea64b9 4e62f1cb a44b9fa8 b2908519 ef09de1e 9272aee3 "
-        "9272aee3 b58e2e06 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "c5001dfd 20dda014 0e85e4c8 78b65efd 2b352b7c 2b352b7c 413c1a07 c2a93e45 "
+        "7837f62e b44a0781 69ea64b9 4e62f1cb 9309a888 b2908519 0b499304 14411e20 "
+        "14411e20 e22b337f 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "rand_q2/het-2-3": (
-        "9f26e217 e4593d4f 23d0fb56 78b65efd 2b352b7c 2b352b7c 364af67b 81b5f73d "
-        "1ff3415e 8f6265a8 441e418a 50eeebda 305e9da9 b2908519 b6106c8c 800f6384 "
-        "800f6384 7c588e45 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "74db1464 e4593d4f a5ff1bc1 78b65efd 2b352b7c 2b352b7c 364af67b 81b5f73d "
+        "1ff3415e 8f6265a8 441e418a 50eeebda aa810f8b b2908519 936a0ffd 893a8f73 "
+        "893a8f73 50843724 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "rand_q2/hom-2-3": (
-        "9f26e217 9baf25da bf0b1cad 23b0862f 2b352b7c 2b352b7c 364af67b cd559e3e "
-        "1ff3415e be95aa6c 441e418a cd559e3e ec6cacc2 b2908519 d3829de2 aa524ea7 "
-        "aa524ea7 29b35c57 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "d265962c 9baf25da 99e2930f 23b0862f 2b352b7c 2b352b7c 364af67b cd559e3e "
+        "1ff3415e be95aa6c 441e418a cd559e3e a6e4a90e b2908519 a5bab599 6f4a7bbc "
+        "6f4a7bbc 0f536a17 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli/het-2-3": (
-        "9f26e217 8a18a518 24fb28da 78b65efd 2b352b7c 2b352b7c f5be29f6 22f48b40 "
-        "d6d38b13 7a565de2 cd5e6f28 2d64f567 efab0481 b2908519 6a29b690 883477a1 "
-        "883477a1 475d341e 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "1eb9f7c2 8a18a518 580b9244 78b65efd 2b352b7c 2b352b7c f5be29f6 22f48b40 "
+        "d6d38b13 7a565de2 cd5e6f28 2d64f567 3dbd6bd9 b2908519 76c97b2d 2daacab7 "
+        "2daacab7 7fb81fec 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli/hom-2-2": (
-        "9f26e217 091ecc09 c197ecf1 74cdbd9b 2b352b7c 2b352b7c d6d38b13 e4cf1a4b "
-        "b24feaa8 869547dc bcfa3d22 0cde204d 20c61d8a b2908519 34ccc3a4 5e0847c1 "
-        "5e0847c1 c04c3578 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "ce786c28 091ecc09 2166675c 74cdbd9b 2b352b7c 2b352b7c d6d38b13 e4cf1a4b "
+        "b24feaa8 869547dc bcfa3d22 0cde204d 20c61d8a b2908519 9f2ef45e 172aa2d2 "
+        "172aa2d2 c04c3578 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli1/het-2-2": (
-        "9f26e217 48907056 52da70e0 52da70e0 2b352b7c 2b352b7c 813027b3 006753be "
+        "a9316128 48907056 af76641c 52da70e0 2b352b7c 2b352b7c 813027b3 006753be "
         "813027b3 006753be 813027b3 006753be 22232c2a b2908519 1139e6b4 80cc637d "
         "80cc637d cbb5e65e 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),

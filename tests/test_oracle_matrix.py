@@ -3,9 +3,13 @@
 The test walks ``sketches.FAMILIES``: a family is covered by registering it.
 For each one, ``hypothesis`` (derandomized, so every run sees the same
 problems) picks small problems the family can sample and whose outcome
-space is small enough to enumerate.  Every closed form the family provides
-must match enumeration to 1e-12 relative: its moments, E[C_i], the fixed
-point and sigma2.
+space is small enough to enumerate; a fixed list adds the cases the
+equality-pattern second moments must get right (partitions with q >= 2,
+bernoulli at p = 0.3, 0.5 and 1, rand_q at q = d).  Every closed form the
+family provides must match enumeration to 1e-12 relative: its moments,
+E[C_i], the fixed point and sigma2.  Past the enumeration budget, the
+closed E[B], mean linear term and E[B L_bar B] are checked against Monte
+Carlo.
 """
 
 import numpy as np
@@ -44,11 +48,14 @@ def cases(draw, name):
     shapes = [(n, d) for n in range(1, 5) for d in range(1, 7) if _feasible(kind, n, d)]
     n, d = draw(st.sampled_from(shapes))
     mode = draw(st.sampled_from(["het", "hom", "interp"]))
-    seed = draw(st.integers(0, 10_000))
+    return kind, _problem(mode, n, d, draw(st.integers(0, 10_000)))
+
+
+def _problem(mode, n, d, seed):
     if mode == "hom":
-        return kind, precondition_homogeneous(gen_homogeneous(n, d, seed))[0]
+        return precondition_homogeneous(gen_homogeneous(n, d, seed))[0]
     p = gen_heterogeneous(n, d, seed)
-    return kind, p.as_interpolation() if mode == "interp" else p
+    return p.as_interpolation() if mode == "interp" else p
 
 
 def assert_close(got, want, scale=None):
@@ -65,7 +72,32 @@ def assert_close(got, want, scale=None):
 @settings(derandomize=True, max_examples=12, deadline=None, database=None)
 @given(data=st.data())
 def test_closed_forms_match_enumeration(name, data):
-    kind, p = data.draw(cases(name))
+    check_against_enumeration(*data.draw(cases(name)))
+
+
+# (kind, mode, n, d): second moments of partitions with q >= 2, bernoulli at
+# each p the strategy draws, and rand_q keeping every coordinate
+FIXED_CASES = [
+    (SketchKind.perm_q(), "het", 2, 4), (SketchKind.perm_q(), "het", 2, 6),
+    (SketchKind.perm_q(3), "hom", 2, 6), (SketchKind.perm_q(), "het", 3, 6),
+    (SketchKind.scaled_perm_homog(), "het", 2, 4), (SketchKind.scaled_perm_homog(), "hom", 2, 4),
+    (SketchKind.scaled_perm_homog(), "het", 1, 3),
+    (SketchKind.bernoulli(0.3), "het", 2, 3), (SketchKind.bernoulli(0.5), "het", 3, 2),
+    (SketchKind.bernoulli(1.0), "het", 2, 3), (SketchKind.bernoulli(0.3), "hom", 2, 2),
+    (SketchKind.rand_q(3), "het", 2, 3), (SketchKind.rand_q(2), "het", 3, 2),
+    (SketchKind.rand_q(1), "het", 4, 1), (SketchKind.rand_q(2), "hom", 2, 4),
+]
+
+
+@pytest.mark.parametrize("kind, mode, n, d", FIXED_CASES,
+                         ids=[f"{k.to_config()}-{m}-{n}x{d}" for k, m, n, d in FIXED_CASES])
+def test_closed_forms_match_enumeration_at_fixed_cases(kind, mode, n, d):
+    p = _problem(mode, n, d, seed=60 + n + d)
+    assert sketches.closed_moments(kind, p).curvature_second is not None
+    check_against_enumeration(kind, p)
+
+
+def check_against_enumeration(kind, p):
     family = kind.family
     outcomes = list(sketches.enumerate_outcomes(kind, p))
     enum = sketches.enumerated_moments(kind, p)
@@ -113,6 +145,8 @@ def test_closed_forms_match_enumeration(name, data):
 # joint outcomes exceed the enumeration budget (10! > 10^6; identity has one).
 MC_CASES = {
     "identity": (SketchKind.identity(), 10, 10),
+    "rand_q": (SketchKind.rand_q(3), 10, 10),
+    "bernoulli": (SketchKind.bernoulli(0.3), 10, 10),
     "perm_q": (SketchKind.perm_q(), 10, 10),
     "perm_multiset": (SketchKind.perm_multiset(), 10, 10),
     "scaled_perm_homog": (SketchKind.scaled_perm_homog(), 10, 10),
@@ -168,3 +202,40 @@ def test_q1_scaled_het_sigma2_matches_monte_carlo():
     terms = np.sum(c * (c @ p.L_bar), axis=1)
     assert mc == pytest.approx(terms.mean(), rel=1e-9)  # the same draws
     assert abs(mc - exact) <= 5.0 * terms.std(ddof=1) / np.sqrt(MC_DRAWS)
+
+
+# E[B L_bar B] of each family whose second moment comes from the equality
+# patterns, at the README's n = 10, d = 100
+MC_SECOND = {
+    "rand_q": SketchKind.rand_q(10),
+    "bernoulli": SketchKind.bernoulli(0.3),
+    "perm_q": SketchKind.perm_q(),
+    "scaled_perm_homog": SketchKind.scaled_perm_homog(),
+}
+
+
+@pytest.mark.parametrize("label", MC_SECOND)
+def test_closed_second_moment_matches_monte_carlo(label):
+    """Closed E[B L_bar B] within 5 Monte Carlo standard errors in eight
+    random directions u: u' E[B L_bar B] u against the mean of the per-draw
+    (B u)' L_bar (B u).  A single entry of B L_bar B is nonzero on few draws
+    (four coordinates kept at once), so its sample spread says little; a
+    direction mixes every entry.  Sums are shifted by the first draw's
+    value, as in ``sketches._sample_stats``."""
+    kind = MC_SECOND[label]
+    p = gen_heterogeneous(10, 100, seed=85)
+    U = np.random.default_rng(14).standard_normal((p.d, 8))
+    closed = sketches.closed_moments(kind, p).curvature_second
+    want = np.sum(U * (closed @ U), axis=0)
+    first = s1 = s2 = None
+    for _, [(_, s)] in sketches._draws(kind, p, np.random.default_rng(13), MC_DRAWS):
+        BU = s.curvature(p) @ U
+        v = np.sum(BU * (p.L_bar @ BU), axis=-2)  # (draws, 8)
+        if first is None:
+            first, s1, s2 = v[0].copy(), 0.0, 0.0
+        v -= first
+        s1, s2 = s1 + v.sum(axis=0), s2 + np.square(v).sum(axis=0)
+    mean = s1 / MC_DRAWS
+    se = np.sqrt(np.maximum(s2 / MC_DRAWS - np.square(mean), 0.0) / MC_DRAWS)
+    assert np.all(se > 0.0)
+    assert np.all(np.abs(first + mean - want) <= 5.0 * se)

@@ -10,30 +10,52 @@ which must be the stream of the same number of ``sample`` calls.
 import numpy as np
 import pytest
 
-from istlab import cli, sketches
+from istlab import cli, linalg, sketches
 from istlab.certificates import certificate, descent_matrix, interpolation_rates, step_constant
 from istlab.errors import NoClosedForm, NoExpectation, TooLarge
 from istlab.estimators import EstimatorKind, expected_estimate, heterogeneity_variance
 from istlab.quadratics import gen_heterogeneous, gen_homogeneous
 from istlab.sketches import FAMILIES, SketchKind, monte_carlo_moments, sample
 
-# rand_q(2) at n = 4, d = 10 has 45^4 > ENUMERATION_BUDGET outcomes and no closed form
-NO_ROUTE = (SketchKind.rand_q(2), gen_heterogeneous(4, 10, seed=1))
-NO_ROUTE_CALLS = {
+# perm_multiset leaves E[B L_bar B] to enumeration, and at n = d = 10 it has
+# 10! > ENUMERATION_BUDGET outcomes
+NO_SECOND = (SketchKind.perm_multiset(), gen_heterogeneous(10, 10, seed=1))
+# q = 2 scaled_perm_het with linear terms has no closed mean linear term, and
+# 10! outcomes
+NO_MEAN = (SketchKind.scaled_perm_het(), gen_heterogeneous(5, 10, seed=1))
+CALLS = {
     "descent_matrix": lambda kind, p: descent_matrix(p, kind),
     "step_constant": lambda kind, p: step_constant(p, kind),
     "certificate": lambda kind, p: certificate(p, kind),
-    "interpolation_rates": lambda kind, p: interpolation_rates(p, kind, 0.1),
+    "interpolation_rates": lambda kind, p: interpolation_rates(p, kind, 1e-6),
     "expected_estimate": lambda kind, p: expected_estimate(EstimatorKind.ist(kind), p,
                                                            np.zeros(p.d)),
 }
+NO_ROUTE = {"step_constant": NO_SECOND, "certificate": NO_SECOND,
+            "interpolation_rates": NO_SECOND, "expected_estimate": NO_MEAN}
+# rand_q(2) at n = 4, d = 10 has 45^4 > ENUMERATION_BUDGET outcomes, and closed moments
+RAND_Q = (SketchKind.rand_q(2), gen_heterogeneous(4, 10, seed=1))
 
 
 class TestNoExpectation:
-    @pytest.mark.parametrize("name", NO_ROUTE_CALLS)
+    @pytest.mark.parametrize("name", NO_ROUTE)
     def test_every_caller_raises_no_expectation(self, name):
         with pytest.raises(NoExpectation, match="no exact route"):
-            NO_ROUTE_CALLS[name](*NO_ROUTE)
+            CALLS[name](*NO_ROUTE[name])
+
+    def test_descent_matrix_answers_without_a_second_moment(self):
+        """E[B] is closed for every family, so descent_matrix answers where
+        E[B L_bar B] has no route."""
+        kind, p = NO_SECOND
+        eb = sketches.closed_moments(kind, p).curvature
+        np.testing.assert_array_equal(descent_matrix(p, kind),
+                                      0.5 * linalg.symmetrize(p.L_bar @ eb + eb @ p.L_bar))
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_random_sparsifiers_answer_past_the_budget(self, name):
+        """Every caller answers for rand_q(2) at 4 x 10, which had no route
+        before its closed second moment."""
+        assert CALLS[name](*RAND_Q) is not None
 
     def test_is_caught_as_either_older_class(self):
         assert issubclass(NoExpectation, NoClosedForm)
@@ -41,8 +63,8 @@ class TestNoExpectation:
 
     def test_cli_exit_code_is_two(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
-        NO_ROUTE[1].save(path)
-        code = cli.main(["theory", "--problem", str(path), "--sketch", "rand_q", "--q", "2"])
+        NO_SECOND[1].save(path)
+        code = cli.main(["theory", "--problem", str(path), "--sketch", "perm_multiset"])
         assert code == 2
         assert "no exact route" in capsys.readouterr().err
 

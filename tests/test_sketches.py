@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from istlab import sketches
-from istlab.errors import IncompatibleShape, NoClosedForm, NonPositiveDiagonal, TooLarge
+from istlab.errors import IncompatibleShape, NonPositiveDiagonal, TooLarge
 from istlab.quadratics import QuadraticProblem, gen_heterogeneous, gen_homogeneous
 from istlab.sketches import (
     SketchKind,
@@ -342,12 +342,20 @@ class TestClosedForms:
         expect = (p.b / np.sqrt(p.diag)).mean(axis=0) / 2.0
         np.testing.assert_allclose(m.linear, expect, atol=1e-14)
 
-    def test_no_closed_form_for_random_sparsifiers(self):
+    def test_closed_form_for_random_sparsifiers(self):
+        """rand_q and bernoulli have closed E[B], E[B L_bar B] and mean linear
+        term; E[B] is the documented diagonal/off-diagonal scaling of L_bar."""
         p = het_problem(2, 4, seed=9)
-        with pytest.raises(NoClosedForm):
-            closed_moments(SketchKind.rand_q(2), p)
-        with pytest.raises(NoClosedForm):
-            closed_moments(SketchKind.bernoulli(0.5), p)
+        D = np.diag(np.diag(p.L_bar))
+        for kind, eb in ((SketchKind.rand_q(2), 2.0 * D + (2.0 / 3.0) * (p.L_bar - D)),
+                         (SketchKind.bernoulli(0.5), 2.0 * D + (p.L_bar - D))):
+            m = closed_moments(kind, p)
+            assert m.method == "closed_form"
+            np.testing.assert_allclose(m.curvature, eb, rtol=1e-14, atol=1e-14)
+            np.testing.assert_array_equal(m.linear, p.b_bar)
+            np.testing.assert_allclose(m.curvature_second,
+                                       enumerated_moments(kind, p).curvature_second,
+                                       rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_enumeration_matches_closed_forms_square(self, n):
