@@ -8,7 +8,6 @@ failure, 4 sketch/problem shape mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certificates, quadratics, runner
+from . import __version__, certificates, linalg, quadratics, runner
 from .errors import ConfigInvalid, DegenerateEnsemble, IncompatibleShape, IstLabError
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
@@ -152,10 +151,18 @@ def resolved_config_doc(cfg: RunConfig, output: dict, provenance: dict) -> dict:
 
 
 def write_trace_csv(trace: runner.Trace, path: Path) -> None:
+    """Write the bytes ``csv.writer`` gives for ``trace.rows()`` with each value's repr.
+
+    Metric names come from ``runner.METRICS`` and values are float reprs, so
+    no field needs quoting; each repeat's rows are formatted in one join.
+    """
+    names = trace.metric_order
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["repeat", "k", "metric_name", "value"])
-        writer.writerows((r, k, name, repr(value)) for r, k, name, value in trace.rows())
+        fh.write("repeat,k,metric_name,value\r\n")
+        for r in range(len(trace.diverged_at)):
+            fh.write("".join(f"{r},{k},{name},{value!r}\r\n"
+                             for k, values in enumerate(zip(*trace.columns(r)))
+                             for name, value in zip(names, values)))
 
 
 def trace_json_doc(trace: runner.Trace) -> dict:
@@ -178,7 +185,7 @@ def write_outputs(trace: runner.Trace, output: dict, meta: dict) -> None:
         write_trace_csv(trace, path)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(trace_json_doc(trace), fh, allow_nan=False)
+            fh.write(json.dumps(trace_json_doc(trace), allow_nan=False))
             fh.write("\n")
     meta_path = path.with_name(path.name + ".meta.json")
     doc = dict(meta)
@@ -197,7 +204,7 @@ def write_outputs(trace: runner.Trace, output: dict, meta: dict) -> None:
 def cmd_gen(args) -> int:
     p = generate_problem(args.mode, args.n, args.d, args.seed)
     p.save(args.out)
-    vals = np.linalg.eigvalsh((p.L_bar + p.L_bar.T) / 2.0)
+    vals = np.linalg.eigvalsh(linalg.symmetrize(p.L_bar))
     print(f"lambda_min(L_bar) = {vals[0]:.12g}")
     print(f"lambda_max(L_bar) = {vals[-1]:.12g}")
     return 0

@@ -192,13 +192,18 @@ class Trace:
     def std(self, metric: str) -> NDArray:
         return np.nanstd(self.metrics[metric], axis=0)
 
+    def columns(self, r: int) -> list[list[float]]:
+        """Repeat ``r``'s values of each metric in ``metric_order``, up to its divergence point."""
+        stop = int(self.diverged_at[r])
+        return [self.metrics[name][r, :None if stop < 0 else stop].tolist()
+                for name in self.metric_order]
+
     def rows(self):
         """Yield (repeat, k, metric_name, value) in long format, stopping
         each repeat at its divergence point."""
         names = self.metric_order
-        for r, stop in enumerate(self.diverged_at.tolist()):
-            columns = [self.metrics[name][r, :None if stop < 0 else stop].tolist() for name in names]
-            for k, values in enumerate(zip(*columns)):
+        for r in range(len(self.diverged_at)):
+            for k, values in enumerate(zip(*self.columns(r))):
                 for name, value in zip(names, values):
                     yield r, k, name, value
 

@@ -4,15 +4,22 @@
 ``owner.__dict__[attr]`` (``runner.ThreadPoolExecutor``, ``linalg.psd_pinv``,
 ``certificates.step_constant``, ``certificates.contraction_factor`` ...), so
 deleting or renaming one of them makes ``run_bench.py --trace 1`` fail with a
-KeyError; ``run_bench.provenance`` calls ``runner._thread_budget``.  These
-tests install the tracer on the real package and take it off again.
+KeyError; ``run_bench.provenance`` calls ``runner._thread_budget``.  Its
+``after_save``, ``after_load`` and ``after_write`` hooks read the file path as
+``args[1]``, so the writers keep their argument order.  These tests install
+the tracer on the real package and take it off again.
 """
 
+import inspect
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import istlab
 import istlab.cli
+from istlab.quadratics import QuadraticProblem, gen_heterogeneous
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -39,3 +46,35 @@ def test_tracer_wraps_and_restores_every_attribute(monkeypatch):
 
 def test_provenance_thread_budget_exists():
     assert isinstance(istlab.runner._thread_budget(), int)
+
+
+def test_writers_take_the_path_where_the_tracer_reads_it():
+    assert list(inspect.signature(QuadraticProblem.save).parameters)[:2] == ["self", "path"]
+    load = QuadraticProblem.__dict__["load"].__func__  # the tracer wraps the raw function
+    assert list(inspect.signature(load).parameters)[:2] == ["cls", "path"]
+    assert list(inspect.signature(istlab.cli.write_outputs).parameters) == ["trace", "output", "meta"]
+
+
+def test_traced_save_load_and_write_count_their_bytes(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracer
+
+    p = gen_heterogeneous(2, 3, seed=4)
+    trace = istlab.runner.Trace(
+        metrics={"grad_sq": np.ones((1, 3))}, final_f=np.zeros(1), diverged_at=np.array([-1]),
+        gammas=np.ones(2), x0=np.zeros(3), metric_order=("grad_sq",))
+    problem, out = tmp_path / "p.json", tmp_path / "t.csv"
+    t = tracer.Tracer()
+    t.install(istlab)
+    try:
+        p.save(problem)
+        QuadraticProblem.load(problem)
+        istlab.cli.write_outputs(trace, {"format": "csv", "path": str(out)}, {})
+    finally:
+        t.uninstall()
+    _, counts = t.reset()
+    assert counts["quadratics.save.bytes"] == counts["quadratics.load.bytes"] == os.path.getsize(problem)
+    assert counts["cli.write_outputs.bytes"] == (os.path.getsize(out)
+                                                 + os.path.getsize(f"{out}.meta.json"))
+    assert counts["cli.trace_rows"] == 3

@@ -368,6 +368,75 @@ class TestRun:
             b"1,1,grad_sq,25000000000.0\r\n1,1,f_gap_rel_log,7.0\r\n")
 
 
+def csv_writer_bytes(trace, path) -> bytes:
+    """The CSV trace writer before the joined form: csv.writer over Trace.rows()."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["repeat", "k", "metric_name", "value"])
+        writer.writerows((r, k, name, repr(value)) for r, k, name, value in trace.rows())
+    return path.read_bytes()
+
+
+def json_dump_trace_bytes(trace, path) -> bytes:
+    """The JSON trace writer before json.dumps: json.dump and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cli.trace_json_doc(trace), fh, allow_nan=False)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+class TestWriterBytes:
+    """Problem files and traces keep the bytes of the json.dump / csv.writer writers."""
+
+    def diverged_trace(self, tmp_path):
+        doc = experiment_doc(tmp_path / "unused.csv", estimator="dgd", K=400,
+                             metrics=["grad_sq", "f_gap_rel_log", "dist_L_to_xstar"])
+        del doc["sketch"]
+        doc["schedule"] = {"type": "constant", "gamma": 50.0}
+        cfg, _, _ = cli.parse_experiment(doc)
+        trace = runner.run(cfg)
+        assert (trace.diverged_at > 0).all() and np.isnan(trace.metrics["grad_sq"]).any()
+        return trace
+
+    @pytest.mark.parametrize("mode", ["het", "het-interp", "hom"])
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 4)])
+    def test_gen_file_equals_json_dump(self, tmp_path, capsys, mode, n, d):
+        out = tmp_path / "p.json"
+        assert run_cli("gen", "--n", str(n), "--d", str(d), "--seed", "7", "--mode", mode,
+                       "--out", str(out)) == 0
+        p = cli.generate_problem(mode, n, d, 7)
+        oracle = tmp_path / "oracle.json"
+        with open(oracle, "w", encoding="utf-8") as fh:
+            json.dump(p.to_json(), fh)
+            fh.write("\n")
+        assert out.read_bytes() == oracle.read_bytes()
+        vals = np.linalg.eigvalsh((p.L_bar + p.L_bar.T) / 2.0)
+        assert capsys.readouterr().out == (f"lambda_min(L_bar) = {vals[0]:.12g}\n"
+                                           f"lambda_max(L_bar) = {vals[-1]:.12g}\n")
+
+    def test_csv_of_a_diverged_run_equals_csv_writer(self, tmp_path):
+        trace = self.diverged_trace(tmp_path)
+        cli.write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(trace, tmp_path / "o.csv")
+
+    def test_csv_of_a_hand_built_trace_equals_csv_writer(self, tmp_path):
+        nan = float("nan")
+        trace = runner.Trace(
+            metrics={"grad_sq": np.array([[5e-324, -0.0, 1e308], [nan, nan, nan],
+                                          [1.5, float("inf"), nan]])},
+            final_f=np.array([0.0, nan, nan]), diverged_at=np.array([-1, 0, 2]),
+            gammas=np.full(2, 0.5), x0=np.zeros(1), metric_order=("grad_sq",))
+        cli.write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(trace, tmp_path / "o.csv")
+
+    def test_json_trace_of_a_diverged_run_equals_json_dump(self, tmp_path):
+        trace = self.diverged_trace(tmp_path)
+        out = tmp_path / "trace.json"
+        cli.write_outputs(trace, {"format": "json", "path": str(out)}, {})
+        assert b"null" in out.read_bytes()
+        assert out.read_bytes() == json_dump_trace_bytes(trace, tmp_path / "o.json")
+
+
 class TestHomogeneousRunThroughCli:
     def test_distance_to_fixed_point_decays_geometrically(self, tmp_path):
         out = tmp_path / "trace.csv"

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from istlab import linalg, quadratics
 from istlab.errors import (
@@ -80,6 +82,88 @@ class TestGenerators:
         assert (p.n, p.d) == (10, 1000)
         vals = np.linalg.eigvalsh(p.L_bar)
         assert vals[0] > 0.0
+
+
+def eigvalsh_rule(p, rel_tol=quadratics.DEGENERACY_TOL):
+    """The nondegeneracy test by eigenvalues alone, as ensure_nondegenerate made it before."""
+    vals = np.linalg.eigvalsh(linalg.symmetrize(p.L_bar))
+    if vals[-1] <= 0.0 or vals[0] <= rel_tol * vals[-1]:
+        raise DegenerateEnsemble(
+            f"mean matrix nearly singular: lambda_min={vals[0]:.3e}, lambda_max={vals[-1]:.3e}"
+        )
+
+
+def decision(check, p, rel_tol=quadratics.DEGENERACY_TOL):
+    """None if ``check`` accepts ``p``, else the type and message of what it raised."""
+    try:
+        with np.errstate(invalid="ignore"):
+            check(p, rel_tol)
+    except (DegenerateEnsemble, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def count_eigvalsh(monkeypatch) -> dict:
+    """Count np.linalg.eigvalsh calls from here on."""
+    calls = {"eigvalsh": 0}
+    real = np.linalg.eigvalsh
+
+    def wrapper(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", wrapper)
+    return calls
+
+
+def mean_with_spectrum(lams, seed=0):
+    """One-client problem whose L_bar is V diag(lams) V^T for a random orthogonal V."""
+    d = len(lams)
+    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return QuadraticProblem(L=((V * np.asarray(lams, dtype=float)) @ V.T)[None], b=np.zeros((1, d)))
+
+
+class TestNondegeneracyCheck:
+    """The shifted Cholesky only accepts; every decision equals the eigvalsh rule's."""
+
+    @pytest.mark.parametrize("rel_tol", [quadratics.DEGENERACY_TOL, 1e-4])
+    @pytest.mark.parametrize("d", [2, 6, quadratics.CHOLESKY_MIN_D, 40])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.01, 2.0, 1e3])
+    def test_threshold_decisions_match_eigvalsh(self, monkeypatch, rel_tol, d, ratio):
+        p = mean_with_spectrum(np.geomspace(ratio * rel_tol, 1.0, d) * 7.5, seed=d)
+        expected = decision(eigvalsh_rule, p, rel_tol)
+        if ratio != 1.0:  # at the threshold itself eigvalsh's rounding decides
+            assert (expected is None) == (ratio > 1.0)
+        calls = count_eigvalsh(monkeypatch)
+        assert decision(quadratics.ensure_nondegenerate, p, rel_tol) == expected
+        if ratio == 1e3:  # far from the threshold the Cholesky decides, from CHOLESKY_MIN_D on
+            assert calls["eigvalsh"] == (0 if d >= quadratics.CHOLESKY_MIN_D else 1)
+        if ratio <= 1.0:
+            assert calls["eigvalsh"] == 1  # a rejection always comes from eigvalsh
+
+    @pytest.mark.parametrize("lams", [np.linspace(-1.0, 3.0, 20), -np.linspace(1.0, 3.0, 20),
+                                      np.zeros(20), np.r_[0.0, np.linspace(1.0, 2.0, 19)]])
+    def test_indefinite_and_zero_matrices_rejected_with_eigvalsh_message(self, lams):
+        p = mean_with_spectrum(lams)
+        expected = decision(eigvalsh_rule, p)
+        assert expected is not None and expected[0] is DegenerateEnsemble
+        assert decision(quadratics.ensure_nondegenerate, p) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_is_left_to_eigvalsh(self, monkeypatch, bad):
+        d = quadratics.CHOLESKY_MIN_D
+        L = np.eye(d)[None].copy()
+        L[0, 1, 1] = bad
+        p = QuadraticProblem(L=L, b=np.zeros((1, d)))
+        expected = decision(eigvalsh_rule, p)
+        calls = count_eigvalsh(monkeypatch)
+        assert decision(quadratics.ensure_nondegenerate, p) == expected
+        assert calls["eigvalsh"] == 1
+
+    def test_generated_ensembles_need_no_eigvalsh(self, monkeypatch):
+        calls = count_eigvalsh(monkeypatch)
+        gen_heterogeneous(10, 100, seed=3)
+        gen_homogeneous(4, 50, seed=3)
+        assert calls["eigvalsh"] == 0
 
 
 class TestInterpolation:
@@ -246,3 +330,59 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         q = QuadraticProblem.load(path)
         assert q.L[0, 0, 1] == q.L[0, 1, 0]
+
+
+def json_dump_bytes(p, path) -> bytes:
+    """The problem-file writer before streaming: json.dump of to_json() and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(p.to_json(), fh)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def assert_save_matches_json_dump(p, tmp_path):
+    p.save(tmp_path / "saved.json")
+    assert (tmp_path / "saved.json").read_bytes() == json_dump_bytes(p, tmp_path / "oracle.json")
+
+
+class TestStreamedSave:
+    def test_scalar_problem(self, tmp_path):
+        assert_save_matches_json_dump(gen_heterogeneous(1, 1, seed=17), tmp_path)
+
+    def test_seed_none_and_interpolation(self, tmp_path):
+        p = gen_heterogeneous(3, 4, seed=8)
+        q = QuadraticProblem(L=p.L, b=p.b, seed=None)
+        assert_save_matches_json_dump(q, tmp_path)
+        assert (tmp_path / "saved.json").read_bytes().endswith(b', "seed": null}\n')
+        assert_save_matches_json_dump(q.as_interpolation(), tmp_path)
+
+    def test_signed_zero_subnormal_and_huge_entries(self, tmp_path):
+        L = np.array([[[-0.0, 5e-324], [5e-324, 1e308]], [[1e308, -0.0], [-0.0, -5e-324]]])
+        b = np.array([[-0.0, 1e308], [5e-324, -1e308]])
+        p = QuadraticProblem(L=L, b=b, seed=2**63)
+        assert_save_matches_json_dump(p, tmp_path)
+        # the loader symmetrizes L as (L + L^T) / 2, which overflows at 1e308,
+        # so the bitwise read-back keeps that value in b
+        p = QuadraticProblem(L=np.where(L == 1e308, 1e307, L), b=b)
+        assert_save_matches_json_dump(p, tmp_path)
+        q = QuadraticProblem.load(tmp_path / "saved.json")
+        assert q.L.tobytes() == p.L.tobytes() and q.b.tobytes() == p.b.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 16])
+    def test_slices_join_into_the_same_bytes(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(quadratics, "SAVE_CHUNK", chunk)
+        assert_save_matches_json_dump(gen_heterogeneous(3, 4, seed=5), tmp_path)
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           keep_seed=st.booleans(), interp=st.booleans())
+    def test_round_trip_is_bitwise(self, tmp_path_factory, n, d, seed, keep_seed, interp):
+        tmp_path = tmp_path_factory.mktemp("save")
+        p = gen_heterogeneous(n, d, seed=seed)
+        p = QuadraticProblem(L=p.L, b=p.b, seed=seed if keep_seed else None)
+        if interp:
+            p = p.as_interpolation()
+        assert_save_matches_json_dump(p, tmp_path)
+        q = QuadraticProblem.load(tmp_path / "saved.json")
+        assert q.L.tobytes() == p.L.tobytes() and q.b.tobytes() == p.b.tobytes()
+        assert q.seed == p.seed
