@@ -91,7 +91,7 @@ def estimate(
         return p.grad(x), None
     if sample is None:
         sample = sketches.sample(est.sketch, p, rng)
-    if est.sketch.kind == "identity":
+    if est.sketch.family.whole_model:
         return p.grad(x), sample
     if est.kind == "ist":
         return _ist_gradient(p, sample, x), sample

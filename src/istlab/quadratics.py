@@ -107,6 +107,7 @@ class QuadraticProblem:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite, not a warning
     def from_arrays(
         cls,
         L_list,
@@ -122,7 +123,8 @@ class QuadraticProblem:
         Raises
         ------
         NonFinite
-            If any entry of a matrix or linear term is NaN or infinite.
+            If an entry of a matrix or linear term is NaN or infinite, or
+            overflows in (L_i + L_i^T) / 2 or in the means L_bar and b_bar.
         """
         L = np.array(L_list, dtype=np.float64)
         if L.ndim == 2:
@@ -137,8 +139,10 @@ class QuadraticProblem:
                 scale = max(1.0, float(np.abs(Li).max(initial=0.0)))
                 if np.abs(Li - Li.T).max(initial=0.0) > symmetry_tol * scale:
                     raise DimMismatch(f"client {i} matrix is not symmetric within {symmetry_tol}")
-        L = (L + np.transpose(L, (0, 2, 1))) / 2.0
-        return cls(L=L, b=b, seed=seed)
+        p = cls(L=(L + np.transpose(L, (0, 2, 1))) / 2.0, b=b, seed=seed)
+        if not (np.isfinite(p.L_bar).all() and np.isfinite(p.b_bar).all()):
+            raise NonFinite("problem data overflow the float64 range when symmetrized or averaged")
+        return p
 
     # -- basic shape ------------------------------------------------------
 

@@ -6,9 +6,9 @@ problem and the initial point; repeat ``r`` draws its sketches from the
 substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run one after
 another on the calling thread, so a trace is bitwise reproducible for a fixed
 config and problem.  A repeat draws its sketches as tapes: each chunk of
-rounds is one ``sketches.sample`` call whose samples are bit for bit those of
-one draw per round, with chunks of at most ``sketches._chunk_len`` rounds so
-a tape stays within ``sketches.CHUNK_BYTES``.
+rounds is one ``sketches.sample`` call, one stacked sample whose rounds are
+views of it and bit for bit one draw per round, with chunks of at most
+``sketches._chunk_len`` rounds so a tape stays within ``sketches.CHUNK_BYTES``.
 A sweep advances its step sizes in lockstep: each round's joint sketch is
 drawn once and shared by every step size, and each step size's trace is
 bitwise equal to a separate run at that step size.

@@ -7,7 +7,9 @@ coordinates.  A joint realization is stored stacked over clients (see
 of each ``C_i`` to its coordinates.  That restriction is a weight vector,
 because ``C_i`` is diagonal, for every kind except the heterogeneity-scaled
 permutation sketch with q > 1, which stores dense q x q blocks.  Each
-operation on a sample works on the whole stack at once.
+operation on a sample works on the whole stack at once.  A tape of rounds,
+an enumeration chunk and a Monte Carlo chunk are each one sample with a
+leading axis, split into one-round views by :meth:`SketchSample.rounds`.
 
 Families
 --------
@@ -38,7 +40,7 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -150,7 +152,10 @@ class SketchSample:
     q > 1, an (n, q, q) stack of dense blocks.  Bernoulli keeps a different
     number of coordinates per client, so each of its rows is padded to the
     draw's largest kept count with coordinates the client dropped, at weight
-    zero; a zero weight marks padding and nothing else.
+    zero; a zero weight marks padding and nothing else.  A stack of rounds
+    or outcomes carries a leading axis on every array; ``curvature`` and
+    ``linear_term`` then give one result per round, and :meth:`rounds`
+    splits it into one-round samples.
 
     ``coords[i]`` and ``weights[i]`` read client i's kept coordinates and
     their weights without padding; ``blocks`` is the block stack, or None
@@ -181,6 +186,19 @@ class SketchSample:
     @property
     def blocks(self) -> NDArray | None:
         return self.factors if self.factors.ndim == 3 else None
+
+    def rounds(self) -> list[SketchSample]:
+        """The one-round samples of a stack, each a view of it.  Where its weights
+        hold zeros, round t is cut back to its own widest client, as drawn alone:
+        to the columns some client keeps, found once per stack.  A stack is padded
+        to its widest round, so a one-round stack needs no cut."""
+        none = [None] * len(self.idx)
+        idx, factors, local, perm = (none if a is None else a for a in
+                                     (self.idx, self.factors, self.local, self.permutation))
+        if len(idx) > 1 and factors.ndim == idx.ndim and not factors.all():
+            widths = factors.any(axis=-2).sum(axis=-1).tolist()
+            idx, factors = ([a[:, :w] for a, w in zip(b, widths)] for b in (idx, factors))
+        return [SketchSample(self.kind, self.n, self.d, *r) for r in zip(idx, factors, local, perm)]
 
     def _unpadded(self, rows: NDArray) -> NDArray | tuple[NDArray, ...]:
         w = self.factors
@@ -357,7 +375,7 @@ def fixed_point_het(p: QuadraticProblem) -> NDArray:
 
 
 def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
-    """Assemble a Bernoulli sample from a (..., n, d) boolean keep mask."""
+    """Assemble a Bernoulli sample from a (..., n, d) boolean keep mask, rows padded stack-wide."""
     n, d = mask.shape[-2:]
     kept = mask.sum(axis=-1)
     q = int(kept.max(initial=0))
@@ -509,12 +527,11 @@ class _Family:
     """Everything istlab knows about one sketch family.
 
     A family gives ``count(kind, n, d)``, the number of joint outcomes;
-    ``draw_many(kind, p, rng, k)``, the samples of k successive rounds, bit
-    for bit those of k ``draw`` calls (``draw`` is its k = 1 case) and
-    leaving ``rng`` where they leave it; and ``chunks(kind, p, m)``, which
-    yields the outcomes in order as chunks of at most m: their probabilities
-    and (positions, sample) parts, each sample stacking the outcomes at those
-    positions on a leading axis (Bernoulli: one part per padded width).
+    ``draw_many(kind, p, rng, k)``, one sample stacking k rounds that are bit
+    for bit k one-round draws and leave ``rng`` where those leave it; and
+    ``chunks(kind, p, m)``, which yields the outcomes in order as chunks of at
+    most m: their probabilities and (positions, sample) parts, each sample
+    stacking the outcomes at those positions (Bernoulli: one part per width).
     ``params`` maps each parameter the family takes to whether it is
     required.  ``fixed_point`` and ``sigma2`` are None for a family without
     those quantities; where defined, they raise :class:`WrongKind` on
@@ -562,9 +579,6 @@ class _Family:
         self.block_size(kind, p.n, p.d)
         return [np.eye(p.d)] * p.n  # unbiased compressors
 
-    def draw(self, kind: SketchKind, p: QuadraticProblem, rng) -> SketchSample:
-        return self.draw_many(kind, p, rng, 1)[0]
-
 
 class _Identity(_Family):
     """identity: C_i = I for every client, consuming no randomness.  E[B] is
@@ -576,13 +590,11 @@ class _Identity(_Family):
         return 1
 
     def draw_many(self, kind, p, rng, k):
-        n, d = p.n, p.d
-        idx, weights = np.broadcast_to(np.arange(d), (n, d)), np.broadcast_to(1.0, (n, d))
-        return [SketchSample(kind, n, d, idx, weights) for _ in range(k)]
+        idx = np.broadcast_to(np.arange(p.d), (k, p.n, p.d))
+        return SketchSample(kind, p.n, p.d, idx, np.broadcast_to(1.0, idx.shape))
 
     def chunks(self, kind, p, m):
-        s = self.draw(kind, p, None)
-        yield np.ones(1), [(slice(None), replace(s, idx=s.idx[None], factors=s.factors[None]))]
+        yield np.ones(1), [(slice(None), self.draw_many(kind, p, None, 1))]
 
     def moments(self, kind, p, second=True):
         L_bar = p.L_bar
@@ -648,16 +660,11 @@ class _Partition(_Family):
         return total > budget
 
     def draw_many(self, kind, p, rng, k):
-        n, d = p.n, p.d
-        q = self.block_size(kind, n, d)
         # permuted shuffles the rows in turn, each as rng.permutation shuffles [d]
         # (or the multiset), so row t is round t's permutation
-        base = np.arange(d) if n <= d else np.repeat(np.arange(d), n // d)
-        perms = rng.permuted(np.tile(base, (k, 1)), axis=1)
-        idx = perms.reshape(k, n, q)
-        factors, local = self._factors(p, idx)
-        local = [None] * k if local is None else local
-        return [SketchSample(kind, n, d, *parts) for parts in zip(idx, factors, local, perms)]
+        self.block_size(kind, p.n, p.d)
+        base = np.arange(p.d) if p.n <= p.d else np.repeat(np.arange(p.d), p.n // p.d)
+        return self._sample(kind, p, rng.permuted(np.tile(base, (k, 1)), axis=1))
 
     def chunks(self, kind, p, m):
         # Permuting the multiset yields each arrangement a uniform number
@@ -666,10 +673,12 @@ class _Partition(_Family):
         prob = 1.0 / self.count(kind, n, d)
         perms = itertools.permutations(np.repeat(np.arange(d), max(n // d, 1)).tolist())
         while block := list(itertools.islice(perms, m)):
-            perm = np.array(block)
-            idx = perm.reshape(len(perm), n, -1)
-            s = SketchSample(kind, n, d, idx, *self._factors(p, idx), permutation=perm)
-            yield np.full(len(perm), prob), [(slice(None), s)]
+            yield np.full(len(block), prob), [(slice(None), self._sample(kind, p, np.array(block)))]
+
+    def _sample(self, kind, p, perms):
+        """The stacked sample of the permutations ``perms``, one per row, each cut into n runs."""
+        idx = perms.reshape(len(perms), p.n, perms.shape[-1] // p.n)
+        return SketchSample(kind, p.n, p.d, idx, *self._factors(p, idx), perms)
 
     def _factors(self, p, idx):
         return np.full(idx.shape, math.sqrt(self.w2(p.n, p.d))), None
@@ -830,9 +839,9 @@ class _RandQ(_Independent):
     def draw_many(self, kind, p, rng, k):
         n, d = p.n, p.d
         self.block_size(kind, n, d)
-        rounds = [np.sort([rng.choice(d, size=kind.q, replace=False) for _ in range(n)], axis=1)
-                  for _ in range(k)]
-        return [SketchSample(kind, n, d, idx, np.full(idx.shape, d / kind.q)) for idx in rounds]
+        subsets = [rng.choice(d, size=kind.q, replace=False) for _ in range(k * n)]
+        idx = np.sort(np.reshape(subsets, (k, n, kind.q)), axis=-1)
+        return SketchSample(kind, n, d, idx, np.broadcast_to(d / kind.q, idx.shape))
 
     def chunks(self, kind, p, m):
         n, d = p.n, p.d
@@ -861,9 +870,8 @@ class _Bernoulli(_Independent):
         return Fraction(kind.p) ** sum(sizes)
 
     def draw_many(self, kind, p, rng, k):
-        # one (k, n, d) draw is the stream of k (n, d) draws; each round is
-        # padded to its own widest client
-        return [_from_mask(kind, mask) for mask in rng.random((k, p.n, p.d)) < kind.p]
+        # one (k, n, d) draw is the stream of k (n, d) draws
+        return _from_mask(kind, rng.random((k, p.n, p.d)) < kind.p)
 
     def chunks(self, kind, p, m):
         # outcomes are NOT equiprobable; weight each client's mask by its
@@ -918,19 +926,18 @@ def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator,
     Permutations are Fisher-Yates shuffles, so every permutation-family
     realization is uniform.
     """
-    # the dict, not the ``family`` property: this runs once per chunk of rounds
-    family = FAMILIES[kind.kind]
-    if rounds is None:
-        return family.draw(kind, p, rng)
-    return family.draw_many(kind, p, rng, rounds)
+    # the dict, not the ``family`` property: this runs once per chunk of rounds;
+    # the rounds are views of the family's one stacked draw
+    stack = FAMILIES[kind.kind].draw_many(kind, p, rng, 1 if rounds is None else rounds)
+    return stack.rounds()[0] if rounds is None else stack.rounds()
 
 
 def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
     """Yield (probability, SketchSample) over the entire joint outcome space.
 
     Probabilities sum to one exactly for the uniform families and up to
-    float round-off for Bernoulli masks.  Each outcome is sliced from the
-    stacked chunks that :func:`outcome_sums` evaluates whole.
+    float round-off for Bernoulli masks.  Each outcome is a round
+    (:meth:`SketchSample.rounds`) of the chunks :func:`outcome_sums` evaluates whole.
 
     Raises
     ------
@@ -938,11 +945,9 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
         If the outcome count exceeds :data:`ENUMERATION_BUDGET`.
     """
     for prob, parts in _chunks(kind, p):
-        samples = [None] * len(prob)
+        samples = np.empty(len(prob), dtype=object)
         for pos, s in parts:
-            for j, k in enumerate(np.arange(len(prob))[pos]):
-                perm = None if s.permutation is None else s.permutation[j]
-                samples[k] = SketchSample(kind, p.n, p.d, s.idx[j], s.factors[j], permutation=perm)
+            samples[pos] = s.rounds()
         yield from zip(prob.tolist(), samples)
 
 
@@ -964,28 +969,18 @@ def _chunk_len(n: int, d: int, q: int) -> int:
 
 
 def _draws(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator, n_samples: int):
-    """The samples of ``n_samples`` :func:`sample` calls on ``rng``, in stream
-    order, drawn a chunk at a time and stacked at weight 1 / n_samples
-    (narrower Bernoulli draws padded with coordinate 0 at weight 0); rng ends
-    where those calls leave it."""
+    """The draws of ``n_samples`` :func:`sample` calls on ``rng``, in stream
+    order, as chunks of the family's ``draw_many`` stacks at weight
+    1 / n_samples (Bernoulli rows padded to the chunk's widest client with
+    dropped coordinates at weight 0); rng ends where those calls leave it."""
     if not _PARAMS["q"][1](n_samples):  # the rule for q: an integer >= 1, not a bool
         raise ValueError(f"n_samples must be >= 1 and an integer, got {n_samples!r}")
     if rng is None:
         raise ValueError("Monte Carlo needs an rng")
-
-    def stack(arrays, q):
-        out = np.zeros((len(arrays),) + arrays[0].shape[:-1] + (q,), arrays[0].dtype)
-        for row, a in zip(out, arrays):
-            row[..., : a.shape[-1]] = a
-        return out
-
     m = max(1, CHUNK_BYTES // (8 * p.d * p.d))
     for t0 in range(0, n_samples, m):
-        block = sample(kind, p, rng, min(m, n_samples - t0))
-        q = max(s.idx.shape[1] for s in block)
-        s = SketchSample(kind, p.n, p.d, stack([s.idx for s in block], q),
-                         stack([s.factors for s in block], q))
-        yield np.full(len(block), 1.0 / n_samples), [(slice(None), s)]
+        k = min(m, n_samples - t0)
+        yield np.full(k, 1.0 / n_samples), [(slice(None), kind.family.draw_many(kind, p, rng, k))]
 
 
 def _sums(chunks, fn) -> list[NDArray]:

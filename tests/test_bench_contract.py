@@ -11,15 +11,21 @@ the tracer on the real package and take it off again.
 """
 
 import inspect
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import istlab
 import istlab.cli
+from istlab import sketches
+from istlab.estimators import EstimatorKind
 from istlab.quadratics import QuadraticProblem, gen_heterogeneous
+from istlab.runner import RunConfig, StepSchedule
+from istlab.sketches import SketchKind
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -78,3 +84,30 @@ def test_traced_save_load_and_write_count_their_bytes(monkeypatch, tmp_path):
     assert counts["cli.write_outputs.bytes"] == (os.path.getsize(out)
                                                  + os.path.getsize(f"{out}.meta.json"))
     assert counts["cli.trace_rows"] == 3
+
+
+@pytest.mark.parametrize("metrics", [("grad_sq",), ("grad_sq", "submodel_loss_avg")])
+def test_traced_sample_calls_count_tape_chunks(monkeypatch, metrics):
+    """``sketches.sample.calls`` counts tape chunks: ``runner.run`` draws a
+    repeat's rounds in ceil(draws / _chunk_len) ``sketches.sample`` calls,
+    each one stacked sample."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracer
+
+    n, d, K, repeats = 2, 4, 20, 3
+    monkeypatch.setattr(sketches, "CHUNK_BYTES", 6 * 8 * d * d)  # six rounds per chunk
+    chunk = sketches._chunk_len(n, d, d // n)
+    assert chunk == 6
+    # the submodel loss draws once more, at the final iterate
+    draws = K + ("submodel_loss_avg" in metrics)
+    cfg = RunConfig(gen_heterogeneous(n, d, seed=5), EstimatorKind.ist(SketchKind.perm_q()),
+                    StepSchedule.constant(0.1), K, seed=1, repeats=repeats, metrics=metrics)
+    t = tracer.Tracer()
+    t.install(istlab)
+    try:
+        istlab.runner.run(cfg)
+    finally:
+        t.uninstall()
+    totals = tracer.layer_totals(*t.reset())
+    assert totals["sketches.sample.calls"] == repeats * math.ceil(draws / chunk)

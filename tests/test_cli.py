@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,16 @@ class TestRun:
             experiment_doc(out, problem=str(prob_path), metrics=["grad_sq"])))
         assert_config_error(capsys, ["run", "--config", str(cfg_path)], "must be finite")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "p.json"]
+
+    def test_problem_file_overflowing_when_symmetrized_exits_2_in_one_line(self, tmp_path, capsys):
+        # every entry is finite, but L_i + L_i^T overflows on the diagonal
+        prob_path = tmp_path / "big.json"
+        prob_path.write_text(json.dumps(
+            {"n": 1, "d": 2, "L": [[1e308, 0.0, 0.0, 1.0]], "b": [[0.0, 0.0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_config_error(capsys, ["theory", "--problem", str(prob_path), "--sketch",
+                                         "identity"], "overflow the float64 range")
 
 
     def test_csv_bytes_of_a_diverged_multi_metric_trace_are_pinned(self, tmp_path):

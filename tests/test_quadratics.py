@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from istlab import linalg, quadratics
 from istlab.errors import (
     DegenerateEnsemble,
     DimMismatch,
+    NonFinite,
     NonPositiveDiagonal,
     NotHomogeneous,
     SingularMatrix,
@@ -330,6 +332,29 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         q = QuadraticProblem.load(path)
         assert q.L[0, 0, 1] == q.L[0, 1, 0]
+
+    @pytest.mark.parametrize("L, b", [
+        ([[1e308, 0.0, 0.0, 1.0]], [[0.0, 0.0]]),  # L + L^T overflows on the diagonal
+        ([[8e307, 0.0, 0.0, 1.0]] * 3, [[0.0, 0.0]] * 3),  # the sum for L_bar overflows
+        ([[1e308, 0.0, 0.0, 1.0], [-1e308, 0.0, 0.0, 1.0]], [[0.0, 0.0]] * 2),  # inf - inf
+        ([[1.0, 0.0, 0.0, 1.0]] * 2, [[1e308, 0.0]] * 2),  # the sum for b_bar overflows
+    ], ids=["symmetrize", "L_bar", "inf-minus-inf", "b_bar"])
+    def test_loader_rejects_overflow_without_warning(self, tmp_path, L, b):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": len(L), "d": 2, "L": L, "b": b, "seed": None}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="overflow the float64 range"):
+                QuadraticProblem.load(path)
+
+    def test_loader_keeps_entries_just_below_overflow(self, tmp_path):
+        # 8e307 + 8e307 and the mean of two such entries stay finite, so the
+        # entries load exactly as written
+        doc = {"n": 2, "d": 2, "L": [[8e307, 0.0, 0.0, 1.0]] * 2, "b": [[8e307, 0.0]] * 2}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        q = QuadraticProblem.load(path)
+        assert q.L[0, 0, 0] == q.L_bar[0, 0] == q.b_bar[0] == 8e307
 
 
 def json_dump_bytes(p, path) -> bytes:

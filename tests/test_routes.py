@@ -153,8 +153,8 @@ def test_deterministic_kinds_have_exact_zero_standard_errors(kind, p):
     assert not m.curvature_stderr.any() and not m.linear_stderr.any()
 
 
-# (kind, n, d): every family, Bernoulli with draws of several widths and
-# scaled_perm_het with dense q = 3 blocks
+# (kind, n, d): every family, Bernoulli with draws of several widths (at
+# p = 0.1, width 0 among them) and scaled_perm_het with dense q = 3 blocks
 STREAM_CASES = [
     (SketchKind.identity(), 2, 3),
     (SketchKind.perm_q(), 3, 3),
@@ -165,6 +165,7 @@ STREAM_CASES = [
     (SketchKind.scaled_perm_het(), 2, 6),
     (SketchKind.rand_q(2), 3, 5),
     (SketchKind.bernoulli(0.5), 3, 6),
+    (SketchKind.bernoulli(0.1), 2, 3),
 ]
 
 

@@ -120,7 +120,8 @@ class TestSampling:
 
 
 # name -> (kind, n, d): multiset with n > d, scaled_perm_het at q = 1 and q = 2,
-# Bernoulli with rows padded to each round's widest client
+# Bernoulli with rows padded to each round's widest client, and sparse Bernoulli
+# whose tapes hold rounds that keep no coordinate beside wider ones
 STREAM_CASES = {
     "identity": (SketchKind.identity(), 3, 4),
     "perm_q": (SketchKind.perm_q(), 3, 6),
@@ -130,6 +131,7 @@ STREAM_CASES = {
     "scaled_perm_het_q2": (SketchKind.scaled_perm_het(), 3, 6),
     "rand_q": (SketchKind.rand_q(2), 3, 5),
     "bernoulli": (SketchKind.bernoulli(0.3), 4, 6),
+    "bernoulli_sparse": (SketchKind.bernoulli(0.1), 2, 3),
 }
 
 
@@ -161,7 +163,8 @@ class TestTapes:
             assert any(not s.factors.all() for s in rounds)
             assert len({s.idx.shape[1] for s in rounds}) > 1
 
-    @pytest.mark.parametrize("case", ["perm_q", "perm_multiset", "scaled_perm_het_q2", "bernoulli"])
+    @pytest.mark.parametrize("case", ["perm_q", "perm_multiset", "scaled_perm_het_q2", "bernoulli",
+                                      "bernoulli_sparse"])
     def test_tape_rounds_replay_one_generator_call_each(self, case):
         # round t of a tape is one rng.permutation of [d] (or of the multiset),
         # or one (n, d) uniform draw thresholded at p
@@ -178,6 +181,40 @@ class TestTapes:
                 perm = rng.permutation(d if n <= d else np.repeat(np.arange(d), n // d))
                 np.testing.assert_array_equal(s.permutation, perm)
                 np.testing.assert_array_equal(s.idx, perm.reshape(n, -1))
+
+
+class TestStackedDraws:
+    def test_cases_cover_every_family(self):
+        assert {kind.kind for kind, _, _ in STREAM_CASES.values()} == set(sketches.FAMILIES)
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_draw_many_is_one_stack_whose_rounds_are_views(self, case):
+        kind, n, d = STREAM_CASES[case]
+        p = het_problem(n, d, seed=n + d)
+        k = 7
+        stack = kind.family.draw_many(kind, p, np.random.default_rng(2), k)
+        assert isinstance(stack, sketches.SketchSample)
+        assert stack.idx.shape[:2] == (k, n) and stack.factors.shape[:2] == (k, n)
+        rounds = stack.rounds()
+        assert len(rounds) == k
+        for s in rounds:
+            assert s.idx.ndim == 2
+            if s.idx.size:  # a round that keeps no coordinate holds no memory to share
+                assert np.shares_memory(s.idx, stack.idx)
+                assert np.shares_memory(s.factors, stack.factors)
+
+    def test_sparse_bernoulli_rounds_keep_their_own_width(self):
+        # each round of one stacked tape is cut back to its own widest client,
+        # so rounds that keep no coordinate have width 0 beside wider rounds
+        kind, n, d = STREAM_CASES["bernoulli_sparse"]
+        p = het_problem(n, d, seed=n + d)
+        stack = kind.family.draw_many(kind, p, np.random.default_rng(11), 9)
+        widths = [s.idx.shape[1] for s in stack.rounds()]
+        assert 0 in widths and max(widths) > 0
+        assert stack.idx.shape == (9, n, max(widths))
+        for s in stack.rounds():
+            assert s.idx.shape[1] == max(len(c) for c in s.coords)
+            assert s.factors.shape == s.idx.shape
 
 
 class TestApply:
