@@ -323,8 +323,10 @@ def ensure_nondegenerate(p: QuadraticProblem, rel_tol: float = DEGENERACY_TOL) -
 
     From ``CHOLESKY_MIN_D`` on, a shifted Cholesky accepts clearly
     well-conditioned ensembles; every other case is decided by ``eigvalsh``
-    of the symmetric part.
+    of the symmetric part.  NaN or Inf in L_bar raises :class:`NonFinite` first.
     """
+    if not np.isfinite(p.L_bar).all():
+        raise NonFinite("mean matrix holds NaN or Inf")
     if p.d >= CHOLESKY_MIN_D and _clearly_nondegenerate(linalg.symmetrize(p.L_bar), rel_tol):
         return
     vals = np.linalg.eigvalsh(linalg.symmetrize(p.L_bar))

@@ -30,7 +30,8 @@ a draw count was given.  Enumeration (:func:`_chunks`) and Monte Carlo
 shifted by the first draw.  The closed E[B] and E[B L_bar B] of rand_q,
 bernoulli, perm_q and scaled_perm_homog come from one helper,
 :func:`_selection_moments`, which sums the equality patterns of the four
-indices of E[B L_bar B]; perm_multiset's second moment and q > 1
+indices of E[B L_bar B] over shared per-client products (equal to one einsum
+per pattern up to round-off); perm_multiset's second moment and q > 1
 scaled_perm_het's sigma2 stay on enumeration or Monte Carlo.
 """
 
@@ -63,7 +64,7 @@ from .quadratics import QuadraticProblem
 ENUMERATION_BUDGET = 1_000_000
 
 #: Bytes of the largest stack a chunk makes: (outcomes, d, max(d, n q)) floats in
-#: enumeration, (draws, d, d) in Monte Carlo.
+#: enumeration, (draws, d, d) in Monte Carlo, (clients, d, d) in _pattern_sums.
 CHUNK_BYTES = 2 * 2**20
 
 #: Unit-diagonal tolerance when a preconditioned homogeneous problem is required.
@@ -422,24 +423,46 @@ def _mobius(values: dict) -> dict:
     return g
 
 
-def _pattern_sum(pattern: tuple, X: NDArray, M: NDArray, Y: NDArray) -> NDArray:
-    """The (d, d) matrix over (a, b) of sum_z sum_{c,e} X[z,a,c] M[c,e] Y[z,e,b],
-    the inner sum taken over the (c, e) that meet ``pattern``'s equalities
-    with a and b (nonzero on the diagonal only where the pattern has a = b)."""
-    subscripts, path = _pattern_einsum(pattern, *X.shape[:2])
-    s = np.einsum(subscripts, X, M, Y, optimize=path)
-    return s if s.ndim == 2 else np.diag(s)
-
-
-@functools.lru_cache(maxsize=256)
-def _pattern_einsum(pattern: tuple, z: int, d: int) -> tuple[str, list]:
-    """einsum subscripts of :func:`_pattern_sum` for ``pattern`` and the
-    contraction path einsum's optimizer picks for z stacked (d, d) pairs,
-    found once per shape: at small d, finding it costs more than the sum."""
-    a, c, e, b = ("ijkl"[t] for t in pattern)
-    subscripts = f"z{a}{c},{c}{e},z{e}{b}->{a if a == b else a + b}"
-    X, M = np.broadcast_to(0.0, (z, d, d)), np.broadcast_to(0.0, (d, d))
-    return subscripts, np.einsum_path(subscripts, X, M, X, optimize=True)[0]
+def _pattern_sums(L: NDArray, M: NDArray, weights: dict) -> NDArray:
+    """sum_s weights[s] R_s, R_s the (d, d) matrix over (a, b) of sum_z sum_{c,e}
+    L[z,a,c] M[c,e] L[z,e,b] over the (c, e) meeting pattern s's equalities with a and b
+    (M, L[z] symmetric; diagonal where s has a = b) and a Diag or Hadamard form of
+    B_z = M L_z, the GEMM sums of L_z M L_z and L_z Diag(M) L_z, or O(d^2) sums: each
+    formed once per chunk of clients, if read; a chunk's stacks fit :data:`CHUNK_BYTES`."""
+    d = M.shape[0]
+    dM, out, diag = np.diag(M), np.zeros((d, d)), np.zeros(d)
+    chunk = max(1, CHUNK_BYTES // (8 * d * d))
+    for z0 in range(0, len(L), chunk):
+        X = L[z0:z0 + chunk]
+        dX, flat = np.diagonal(X, axis1=1, axis2=2), X.reshape(-1, d)
+        products, made = {  # each formed on first use; no closure cycle keeps them alive
+            "hX": lambda: np.einsum("zab,ab->za", X, M),  # diag(L_z M)
+            "B": lambda: np.matmul(M, X),  # B_z^T = L_z M
+            "H": lambda: np.einsum("zab,zab->ab", X, X),
+        }, {}
+        get = lambda k: made[k] if k in made else made.setdefault(k, products[k]())  # noqa: E731
+        sums = {  # by symmetry a transposed R_s is another pattern's
+            (0, 0, 0, 0): lambda: dM * np.einsum("za,za->a", dX, dX),
+            (0, 0, 0, 1): lambda: dM[:, None] * np.einsum("za,zab->ab", dX, X),
+            (0, 0, 1, 0): lambda: np.einsum("za,za->a", dX, get("hX")),
+            (0, 0, 1, 1): lambda: M * (dX.T @ dX),
+            (0, 0, 1, 2): lambda: np.einsum("za,zab->ab", dX, get("B")),
+            (0, 1, 0, 0): lambda: np.einsum("za,za->a", dX, get("hX")),
+            (0, 1, 0, 1): lambda: M * get("H"),
+            (0, 1, 0, 2): lambda: np.einsum("za,zab->ab", get("hX"), X),
+            (0, 1, 1, 0): lambda: get("H") @ dM,
+            (0, 1, 1, 1): lambda: (dM[:, None] * np.einsum("za,zab->ab", dX, X)).T,
+            (0, 1, 1, 2): lambda: (dM[:, None] * X).reshape(-1, d).T @ flat,
+            (0, 1, 2, 0): lambda: np.einsum("zca,zca->a", get("B"), X),
+            (0, 1, 2, 1): lambda: np.einsum("za,zab->ab", get("hX"), X).T,
+            (0, 1, 2, 2): lambda: np.einsum("za,zab->ab", dX, get("B")).T,
+            (0, 1, 2, 3): lambda: get("B").reshape(-1, d).T @ flat,
+        }
+        for s, w in weights.items():
+            r = sums[s]()
+            (diag if r.ndim == 1 else out)[...] += w * r
+    out.flat[:: d + 1] += diag
+    return out
 
 
 def _ratio(num: int, den: int) -> Fraction:
@@ -464,10 +487,10 @@ def _selection_moments(kind: SketchKind, p: QuadraticProblem,
     (c, e) by E[c_ia c_ic c_je c_jb], which depends only on the equality
     pattern of (a, c, e, b) and on whether i = j.  Its Mobius transform turns
     the sum into one over :data:`_PATTERNS` of restricted sums
-    (:func:`_pattern_sum`).  A restricted sum is bilinear in (L_i, L_j), so
-    the pairs i != j are all pairs, whose L_i and L_j sum to n L_bar, less
-    the pairs i = j.  The coefficients (:func:`_selection_weights`) depend
-    only on the kind and the shape.
+    (:func:`_pattern_sums`).  A restricted sum is bilinear in (L_i, L_j), so
+    the pairs i != j are all pairs, whose L_i and L_j sum to n L_bar (one
+    "client" L_bar), less the pairs i = j (the clients).  The coefficients
+    (:func:`_selection_weights`) depend only on the kind and the shape.
     """
     g1, g2, terms = _selection_weights(kind, p.n, p.d)
     L_bar = p.L_bar
@@ -477,13 +500,8 @@ def _selection_moments(kind: SketchKind, p: QuadraticProblem,
         curv = curv + g2 * (L_bar - diag)
     if not second:
         return curv, None
-    out = np.zeros((p.d, p.d))
-    for s, over_mean, over_clients in terms:
-        if over_mean:
-            out += over_mean * _pattern_sum(s, L_bar[None], L_bar, L_bar[None])
-        if over_clients:
-            out += over_clients * _pattern_sum(s, p.L, L_bar, p.L)
-    return curv, out
+    over_mean = _pattern_sums(L_bar[None], L_bar, {s: w for s, w, _ in terms if w})
+    return curv, over_mean + _pattern_sums(p.L, L_bar, {s: w for s, _, w in terms if w})
 
 
 @functools.lru_cache(maxsize=64)

@@ -74,6 +74,48 @@ bernoulli1/het-2-2: closed_moments 9f26e217->a9316128, expected_ist
 
 Each moved value is within 1e-13 relative of the enumerated one (largest:
 theta of scaled_perm_homog/hom-2-4, 9.6e-14).
+
+The digests below were re-taken when E[B L_bar B] moved from one einsum
+per equality pattern to shared per-client products
+(``sketches._pattern_sums``): the same sums added in another order.  Only
+closed_moments and the certificate fields read from the top of the pencil
+moved; E[B], cert.descent, the expectations and the draws are unchanged.
+Old -> new:
+
+perm_q/het-3-3: closed_moments ec818685->16f8ef17, cert.theta
+  1aafdaa7->b820491c, cert.gamma_max and cert.gamma d312e28b->12855e17.
+perm_q/het-2-4 and perm_q2/het-2-4: closed_moments 365e26bc->ba90c4b0,
+  cert.theta dcd12cc5->1e31e6f3, cert.gamma_max and cert.gamma
+  41821671->92a5d730, cert.rho 5d40e613->24a8d9fa.
+perm_q/hom-2-4: closed_moments 1b77b38b->aaa5a589, cert.theta
+  70d2628e->b2f3ad1e, cert.gamma_max and cert.gamma ea85929b->fd3761b1,
+  cert.rho cd7956b1->cf1706c0.
+perm_q/het-3-6: closed_moments 563dff07->f992334e, cert.theta
+  e105366a->f6dee42d, cert.gamma_max and cert.gamma eb621ac4->8d6dbcc0,
+  cert.rho f7cbf4cf->c8968830.
+scaled_perm_homog/het-3-3: closed_moments 5de18189->a008eb20.
+scaled_perm_homog/het-2-4: closed_moments e1c40c57->d04fd571, cert.theta
+  9abddc43->d1c24564, cert.gamma_max and cert.gamma 8dc91825->e5e84ac5,
+  cert.rho abcf59ad->24a8d9fa.
+scaled_perm_homog/hom-2-4: closed_moments 766cc459->19b239ec, cert.theta
+  07374d1e->a54833ee, cert.gamma_max and cert.gamma 388c5a2d->9754a4ab,
+  cert.rho 8c5acbb4->cf1706c0.
+rand_q1/het-2-3: closed_moments c5001dfd->e3e964a0.
+rand_q2/het-2-3: closed_moments 74db1464->5b6e4c40, cert.theta
+  936a0ffd->cecfca33, cert.gamma_max and cert.gamma 893a8f73->3e15d27c,
+  cert.rho 50843724->4bea561f.
+rand_q2/hom-2-3: closed_moments d265962c->5ff68d1b.
+bernoulli/het-2-3: closed_moments 1eb9f7c2->516f90ce, cert.theta
+  76c97b2d->9f8dbd15, cert.gamma_max and cert.gamma 2daacab7->6dce71ec,
+  cert.rho 7fb81fec->ed71f063.
+bernoulli/hom-2-2: closed_moments ce786c28->216057b5, cert.theta
+  9f2ef45e->6c739cac, cert.gamma_max and cert.gamma 172aa2d2->8da388e3.
+
+Each moved value is within 1e-13 relative of the one computed from
+enumerated_moments (for closed_moments, max |difference| over max |entry|
+of E[B L_bar B]; largest: perm_q/het-3-6, 5.7e-15, against 5.9e-15 for the
+einsum form; largest certificate field: gamma_max of perm_q/hom-2-4,
+3.9e-15).
 """
 
 import dataclasses
@@ -208,14 +250,14 @@ PINS = {
         "9bda046b 6de3d684 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
     ),
     "perm_q/het-3-3": (
-        "ec818685 1db329a9 b6422be4 4e6a2a30 2b352b7c 2b352b7c b7f1735c 36cabcd5 "
-        "b7f1735c 36cabcd5 154b18a5 7ae46af7 c566622e b2908519 1aafdaa7 d312e28b "
-        "d312e28b 3262a365 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "16f8ef17 1db329a9 b6422be4 4e6a2a30 2b352b7c 2b352b7c b7f1735c 36cabcd5 "
+        "b7f1735c 36cabcd5 154b18a5 7ae46af7 c566622e b2908519 b820491c 12855e17 "
+        "12855e17 3262a365 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/het-2-4": (
-        "365e26bc 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
-        "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 dcd12cc5 41821671 "
-        "41821671 5d40e613 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "ba90c4b0 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
+        "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 1e31e6f3 92a5d730 "
+        "92a5d730 24a8d9fa 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/hom-3-3": (
         "9f786e6f ae71862f 202364f2 64a945ff 2b352b7c 2b352b7c b7f1735c 2697c057 "
@@ -223,29 +265,29 @@ PINS = {
         "cc12fc0d 3005f2f4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/hom-2-4": (
-        "1b77b38b 3f9812a3 b279f199 2815fb0e 2b352b7c 2b352b7c 9355f47b c3e4b7f1 "
-        "62a19e61 c3e4b7f1 6024a47b 1541ae74 1354298e b2908519 70d2628e ea85929b "
-        "ea85929b cd7956b1 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "aaa5a589 3f9812a3 b279f199 2815fb0e 2b352b7c 2b352b7c 9355f47b c3e4b7f1 "
+        "62a19e61 c3e4b7f1 6024a47b 1541ae74 1354298e b2908519 b2f3ad1e fd3761b1 "
+        "fd3761b1 cf1706c0 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q2/het-2-4": (
-        "365e26bc 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
-        "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 dcd12cc5 41821671 "
-        "41821671 5d40e613 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "ba90c4b0 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
+        "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 1e31e6f3 92a5d730 "
+        "92a5d730 24a8d9fa 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/het-3-6": (
-        "563dff07 c58d7493 c957d4c7 d0e34be2 2b352b7c 2b352b7c 120803bf 3aa42e15 "
-        "da91ee48 49a446e0 d219a133 f96257da 8b0b7cbc b2908519 e105366a eb621ac4 "
-        "eb621ac4 f7cbf4cf 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "f992334e c58d7493 c957d4c7 d0e34be2 2b352b7c 2b352b7c 120803bf 3aa42e15 "
+        "da91ee48 49a446e0 d219a133 f96257da 8b0b7cbc b2908519 f6dee42d 8d6dbcc0 "
+        "8d6dbcc0 c8968830 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "scaled_perm_homog/het-3-3": (
-        "5de18189 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
+        "a008eb20 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
         "fa648520 81ccf4be 907157ed f8dd20a0 4097f323 b2908519 5323368e e7d8b3fa "
         "e7d8b3fa 14200652 319dfbc3 319dfbc3 319dfbc3 319dfbc3 37dce168"
     ),
     "scaled_perm_homog/het-2-4": (
-        "e1c40c57 6ee233b9 512145dc 7985d374 2b352b7c 2b352b7c 595d7711 b4fab45e "
-        "ef2957cf b4fab45e 3e2dc480 9f924395 3e1c4f37 b2908519 9abddc43 8dc91825 "
-        "8dc91825 abcf59ad 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
+        "d04fd571 6ee233b9 512145dc 7985d374 2b352b7c 2b352b7c 595d7711 b4fab45e "
+        "ef2957cf b4fab45e 3e2dc480 9f924395 3e1c4f37 b2908519 d1c24564 e5e84ac5 "
+        "e5e84ac5 24a8d9fa 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
     ),
     "scaled_perm_homog/hom-3-3": (
         "3ffd3024 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
@@ -253,9 +295,9 @@ PINS = {
         "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
     ),
     "scaled_perm_homog/hom-2-4": (
-        "766cc459 50d8fa23 0f5958db 08d26c0a 2b352b7c 2b352b7c 595d7711 c1a06133 "
-        "ef2957cf c1a06133 3e2dc480 8e2dbab5 1678bb45 b2908519 07374d1e 388c5a2d "
-        "388c5a2d 8c5acbb4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
+        "19b239ec 50d8fa23 0f5958db 08d26c0a 2b352b7c 2b352b7c 595d7711 c1a06133 "
+        "ef2957cf c1a06133 3e2dc480 8e2dbab5 1678bb45 b2908519 a54833ee 9754a4ab "
+        "9754a4ab cf1706c0 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
     ),
     "perm_multiset/het-3-3": (
         "324a4744 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
@@ -308,29 +350,29 @@ PINS = {
         "376ec8c7 fd8f7764 319dfbc3 319dfbc3 319dfbc3 e1a27033 12f30002"
     ),
     "rand_q1/het-2-3": (
-        "c5001dfd 20dda014 0e85e4c8 78b65efd 2b352b7c 2b352b7c 413c1a07 c2a93e45 "
+        "e3e964a0 20dda014 0e85e4c8 78b65efd 2b352b7c 2b352b7c 413c1a07 c2a93e45 "
         "7837f62e b44a0781 69ea64b9 4e62f1cb 9309a888 b2908519 0b499304 14411e20 "
         "14411e20 e22b337f 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "rand_q2/het-2-3": (
-        "74db1464 e4593d4f a5ff1bc1 78b65efd 2b352b7c 2b352b7c 364af67b 81b5f73d "
-        "1ff3415e 8f6265a8 441e418a 50eeebda aa810f8b b2908519 936a0ffd 893a8f73 "
-        "893a8f73 50843724 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "5b6e4c40 e4593d4f a5ff1bc1 78b65efd 2b352b7c 2b352b7c 364af67b 81b5f73d "
+        "1ff3415e 8f6265a8 441e418a 50eeebda aa810f8b b2908519 cecfca33 3e15d27c "
+        "3e15d27c 4bea561f 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "rand_q2/hom-2-3": (
-        "d265962c 9baf25da 99e2930f 23b0862f 2b352b7c 2b352b7c 364af67b cd559e3e "
+        "5ff68d1b 9baf25da 99e2930f 23b0862f 2b352b7c 2b352b7c 364af67b cd559e3e "
         "1ff3415e be95aa6c 441e418a cd559e3e a6e4a90e b2908519 a5bab599 6f4a7bbc "
         "6f4a7bbc 0f536a17 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli/het-2-3": (
-        "1eb9f7c2 8a18a518 580b9244 78b65efd 2b352b7c 2b352b7c f5be29f6 22f48b40 "
-        "d6d38b13 7a565de2 cd5e6f28 2d64f567 3dbd6bd9 b2908519 76c97b2d 2daacab7 "
-        "2daacab7 7fb81fec 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "516f90ce 8a18a518 580b9244 78b65efd 2b352b7c 2b352b7c f5be29f6 22f48b40 "
+        "d6d38b13 7a565de2 cd5e6f28 2d64f567 3dbd6bd9 b2908519 9f8dbd15 6dce71ec "
+        "6dce71ec ed71f063 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli/hom-2-2": (
-        "ce786c28 091ecc09 2166675c 74cdbd9b 2b352b7c 2b352b7c d6d38b13 e4cf1a4b "
-        "b24feaa8 869547dc bcfa3d22 0cde204d 20c61d8a b2908519 9f2ef45e 172aa2d2 "
-        "172aa2d2 c04c3578 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "216057b5 091ecc09 2166675c 74cdbd9b 2b352b7c 2b352b7c d6d38b13 e4cf1a4b "
+        "b24feaa8 869547dc bcfa3d22 0cde204d 20c61d8a b2908519 6c739cac 8da388e3 "
+        "8da388e3 c04c3578 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli1/het-2-2": (
         "a9316128 48907056 af76641c 52da70e0 2b352b7c 2b352b7c 813027b3 006753be "

@@ -151,15 +151,17 @@ class TestNondegeneracyCheck:
         assert decision(quadratics.ensure_nondegenerate, p) == expected
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_mean_is_left_to_eigvalsh(self, monkeypatch, bad):
+    def test_non_finite_mean_raises_before_any_factorization(self, monkeypatch, bad):
+        # the raw constructor checks no finiteness
         d = quadratics.CHOLESKY_MIN_D
         L = np.eye(d)[None].copy()
         L[0, 1, 1] = bad
         p = QuadraticProblem(L=L, b=np.zeros((1, d)))
-        expected = decision(eigvalsh_rule, p)
         calls = count_eigvalsh(monkeypatch)
-        assert decision(quadratics.ensure_nondegenerate, p) == expected
-        assert calls["eigvalsh"] == 1
+        monkeypatch.setattr(np.linalg, "cholesky", None)  # a call would raise TypeError
+        with pytest.raises(NonFinite, match="^mean matrix holds NaN or Inf$"):
+            quadratics.ensure_nondegenerate(p)
+        assert calls["eigvalsh"] == 0
 
     def test_generated_ensembles_need_no_eigvalsh(self, monkeypatch):
         calls = count_eigvalsh(monkeypatch)

@@ -1,3 +1,7 @@
+import gc
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -446,6 +450,73 @@ class TestClosedForms:
         enum = enumerated_moments(SketchKind.scaled_perm_het(), p)
         np.testing.assert_allclose(enum.curvature, np.eye(6), atol=1e-12)
         np.testing.assert_allclose(enum.curvature_second, p.L_bar, atol=1e-12)
+
+
+def random_symmetric(rng, *shape):
+    a = rng.standard_normal(shape)
+    return a + np.swapaxes(a, -1, -2)
+
+
+def direct_pattern_sum(pattern, L, M):
+    """The restricted sum of ``pattern`` by brute force: every term of
+    sum_z L[z,a,c] M[c,e] L[z,e,b] over all (a, c, e, b), kept where the
+    tuple meets the pattern's equalities."""
+    d = M.shape[0]
+    terms = np.einsum("zac,ce,zeb->aceb", L, M, L)
+    pairs = [(x, y) for x in range(4) for y in range(x) if pattern[x] == pattern[y]]
+    out = np.zeros((d, d))
+    for t in itertools.product(range(d), repeat=4):
+        if all(t[x] == t[y] for x, y in pairs):
+            out[t[0], t[3]] += terms[t]
+    return out
+
+
+class TestPatternSums:
+    @pytest.mark.parametrize("z", [1, 3])
+    @pytest.mark.parametrize("pattern", sketches._PATTERNS)
+    def test_each_pattern_matches_a_direct_loop(self, pattern, z):
+        # every pattern, also those today's families weight zero
+        rng = np.random.default_rng(sum(pattern) + 10 * z)
+        L, M = random_symmetric(rng, z, 5, 5), random_symmetric(rng, 5, 5)
+        got = sketches._pattern_sums(L, M, {pattern: 1.0})
+        np.testing.assert_allclose(got, direct_pattern_sum(pattern, L, M), rtol=1e-12, atol=1e-12)
+
+    def test_chunked_clients_match_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n, d = 7, 4
+        L, M = random_symmetric(rng, n, d, d), random_symmetric(rng, d, d)
+        weights = dict(zip(sketches._PATTERNS, rng.standard_normal(len(sketches._PATTERNS))))
+        whole = sketches._pattern_sums(L, M, weights)
+        monkeypatch.setattr(sketches, "CHUNK_BYTES", 2 * 8 * d * d)  # chunks of 2, 2, 2, 1
+        np.testing.assert_allclose(sketches._pattern_sums(L, M, weights), whole,
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_working_set_does_not_grow_with_clients(self):
+        # d = 300 takes two clients per chunk, so the peak beyond the inputs is
+        # a few (d, d) stacks whatever n is
+        peaks = []
+        for n in (4, 16):
+            p = het_problem(n, 300, seed=n)
+            p.L_bar
+            tracemalloc.start()
+            try:
+                closed_moments(SketchKind.rand_q(30), p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+    def test_working_arrays_are_freed_on_return(self):
+        # no reference cycle keeps a chunk's products alive until a collection
+        p = het_problem(3, 6, seed=1)
+        closed_moments(SketchKind.rand_q(2), p)
+        gc.collect()
+        gc.disable()
+        try:
+            closed_moments(SketchKind.rand_q(2), p)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestEnumerationOracle:
