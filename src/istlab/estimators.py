@@ -63,7 +63,8 @@ class EstimatorKind:
 
 
 def _ist_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    t = s.local_product(p, x)[1] - sketches._rows(p.b, s.idx)[..., None]
+    w = sketches._times(s.factors, x[s.idx][..., None])
+    t = s.local_blocks(p) @ w - sketches._rows(p.b, s.idx)[..., None]
     return sketches._accumulate(s.idx, sketches._times(s.factors, t), p.d) / p.n
 
 

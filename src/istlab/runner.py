@@ -7,8 +7,9 @@ substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run one after
 another on the calling thread, so a trace is bitwise reproducible for a fixed
 config and problem.  A repeat draws its sketches as tapes: each chunk of
 rounds is one ``sketches.sample`` call, one stacked sample whose rounds are
-views of it and bit for bit one draw per round, with chunks of at most
-``sketches._chunk_len`` rounds so a tape stays within ``sketches.CHUNK_BYTES``.
+views of it and bit for bit one draw per round.  A chunk holds at most
+``sketches._tape_len`` rounds: as many as fit ``sketches.CHUNK_BYTES`` at
+the bytes one round holds (``round_bytes`` of the family).
 A sweep advances its step sizes in lockstep: each round's joint sketch is
 drawn once and shared by every step size, and each step size's trace is
 bitwise equal to a separate run at that step size.
@@ -27,9 +28,10 @@ dist_to_xinf
 submodel_loss_avg
     (1/n) sum_i f_i(C_i x^k) under the round's sketch, for all clients at
     once: on each client's kept coordinates when they are few, else with
-    dense C_i x (equal to the per-client formula up to round-off).  It is
-    f(x^k) for dgd and the identity sketch.  Other estimators draw one extra
-    sketch at the final iterate solely for this metric.
+    dense C_i x (equal to the per-client formula up to round-off); per tape
+    chunk and lane, one stacked pass per part of one width, bitwise per round.
+    It is f(x^k) for dgd and the identity sketch.  Other estimators draw one
+    extra sketch at the final iterate solely for this metric.
 
 Metrics are computed per block of up to ``BLOCK_ROUNDS`` recorded iterates,
 bitwise equal to the per-iterate formulas.  The first iterate that is
@@ -291,9 +293,11 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     whole_model = sketch is None or sketch.family.whole_model
     records_sub = "submodel_loss_avg" in cfg.metrics and not whole_model
     metric_fns = _metric_fns(cfg, x0, whole_model)
+    gathers = cfg.estimator.kind == "ist"  # its rounds keep their blocks L_i[S_i, S_i]
     # rounds per tape chunk, resolved only where some round draws (a run without draws takes any shape)
+    tape = BLOCK_ROUNDS
     if sketch is not None and (K or records_sub):
-        chunk = sketches._chunk_len(p.n, d, sketches.resolve_block_size(sketch, p.n, d))
+        tape = sketches._tape_len(sketch, p.n, d, gathers)
     needs_fg = not {"f_gap_rel_log", "grad_sq", "grad_sq_Linv"}.isdisjoint(cfg.metrics) or (
         "submodel_loss_avg" in cfg.metrics and whole_model)
 
@@ -323,10 +327,25 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             iterates[j, r, k0:k0 + stop] = rows[:stop]
         return stop
 
-    def tape(rng: np.random.Generator, rounds: int):
-        """The samples of ``rounds`` successive draws, drawn ``chunk`` rounds at a time."""
-        for t0 in range(0, rounds, chunk):
-            yield from sketches.sample(sketch, p, rng, min(chunk, rounds - t0))
+    def tape_chunk(rng, live, X, sub, k0: int, i0: int, i1: int, n_draws: int) -> None:
+        """Step the ``live`` lanes through rows ``i0``..``i1`` of the block on one tape chunk,
+        then record their submodel losses; the chunk's arrays are freed on return."""
+        views = []
+        if n_draws > i0:
+            stack = sketches.sample(sketch, p, rng, min(i1, n_draws) - i0, stacked=True)
+            if records_sub and gathers:
+                stack.local_blocks(p)  # one gather, for the gradients and the losses
+            views = stack.rounds()
+        for i in range(i0, min(i1, K - k0)):
+            # the round's draw, shared by every live lane
+            sample = views[i - i0] if views else None
+            for j in live:
+                g = estimators.estimate(cfg.estimator, p, X[j, i], rng, sample)[0]
+                X[j, i + 1] = X[j, i] - gammas[j, k0 + i] * g
+        if records_sub:  # every round drew; per lane, one stacked pass per part of one width
+            for at, part in stack.parts():
+                for j in live:
+                    sub[j, i0 + at] = part.submodel_loss(p, X[j, i0 + at])
 
     def one_repeat(r: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
@@ -341,17 +360,8 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             sub = np.empty((n_lanes, m)) if records_sub else None
             # every round before K draws; round K only for the submodel loss
             n_draws = 0 if sketch is None else m if records_sub else min(m, K - k0)
-            draws = tape(rng, n_draws)
-            for i, k in enumerate(range(k0, k0 + m)):
-                # the round's draw, shared by every live lane
-                sample = next(draws) if i < n_draws else None
-                for j in live:
-                    x = X[j, i]
-                    if records_sub:
-                        sub[j, i] = sample.submodel_loss(p, x)
-                    if k < K:
-                        g = estimators.estimate(cfg.estimator, p, x, rng, sample)[0]
-                        X[j, i + 1] = x - gammas[j, k] * g
+            for i0 in range(0, m, tape):
+                tape_chunk(rng, live, X, sub, k0, i0, min(i0 + tape, m), n_draws)
             carry = X[:, m]
             for j in tuple(live):
                 stop = record(r, j, k0, X[j], None if sub is None else sub[j])

@@ -154,18 +154,20 @@ class SketchSample:
     number of coordinates per client, so each of its rows is padded to the
     draw's largest kept count with coordinates the client dropped, at weight
     zero; a zero weight marks padding and nothing else.  A stack of rounds
-    or outcomes carries a leading axis on every array; ``curvature`` and
-    ``linear_term`` then give one result per round, and :meth:`rounds`
-    splits it into one-round samples.
+    or outcomes carries a leading axis on every array; ``curvature``,
+    ``linear_term`` and ``submodel_loss`` then give one result per round,
+    :meth:`rounds` splits it into one-round samples and :meth:`parts` into
+    stacks of one width.
 
     ``coords[i]`` and ``weights[i]`` read client i's kept coordinates and
     their weights without padding; ``blocks`` is the block stack, or None
     for diagonal factors, in which case ``weights`` is not None.  ``local`` is
     the (n, q, q) stack L_i[S_i, S_i]: gathered by the draw where its factors
-    need it, else by the first ``local_product`` call, and then kept, so every
-    lane of a sweep reads one gather per draw.  The methods that take a
-    problem must therefore get the one the sample was drawn for
-    (``local_product`` and ``submodel_loss`` read ``local`` over ``p.L``).
+    need it, else by the first ``local_blocks`` call, and then kept, so every
+    lane of a sweep reads one gather per draw; the rounds and parts of a
+    stack read slices of the stack's.  The methods that take a problem must
+    therefore get the one the sample was drawn for (``submodel_loss`` and the
+    ist gradient read ``local`` over ``p.L``).
     """
 
     kind: SketchKind
@@ -196,10 +198,32 @@ class SketchSample:
         none = [None] * len(self.idx)
         idx, factors, local, perm = (none if a is None else a for a in
                                      (self.idx, self.factors, self.local, self.permutation))
-        if len(idx) > 1 and factors.ndim == idx.ndim and not factors.all():
-            widths = factors.any(axis=-2).sum(axis=-1).tolist()
+        if len(idx) > 1 and (widths := self._widths()) is not None:
             idx, factors = ([a[:, :w] for a, w in zip(b, widths)] for b in (idx, factors))
+            if self.local is not None:
+                local = [a[:, :w, :w] for a, w in zip(local, widths)]
         return [SketchSample(self.kind, self.n, self.d, *r) for r in zip(idx, factors, local, perm)]
+
+    def parts(self):
+        """Yield (positions, sample) parts covering a stack's rounds, for stacked
+        passes whose results are bitwise per round: each sample stacks rounds of
+        one width, cut to it as :meth:`rounds` cuts them, whose (n, w, w) blocks
+        and their gather index fit ``CHUNK_BYTES // 2``."""
+        k, n, q = self.idx.shape
+        widths = np.array(self._widths() or [q] * k)
+        for w in np.unique(widths).tolist():
+            pos = np.flatnonzero(widths == w)
+            step = max(1, CHUNK_BYTES // (32 * n * max(w, 1) ** 2))
+            for at in np.split(pos, range(step, len(pos), step)):
+                local = None if self.local is None else self.local[at, :, :w, :w]
+                yield at, SketchSample(self.kind, self.n, self.d, self.idx[at, :, :w],
+                                       self.factors[at, :, :w], local)
+
+    def _widths(self) -> list[int] | None:
+        """Each round's own width, the columns some client keeps, where a stack's
+        weights hold padding zeros; else None."""
+        f = self.factors
+        return f.any(axis=-2).sum(axis=-1).tolist() if f.ndim == self.idx.ndim and not f.all() else None
 
     def _unpadded(self, rows: NDArray) -> NDArray | tuple[NDArray, ...]:
         w = self.factors
@@ -236,27 +260,28 @@ class SketchSample:
         cb = _times(self.factors, _rows(p.b, self.idx)[..., None])
         return _accumulate(self.idx, cb, self.d) / self.n
 
-    def local_product(self, p: QuadraticProblem, x: NDArray) -> tuple[NDArray, NDArray]:
-        """w_i = (C_i x)[S_i] and L_i[S_i, S_i] w_i for every client, (n, q, 1) each.
-
-        ``p`` must be the problem the sample was drawn for: the ``local``
-        stack, gathered from it on first use and kept, is used in place of
-        ``p.L``."""
-        w = _times(self.factors, x[self.idx][..., None])
+    def local_blocks(self, p: QuadraticProblem) -> NDArray:
+        """``local``, gathered on the first call from ``p``, which must be the
+        problem the sample was drawn for, and then kept."""
         if self.local is None:
             object.__setattr__(self, "local", _sub_blocks(p, self.idx))  # frozen dataclass
-        return w, self.local @ w
+        return self.local
 
-    def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float:
+    def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float | NDArray:
         """(1/n) sum_i f_i(C_i x): on the kept coordinates when q <= GATHER_MAX_FRACTION * d,
-        otherwise with C_i x scattered to a dense vector and multiplied by all of L_i."""
-        if self.idx.shape[1] <= GATHER_MAX_FRACTION * self.d:
-            w, lw = self.local_product(p, x)
-            return float(np.sum(w * (0.5 * lw - _rows(p.b, self.idx)[..., None]))) / self.n
+        otherwise with C_i x scattered to a dense vector and multiplied by all of L_i.
+
+        A stack of k rounds of one width (:meth:`parts`) takes their iterates
+        ``x`` as (k, d) and returns the k losses, each bitwise the one-round value."""
         n, d = self.n, self.d
-        w = _times(self.factors, x[self.idx][..., None])
-        z = _accumulate(self.idx + _client_offsets(n, d), w, n * d).reshape(n, d)
-        return float(np.sum(z * (0.5 * (p.L @ z[..., None])[..., 0] - p.b))) / n
+        w = _times(self.factors, np.take_along_axis(x[..., None, :], self.idx, axis=-1)[..., None])
+        if self.idx.shape[-1] <= GATHER_MAX_FRACTION * d:
+            terms = w * (0.5 * (self.local_blocks(p) @ w) - _rows(p.b, self.idx)[..., None])
+        else:
+            z = _accumulate(self.idx + _client_offsets(n, d), w, n * d).reshape(x.shape[:-1] + (n, d))
+            terms = z * (0.5 * (p.L @ z[..., None])[..., 0] - p.b)
+        total = terms.reshape(x.shape[:-1] + (-1,)).sum(axis=-1)
+        return total / n if x.ndim > 1 else float(total) / n
 
     def _blocks(self) -> NDArray:
         """C_i restricted to S_i as an (n, q, q) stack."""
@@ -381,8 +406,8 @@ def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
     kept = mask.sum(axis=-1)
     q = int(kept.max(initial=0))
     # a stable sort puts each row's kept coordinates first, in order, and
-    # pads with coordinates the client dropped
-    idx = np.argsort(~mask, axis=-1, kind="stable")[..., :q]
+    # pads with coordinates the client dropped; the copy frees the (..., n, d) sort
+    idx = np.argsort(~mask, axis=-1, kind="stable")[..., :q].copy()
     weights = np.where(np.arange(q) < kept[..., None], 1.0 / kind.p, 0.0)
     return SketchSample(kind, n, d, idx, weights)
 
@@ -426,11 +451,31 @@ def _mobius(values: dict) -> dict:
 def _pattern_sums(L: NDArray, M: NDArray, weights: dict) -> NDArray:
     """sum_s weights[s] R_s, R_s the (d, d) matrix over (a, b) of sum_z sum_{c,e}
     L[z,a,c] M[c,e] L[z,e,b] over the (c, e) meeting pattern s's equalities with a and b
-    (M, L[z] symmetric; diagonal where s has a = b) and a Diag or Hadamard form of
-    B_z = M L_z, the GEMM sums of L_z M L_z and L_z Diag(M) L_z, or O(d^2) sums: each
-    formed once per chunk of clients, if read; a chunk's stacks fit :data:`CHUNK_BYTES`."""
+    (M, L[z] symmetric; diagonal where s has a = b): a Diag or Hadamard form of one sum
+    over clients, of Diag(v_z) L_z or Diag(v_z) B_z (B_z = M L_z), of L_z * L_z, of the
+    GEMMs L_z M L_z or L_z Diag(M) L_z, or of O(d^2) products.  Each sum a weighted pattern
+    reads is accumulated over chunks of clients whose stacks fit :data:`CHUNK_BYTES`,
+    and the weights are applied once, after the last chunk."""
     d = M.shape[0]
-    dM, out, diag = np.diag(M), np.zeros((d, d)), np.zeros(d)
+    dM = np.diag(M)
+    forms = {  # pattern: (the client sum it reads, R_s from that sum or None for the sum itself)
+        (0, 0, 0, 0): ("dd", lambda s: dM * s),
+        (0, 0, 0, 1): ("dX", lambda s: dM[:, None] * s),
+        (0, 0, 1, 0): ("dh", None),
+        (0, 0, 1, 1): ("dXdX", lambda s: M * s),
+        (0, 0, 1, 2): ("dB", None),
+        (0, 1, 0, 0): ("dh", None),
+        (0, 1, 0, 1): ("H", lambda s: M * s),
+        (0, 1, 0, 2): ("hX", None),
+        (0, 1, 1, 0): ("H", lambda s: s @ dM),
+        (0, 1, 1, 1): ("dX", lambda s: (dM[:, None] * s).T),  # a transposed R_s is another's
+        (0, 1, 1, 2): ("XDX", None),
+        (0, 1, 2, 0): ("BX", None),
+        (0, 1, 2, 1): ("hX", np.transpose),
+        (0, 1, 2, 2): ("dB", np.transpose),
+        (0, 1, 2, 3): ("BtX", None),
+    }
+    sums: dict = dict.fromkeys(forms[s][0] for s in weights)
     chunk = max(1, CHUNK_BYTES // (8 * d * d))
     for z0 in range(0, len(L), chunk):
         X = L[z0:z0 + chunk]
@@ -438,29 +483,27 @@ def _pattern_sums(L: NDArray, M: NDArray, weights: dict) -> NDArray:
         products, made = {  # each formed on first use; no closure cycle keeps them alive
             "hX": lambda: np.einsum("zab,ab->za", X, M),  # diag(L_z M)
             "B": lambda: np.matmul(M, X),  # B_z^T = L_z M
-            "H": lambda: np.einsum("zab,zab->ab", X, X),
         }, {}
         get = lambda k: made[k] if k in made else made.setdefault(k, products[k]())  # noqa: E731
-        sums = {  # by symmetry a transposed R_s is another pattern's
-            (0, 0, 0, 0): lambda: dM * np.einsum("za,za->a", dX, dX),
-            (0, 0, 0, 1): lambda: dM[:, None] * np.einsum("za,zab->ab", dX, X),
-            (0, 0, 1, 0): lambda: np.einsum("za,za->a", dX, get("hX")),
-            (0, 0, 1, 1): lambda: M * (dX.T @ dX),
-            (0, 0, 1, 2): lambda: np.einsum("za,zab->ab", dX, get("B")),
-            (0, 1, 0, 0): lambda: np.einsum("za,za->a", dX, get("hX")),
-            (0, 1, 0, 1): lambda: M * get("H"),
-            (0, 1, 0, 2): lambda: np.einsum("za,zab->ab", get("hX"), X),
-            (0, 1, 1, 0): lambda: get("H") @ dM,
-            (0, 1, 1, 1): lambda: (dM[:, None] * np.einsum("za,zab->ab", dX, X)).T,
-            (0, 1, 1, 2): lambda: (dM[:, None] * X).reshape(-1, d).T @ flat,
-            (0, 1, 2, 0): lambda: np.einsum("zca,zca->a", get("B"), X),
-            (0, 1, 2, 1): lambda: np.einsum("za,zab->ab", get("hX"), X).T,
-            (0, 1, 2, 2): lambda: np.einsum("za,zab->ab", dX, get("B")).T,
-            (0, 1, 2, 3): lambda: get("B").reshape(-1, d).T @ flat,
+        terms = {
+            "dd": lambda: np.einsum("za,za->a", dX, dX),
+            "dX": lambda: np.einsum("za,zab->ab", dX, X),
+            "dh": lambda: np.einsum("za,za->a", dX, get("hX")),
+            "dXdX": lambda: dX.T @ dX,
+            "dB": lambda: np.einsum("za,zab->ab", dX, get("B")),
+            "H": lambda: np.einsum("zab,zab->ab", X, X),
+            "hX": lambda: np.einsum("za,zab->ab", get("hX"), X),
+            "XDX": lambda: (dM[:, None] * X).reshape(-1, d).T @ flat,
+            "BX": lambda: np.einsum("zca,zca->a", get("B"), X),
+            "BtX": lambda: get("B").reshape(-1, d).T @ flat,
         }
-        for s, w in weights.items():
-            r = sums[s]()
-            (diag if r.ndim == 1 else out)[...] += w * r
+        for key, acc in sums.items():
+            sums[key] = terms[key]() if acc is None else np.add(acc, terms[key](), out=acc)
+    out, diag = np.zeros((d, d)), np.zeros(d)
+    for s, w in weights.items():
+        key, form = forms[s]
+        r = sums[key] if form is None else form(sums[key])
+        (diag if r.ndim == 1 else out)[...] += w * r
     out.flat[:: d + 1] += diag
     return out
 
@@ -583,6 +626,11 @@ class _Family:
     def check_problem(self, kind: SketchKind, p: QuadraticProblem) -> int:
         """Coordinates per client on ``p``; raises where the family cannot run on ``p``."""
         return self.block_size(kind, p.n, p.d)
+
+    def round_bytes(self, kind: SketchKind, n: int, d: int, blocks: bool) -> int:
+        """Bytes one round of a tape holds, with its (n, q, q) blocks L_i[S_i, S_i]
+        where ``blocks``: for q coordinates per client, at most d x max(d, n q) floats."""
+        return 8 * d * max(d, n * self.block_size(kind, n, d))
 
     def count_exceeds(self, kind: SketchKind, n: int, d: int, budget: int) -> bool:
         """True when the joint outcomes number more than ``budget``."""
@@ -891,6 +939,10 @@ class _Bernoulli(_Independent):
         # one (k, n, d) draw is the stream of k (n, d) draws
         return _from_mask(kind, rng.random((k, p.n, p.d)) < kind.p)
 
+    def round_bytes(self, kind, n, d, blocks):
+        # (n, d) uniforms, keep mask and sort indices; blocks of up to d kept coordinates
+        return n * d * (17 + (8 * d if blocks else 0))
+
     def chunks(self, kind, p, m):
         # outcomes are NOT equiprobable; weight each client's mask by its
         # probability p^{kept} (1-p)^{dropped}, and multiply over clients.
@@ -906,10 +958,8 @@ class _Bernoulli(_Independent):
             live = prob != 0.0
             if not live.any():
                 continue
-            mask, prob, width = mask[live], prob[live], kept[live].max(axis=1)
             # one part per width: a sample is padded only to its own widest client
-            parts = [np.flatnonzero(width == w) for w in np.unique(width)]
-            yield prob, [(pos, _from_mask(kind, mask[pos])) for pos in parts]
+            yield prob[live], list(_from_mask(kind, mask[live]).parts())
 
 
 #: Every sketch family by its config tag.
@@ -936,10 +986,11 @@ def resolve_block_size(kind: SketchKind, n: int, d: int) -> int:
 
 
 def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator,
-           rounds: int | None = None) -> SketchSample | list[SketchSample]:
+           rounds: int | None = None, stacked: bool = False) -> SketchSample | list[SketchSample]:
     """Draw one joint realization of ``kind`` for problem ``p``, or, given
     ``rounds``, the list of ``rounds`` realizations that as many one-draw
-    calls return, bit for bit, leaving ``rng`` where they leave it.
+    calls return, bit for bit, leaving ``rng`` where they leave it; with
+    ``stacked``, the one sample that stacks them (:meth:`SketchSample.rounds`).
 
     Permutations are Fisher-Yates shuffles, so every permutation-family
     realization is uniform.
@@ -947,6 +998,8 @@ def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator,
     # the dict, not the ``family`` property: this runs once per chunk of rounds;
     # the rounds are views of the family's one stacked draw
     stack = FAMILIES[kind.kind].draw_many(kind, p, rng, 1 if rounds is None else rounds)
+    if stacked:
+        return stack
     return stack.rounds()[0] if rounds is None else stack.rounds()
 
 
@@ -984,6 +1037,12 @@ def _chunks(kind: SketchKind, p: QuadraticProblem):
 
 def _chunk_len(n: int, d: int, q: int) -> int:
     return max(1, CHUNK_BYTES // (8 * d * max(d, n * q)))
+
+
+def _tape_len(kind: SketchKind, n: int, d: int, blocks: bool) -> int:
+    """Rounds per tape chunk: as many as fit CHUNK_BYTES at the family's
+    ``round_bytes``, with each round's (n, q, q) blocks where ``blocks``."""
+    return max(1, CHUNK_BYTES // kind.family.round_bytes(kind, n, d, blocks))
 
 
 def _draws(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator, n_samples: int):

@@ -86,22 +86,28 @@ def test_traced_save_load_and_write_count_their_bytes(monkeypatch, tmp_path):
     assert counts["cli.trace_rows"] == 3
 
 
-@pytest.mark.parametrize("metrics", [("grad_sq",), ("grad_sq", "submodel_loss_avg")])
-def test_traced_sample_calls_count_tape_chunks(monkeypatch, metrics):
+@pytest.mark.parametrize("metrics, est", [
+    (metrics, est) for est in (EstimatorKind.ist(SketchKind.perm_q()),
+                               EstimatorKind.cgd(SketchKind.bernoulli(0.5)))
+    for metrics in (("grad_sq",), ("grad_sq", "submodel_loss_avg"))
+], ids=["metrics0", "metrics1", "metrics0-cgd-bernoulli", "metrics1-cgd-bernoulli"])
+def test_traced_sample_calls_count_tape_chunks(monkeypatch, metrics, est):
     """``sketches.sample.calls`` counts tape chunks: ``runner.run`` draws a
-    repeat's rounds in ceil(draws / _chunk_len) ``sketches.sample`` calls,
+    repeat's rounds in ceil(draws / _tape_len) ``sketches.sample`` calls,
     each one stacked sample."""
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     import tracer
 
     n, d, K, repeats = 2, 4, 20, 3
-    monkeypatch.setattr(sketches, "CHUNK_BYTES", 6 * 8 * d * d)  # six rounds per chunk
-    chunk = sketches._chunk_len(n, d, d // n)
+    blocks = est.kind == "ist"
+    per_round = est.sketch.family.round_bytes(est.sketch, n, d, blocks)
+    monkeypatch.setattr(sketches, "CHUNK_BYTES", 6 * per_round)  # six rounds per chunk
+    chunk = sketches._tape_len(est.sketch, n, d, blocks)
     assert chunk == 6
     # the submodel loss draws once more, at the final iterate
     draws = K + ("submodel_loss_avg" in metrics)
-    cfg = RunConfig(gen_heterogeneous(n, d, seed=5), EstimatorKind.ist(SketchKind.perm_q()),
+    cfg = RunConfig(gen_heterogeneous(n, d, seed=5), est,
                     StepSchedule.constant(0.1), K, seed=1, repeats=repeats, metrics=metrics)
     t = tracer.Tracer()
     t.install(istlab)

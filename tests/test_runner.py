@@ -328,6 +328,26 @@ class TestSweep:
         assert all((t.diverged_at < 0).all() for t in traces)
         assert calls == [(3, 3)] * gathers
 
+    @pytest.mark.parametrize("est", [
+        EstimatorKind.ist(SketchKind.rand_q(3)),
+        EstimatorKind.ist(SketchKind.bernoulli(0.3)),
+        EstimatorKind.cgd(SketchKind.bernoulli(0.3)),
+    ], ids=["ist-rand_q", "ist-bernoulli", "cgd-bernoulli"])
+    def test_submodel_loss_shares_each_draws_gather(self, monkeypatch, est):
+        # on the loss's gather path, each (draw, client) block L_i[S_i, S_i] is
+        # gathered once for every lane's gradient and loss: (K + 1) n of them
+        monkeypatch.setattr(sketches, "GATHER_MAX_FRACTION", 1.0)
+        blocks = []
+        sub_blocks = sketches._sub_blocks
+        monkeypatch.setattr(sketches, "_sub_blocks",
+                            lambda p, idx: blocks.append(idx[..., 0].size) or sub_blocks(p, idx))
+        p = gen_heterogeneous(3, 9, seed=12)
+        cfg = RunConfig(problem=p, estimator=est, schedule=StepSchedule.constant(0.001),
+                        K=10, seed=3, repeats=1, metrics=("submodel_loss_avg",))
+        traces = sweep(cfg, [0.001, 0.002, 0.003])
+        assert all((t.diverged_at < 0).all() for t in traces)
+        assert sum(blocks) == 11 * 3
+
     def test_invalid_gamma_rejected_before_running(self):
         p = gen_heterogeneous(3, 3, seed=18)
         with pytest.raises(ConfigInvalid):
@@ -452,10 +472,11 @@ class TestBlockMetrics:
                 assert_bitwise(getattr(t, attr), getattr(t_ref, attr))
 
     @pytest.mark.parametrize("chunk", [1, 7, "block"])
-    @pytest.mark.parametrize("case", ["scaled_perm_het_q3_staircase", "bernoulli"])
+    @pytest.mark.parametrize("case", ["scaled_perm_het_q3_staircase", "bernoulli", "cgd_bernoulli"])
     def test_traces_do_not_depend_on_tape_length(self, monkeypatch, case, chunk):
         # K + 1 = 301 draws (the last for the submodel loss) in blocks of 256 and
-        # 45 rounds, none a multiple of 7; the second lane diverges
+        # 45 rounds, none a multiple of 7; the second lane diverges.  An ist
+        # Bernoulli round holds its blocks, a cgd one only its draw
         est, n, d, schedule, extra = LANE_CASES[case]
         cfg = RunConfig(problem=gen_heterogeneous(n, d, seed=n + d), estimator=est,
                         schedule=schedule, K=300, seed=5, repeats=2,
@@ -463,10 +484,11 @@ class TestBlockMetrics:
         gammas = [schedule.gamma, 100 * schedule.gamma]
         ref = sweep(cfg, gammas)
         assert (ref[0].diverged_at < 0).all() and (ref[1].diverged_at > 0).all()
-        per_round = 8 * d * max(d, n * sketches.resolve_block_size(est.sketch, n, d))
+        blocks = est.kind == "ist"
+        per_round = est.sketch.family.round_bytes(est.sketch, n, d, blocks)
         rounds = runner.BLOCK_ROUNDS if chunk == "block" else chunk
         monkeypatch.setattr(sketches, "CHUNK_BYTES", rounds * per_round)
-        assert sketches._chunk_len(n, d, sketches.resolve_block_size(est.sketch, n, d)) == rounds
+        assert sketches._tape_len(est.sketch, n, d, blocks) == rounds
         for t, t_ref in zip(sweep(cfg, gammas), ref):
             for name in cfg.metrics:
                 assert_bitwise(t.metrics[name], t_ref.metrics[name])
@@ -480,6 +502,21 @@ class TestMemory:
         # chunk of draws at a time, never a whole block's or run's
         p = gen_heterogeneous(10, 100, seed=30)
         cfg = scaled_het_cfg(p, K=600, repeats=1, metrics=("submodel_loss_avg",))
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sketches.CHUNK_BYTES
+
+    def test_bernoulli_run_peak_stays_within_two_tape_chunks(self):
+        # the cli-cgd-io run shape: a tape stacks tens of rounds, and the submodel
+        # loss gathers each chunk's blocks L_i[S_i, S_i] a part of one width at a time
+        p = gen_heterogeneous(10, 200, seed=30)
+        cfg = RunConfig(problem=p, estimator=EstimatorKind.cgd(SketchKind.bernoulli(0.1)),
+                        schedule=StepSchedule.constant(2e-4), K=600, seed=3, repeats=1,
+                        metrics=("submodel_loss_avg",))
         tracemalloc.start()
         try:
             run(cfg)
