@@ -362,11 +362,11 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             n_draws = 0 if sketch is None else m if records_sub else min(m, K - k0)
             for i0 in range(0, m, tape):
                 tape_chunk(rng, live, X, sub, k0, i0, min(i0 + tape, m), n_draws)
-            carry = X[:, m]
+            carry = X[:, m].copy()  # copies, so no view keeps a finished block alive
             for j in tuple(live):
                 stop = record(r, j, k0, X[j], None if sub is None else sub[j])
                 if stop:
-                    last_valid[j] = X[j, stop - 1]
+                    last_valid[j] = X[j, stop - 1].copy()
                 if stop < m:
                     diverged[j, r] = k0 + stop
                     live.remove(j)

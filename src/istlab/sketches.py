@@ -211,7 +211,7 @@ class SketchSample:
         and their gather index fit ``CHUNK_BYTES // 2``."""
         k, n, q = self.idx.shape
         widths = np.array(self._widths() or [q] * k)
-        for w in np.unique(widths).tolist():
+        for w in sorted(set(widths.tolist())):  # not np.unique, whose first call imports numpy.ma
             pos = np.flatnonzero(widths == w)
             step = max(1, CHUNK_BYTES // (32 * n * max(w, 1) ** 2))
             for at in np.split(pos, range(step, len(pos), step)):
