@@ -8,8 +8,11 @@ that always holds ``submodel_loss_avg``.  Every field of every lane's trace
 must be bitwise equal whether metrics are computed in blocks of 1, 7 or 256
 rounds (``runner.BLOCK_ROUNDS``), and whether a tape holds one round or a
 whole block (``sketches.CHUNK_BYTES`` set from the family's
-``round_bytes``).
+``round_bytes``).  And each lane of a sweep, the diverging one included, is
+bitwise a ``run()`` at that lane's schedule alone (constant or staircase).
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from istlab import runner, sketches
 from istlab.errors import IncompatibleShape
 from istlab.estimators import EstimatorKind
 from istlab.quadratics import gen_heterogeneous
-from istlab.runner import RunConfig, StepSchedule, sweep
+from istlab.runner import RunConfig, StepSchedule, run, sweep
 from istlab.sketches import FAMILIES, SketchKind
 
 OPTIONAL_METRICS = ("f_gap_rel_log", "grad_sq", "grad_sq_Linv", "dist_L_to_xstar")
@@ -86,3 +89,23 @@ def test_traces_do_not_depend_on_block_or_tape_length(est, name, data):
             if per_round is not None:
                 mp.setattr(sketches, "CHUNK_BYTES", tape * per_round)
             assert_traces_bitwise(sweep(cfg, gammas), ref)
+
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)]
+                         + [("dgd", "identity")])
+@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_every_sweep_lane_is_its_own_run(est, name, data):
+    cfg, gammas = data.draw(configs(est, name))
+    if data.draw(st.booleans()):
+        cfg = replace(cfg, schedule=StepSchedule.staircase(gammas[0], 2.0, data.draw(st.integers(1, 20))))
+    gammas.append(1e20 * gammas[0])  # diverges within a few rounds, while the other lanes go on
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of 7 drop the diverged lane while the others step on
+        mp.setattr(runner, "BLOCK_ROUNDS", data.draw(st.sampled_from([7, 256])))
+        traces = sweep(cfg, gammas)
+        for gamma, t in zip(gammas, traces, strict=True):
+            assert_traces_bitwise([t], [run(replace(cfg, schedule=cfg.schedule.with_gamma(gamma)))])
+    assert cfg.K < 5 or (traces[-1].diverged_at >= 0).all()
