@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from . import sketches
+from . import linalg, sketches
 from .errors import IncompatibleShape, WrongKind
 from .quadratics import QuadraticProblem
 from .sketches import SketchKind, SketchSample
@@ -62,15 +62,17 @@ class EstimatorKind:
         return cls(name, sk)
 
 
+# x is (..., d), iterates on one round's draw (a sweep's lanes), or one iterate on
+# a stack of outcomes; each row's products are the one-vector ones, bitwise
 def _ist_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    w = sketches._times(s.factors, x[s.idx][..., None])
-    t = s.local_blocks(p) @ w - sketches._rows(p.b, s.idx)[..., None]
-    return sketches._accumulate(s.idx, sketches._times(s.factors, t), p.d) / p.n
+    w = s.times(x.take(s.idx, axis=-1)[..., None])
+    t = s.local_blocks(p) @ w - s.local_rhs(p)
+    return sketches._accumulate(s.idx, s.times(t)[..., 0], p.d) / p.n
 
 
 def _cgd_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    local = sketches._rows(p.L, s.idx) @ x - sketches._rows(p.b, s.idx)
-    return sketches._accumulate(s.idx, sketches._times(s.factors, local[..., None]), p.d) / p.n
+    t = sketches._rows(p.L, s.idx) @ x[..., None, :, None] - s.local_rhs(p)
+    return sketches._accumulate(s.idx, s.times(t)[..., 0], p.d) / p.n
 
 
 def estimate(
@@ -82,18 +84,20 @@ def estimate(
 ) -> tuple[NDArray, SketchSample | None]:
     """One gradient estimate; returns the joint sketch sample used (if any).
 
-    A given ``sample`` is used instead of a fresh draw from ``rng``, so
-    several iterates can be estimated with one round's draw.  The identity
+    ``x`` is one iterate (d,) or a stack (..., d) of them, all estimated with
+    the same draw: a sweep steps every live step size of a round in one call.
+    Each row of the result is bitwise the estimate at that row alone.  A given
+    ``sample`` is used instead of a fresh draw from ``rng``.  The identity
     sketch consumes no randomness and collapses to the exact mean gradient,
     so ``ist`` with an identity sketch reproduces ``dgd`` bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if est.kind == "dgd":
-        return p.grad(x), None
+        return linalg.mat_rows(p.L_bar, x) - p.b_bar, None
     if sample is None:
         sample = sketches.sample(est.sketch, p, rng)
     if est.sketch.family.whole_model:
-        return p.grad(x), sample
+        return linalg.mat_rows(p.L_bar, x) - p.b_bar, sample
     if est.kind == "ist":
         return _ist_gradient(p, sample, x), sample
     return _cgd_gradient(p, sample, x), sample

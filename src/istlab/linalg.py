@@ -70,10 +70,6 @@ class Spectrum:
     eigenvalues: NDArray
     eigenvectors: NDArray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def rank_mask(self, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
         """Boolean mask of eigenvalues treated as numerically nonzero."""
         scale = float(np.abs(self.eigenvalues).max(initial=0.0))
@@ -118,6 +114,11 @@ def weighted_sqnorm(x: NDArray, m: NDArray) -> float:
         raise DimMismatch(f"vector of length {x.shape} vs matrix {m.shape}")
     s = symmetrize(m)
     return float(x @ (s @ x))
+
+
+def mat_rows(M: NDArray, X: NDArray) -> NDArray:
+    """``M @ x`` for each row x of ``X``: one gemv each, where ``X @ M.T`` would round differently."""
+    return (M @ X[..., None])[..., 0]
 
 
 def psd_check(m: NDArray, tol: float = PSD_TOL) -> bool:

@@ -11,8 +11,10 @@ views of it and bit for bit one draw per round.  A chunk holds at most
 ``sketches._tape_len`` rounds: as many as fit ``sketches.CHUNK_BYTES`` at
 the bytes one round holds (``round_bytes`` of the family).
 A sweep advances its step sizes in lockstep: each round's joint sketch is
-drawn once and shared by every step size, and each step size's trace is
-bitwise equal to a separate run at that step size.
+drawn once, and one ``estimators.estimate`` call steps every live step size
+with it, on the stacked iterates; a tape gathers its draws' b_i[S_i] rows
+(and, for ist, blocks L_i[S_i, S_i]) once for all its rounds and lanes.
+Each step size's trace is bitwise equal to a separate run at that step size.
 
 Metrics (recorded at every iterate x^0 .. x^K):
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from . import certificates, estimators, sketches
+from . import certificates, estimators, linalg, sketches
 from .errors import ConfigInvalid
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
@@ -238,11 +240,6 @@ def _dots(A: NDArray, B: NDArray) -> NDArray:
     return (A[:, None, :] @ B[..., None])[:, 0, 0]
 
 
-def _mat_rows(M: NDArray, X: NDArray) -> NDArray:
-    """``M @ x`` for each row x of ``X``: one gemv each, where ``X @ M.T`` would round differently."""
-    return (M @ X[..., None])[..., 0]
-
-
 def _metric_fns(cfg: RunConfig, x0: NDArray, whole_model: bool) -> dict[str, Callable]:
     """One vectorised function per requested metric, in ``cfg.metrics`` order: it maps
     iterates ``X`` (m, d), their f, grad f and recorded submodel losses to one value
@@ -264,8 +261,8 @@ def _metric_fns(cfg: RunConfig, x0: NDArray, whole_model: bool) -> dict[str, Cal
         "f_gap_rel_log": lambda X, f, g, sub: np.log10(
             np.maximum(np.maximum(f - f_star, 1e-300) / gap0, 1e-300)),
         "grad_sq": lambda X, f, g, sub: _dots(g, g),
-        "grad_sq_Linv": lambda X, f, g, sub: ((z := _mat_rows(V.T, g)) * z * inv_vals).sum(axis=-1),
-        "dist_L_to_xstar": lambda X, f, g, sub: _dots(dx := X - x_star, _mat_rows(p.L_bar, dx)),
+        "grad_sq_Linv": lambda X, f, g, sub: ((z := linalg.mat_rows(V.T, g)) * z * inv_vals).sum(axis=-1),
+        "dist_L_to_xstar": lambda X, f, g, sub: _dots(dx := X - x_star, linalg.mat_rows(p.L_bar, dx)),
         # np.linalg.norm of a vector is the sqrt of its dot with itself
         "dist_to_xinf": lambda X, f, g, sub: np.sqrt(_dots(dx := X - x_inf, dx)),
         "submodel_loss_avg": lambda X, f, g, sub: f if whole_model else sub,
@@ -278,9 +275,11 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
 
     Each schedule is a lane with its own iterate.  A round draws one joint
     sketch from the repeat's substream and every live lane steps with that
-    draw, which never depends on the iterate, so lane ``j``'s trace is
-    bitwise a run at ``schedules[j]`` alone.  Lanes step through blocks of up
-    to ``BLOCK_ROUNDS`` rounds, then the block's metrics are computed at once.
+    draw, in one gradient call on their stacked iterates; the draw never
+    depends on the iterate and each row of the call is bitwise a call on that
+    row alone, so lane ``j``'s trace is bitwise a run at ``schedules[j]``
+    alone.  Lanes step through blocks of up to ``BLOCK_ROUNDS`` rounds, then
+    the block's metrics are computed at once and the diverged lanes dropped.
     """
     p = cfg.problem
     x0 = resolve_x0(cfg)
@@ -293,7 +292,7 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     whole_model = sketch is None or sketch.family.whole_model
     records_sub = "submodel_loss_avg" in cfg.metrics and not whole_model
     metric_fns = _metric_fns(cfg, x0, whole_model)
-    gathers = cfg.estimator.kind == "ist"  # its rounds keep their blocks L_i[S_i, S_i]
+    gathers = cfg.estimator.kind == "ist" and not whole_model  # rounds keep blocks L_i[S_i, S_i]
     # rounds per tape chunk, resolved only where some round draws (a run without draws takes any shape)
     tape = BLOCK_ROUNDS
     if sketch is not None and (K or records_sub):
@@ -313,7 +312,7 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
         rows = X[:-1]
         f = g = None
         if needs_fg:  # one L_bar @ x per row, in p.f's and p.grad's arithmetic
-            Lx = _mat_rows(p.L_bar, rows)
+            Lx = linalg.mat_rows(p.L_bar, rows)
             f = 0.5 * _dots(rows, Lx) - _dots(rows, p.b_bar)
             g = np.subtract(Lx, p.b_bar, out=Lx)
         vals = {name: fn(rows, f, g, sub) for name, fn in metric_fns.items()}
@@ -327,49 +326,55 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
             iterates[j, r, k0:k0 + stop] = rows[:stop]
         return stop
 
-    def tape_chunk(rng, live, X, sub, k0: int, i0: int, i1: int, n_draws: int) -> None:
-        """Step the ``live`` lanes through rows ``i0``..``i1`` of the block on one tape chunk,
-        then record their submodel losses; the chunk's arrays are freed on return."""
+    def tape_chunk(rng, X, gam, sub, k0: int, i0: int, i1: int, n_draws: int) -> None:
+        """Step the live lanes of ``X`` through rows ``i0``..``i1`` of the block on one tape
+        chunk, then record their submodel losses; the chunk's arrays are freed on return."""
         views = []
         if n_draws > i0:
             stack = sketches.sample(sketch, p, rng, min(i1, n_draws) - i0, stacked=True)
-            if records_sub and gathers:
-                stack.local_blocks(p)  # one gather, for the gradients and the losses
+            if not whole_model:  # one gather per tape, for every lane's gradient and loss
+                stack.local_rhs(p)
+                if gathers:
+                    stack.local_blocks(p)
             views = stack.rounds()
         for i in range(i0, min(i1, K - k0)):
-            # the round's draw, shared by every live lane
-            sample = views[i - i0] if views else None
-            for j in live:
-                g = estimators.estimate(cfg.estimator, p, X[j, i], rng, sample)[0]
-                X[j, i + 1] = X[j, i] - gammas[j, k0 + i] * g
+            # one estimate of every live lane on the round's draw; a lone lane steps as one
+            # vector by a scalar, which numpy applies faster than a (1, 1) broadcast
+            x, gamma = (X[:, i], gam[:, i, None]) if len(X) > 1 else (X[0, i], gam[0, i])
+            g = estimators.estimate(cfg.estimator, p, x, rng, views[i - i0] if views else None)[0]
+            X[:, i + 1] = x - gamma * g
         if records_sub:  # every round drew; per lane, one stacked pass per part of one width
             for at, part in stack.parts():
-                for j in live:
-                    sub[j, i0 + at] = part.submodel_loss(p, X[j, i0 + at])
+                for row in range(len(X)):
+                    sub[row, i0 + at] = part.submodel_loss(p, X[row, i0 + at])
 
     def one_repeat(r: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-        carry = x0  # each lane's iterate at the block's start
+        carry = x0  # each live lane's iterate at the block's start
         last_valid = [x0] * n_lanes
-        live = list(range(n_lanes))
+        live = list(range(n_lanes))  # the lanes that have not diverged, in order
         for k0 in range(0, K + 1, BLOCK_ROUNDS):
             m = min(BLOCK_ROUNDS, K + 1 - k0)
-            # X[j, i] is lane j's iterate x^{k0 + i}; row m starts the next block
-            X = np.empty((n_lanes, m + 1, d))
+            # X[row, i] is lane live[row]'s iterate x^{k0 + i}; row m starts the next block
+            X = np.empty((len(live), m + 1, d))
             X[:, 0] = carry
-            sub = np.empty((n_lanes, m)) if records_sub else None
+            sub = np.empty((len(live), m)) if records_sub else None
             # every round before K draws; round K only for the submodel loss
             n_draws = 0 if sketch is None else m if records_sub else min(m, K - k0)
+            gam = gammas[live, k0:k0 + m]
             for i0 in range(0, m, tape):
-                tape_chunk(rng, live, X, sub, k0, i0, min(i0 + tape, m), n_draws)
-            carry = X[:, m].copy()  # copies, so no view keeps a finished block alive
-            for j in tuple(live):
-                stop = record(r, j, k0, X[j], None if sub is None else sub[j])
+                tape_chunk(rng, X, gam, sub, k0, i0, min(i0 + tape, m), n_draws)
+            kept = []
+            for row, j in enumerate(live):
+                stop = record(r, j, k0, X[row], None if sub is None else sub[row])
                 if stop:
-                    last_valid[j] = X[j, stop - 1].copy()
+                    last_valid[j] = X[row, stop - 1].copy()
                 if stop < m:
                     diverged[j, r] = k0 + stop
-                    live.remove(j)
+                else:
+                    kept.append(row)
+            # a diverged lane is dropped; copies, so no view keeps a finished block alive
+            live, carry = [live[row] for row in kept], X[kept, m]
             if not live:
                 break
         for j in range(n_lanes):

@@ -163,11 +163,13 @@ class SketchSample:
     their weights without padding; ``blocks`` is the block stack, or None
     for diagonal factors, in which case ``weights`` is not None.  ``local`` is
     the (n, q, q) stack L_i[S_i, S_i]: gathered by the draw where its factors
-    need it, else by the first ``local_blocks`` call, and then kept, so every
-    lane of a sweep reads one gather per draw; the rounds and parts of a
-    stack read slices of the stack's.  The methods that take a problem must
-    therefore get the one the sample was drawn for (``submodel_loss`` and the
-    ist gradient read ``local`` over ``p.L``).
+    need it, else by the first ``local_blocks`` call, and then kept; ``rhs``,
+    the (n, q, 1) columns b_i[S_i], likewise by the first ``local_rhs`` call.  A
+    tape gathers both once for all its rounds, whose views read slices of
+    the stack's (as do the parts of ``local``), and every lane of a sweep
+    reads them.  The methods that take a problem must therefore get the one
+    the sample was drawn for (``submodel_loss`` and the gradients read
+    ``local`` and ``rhs`` over ``p.L`` and ``p.b``).
     """
 
     kind: SketchKind
@@ -177,6 +179,7 @@ class SketchSample:
     factors: NDArray
     local: NDArray | None = None
     permutation: NDArray | None = None
+    rhs: NDArray | None = None
 
     @property
     def coords(self) -> NDArray | tuple[NDArray, ...]:
@@ -184,11 +187,16 @@ class SketchSample:
 
     @property
     def weights(self) -> NDArray | tuple[NDArray, ...] | None:
-        return None if self.factors.ndim == 3 else self._unpadded(self.factors)
+        return self._unpadded(self.factors) if self.diagonal else None
 
     @property
     def blocks(self) -> NDArray | None:
-        return self.factors if self.factors.ndim == 3 else None
+        return None if self.diagonal else self.factors
+
+    @property
+    def diagonal(self) -> bool:
+        """True for weight factors, one per kept coordinate; False for blocks."""
+        return self.factors.ndim == self.idx.ndim
 
     def rounds(self) -> list[SketchSample]:
         """The one-round samples of a stack, each a view of it.  Where its weights
@@ -196,13 +204,13 @@ class SketchSample:
         to the columns some client keeps, found once per stack.  A stack is padded
         to its widest round, so a one-round stack needs no cut."""
         none = [None] * len(self.idx)
-        idx, factors, local, perm = (none if a is None else a for a in
-                                     (self.idx, self.factors, self.local, self.permutation))
+        idx, factors, local, perm, rhs = (none if a is None else a for a in
+                                          (self.idx, self.factors, self.local, self.permutation, self.rhs))
         if len(idx) > 1 and (widths := self._widths()) is not None:
-            idx, factors = ([a[:, :w] for a, w in zip(b, widths)] for b in (idx, factors))
-            if self.local is not None:
-                local = [a[:, :w, :w] for a, w in zip(local, widths)]
-        return [SketchSample(self.kind, self.n, self.d, *r) for r in zip(idx, factors, local, perm)]
+            idx, factors, rhs = ([a if a is None else a[:, :w] for a, w in zip(b, widths)]
+                                 for b in (idx, factors, rhs))
+            local = [a if a is None else a[:, :w, :w] for a, w in zip(local, widths)]
+        return [SketchSample(self.kind, self.n, self.d, *r) for r in zip(idx, factors, local, perm, rhs)]
 
     def parts(self):
         """Yield (positions, sample) parts covering a stack's rounds, for stacked
@@ -223,11 +231,11 @@ class SketchSample:
         """Each round's own width, the columns some client keeps, where a stack's
         weights hold padding zeros; else None."""
         f = self.factors
-        return f.any(axis=-2).sum(axis=-1).tolist() if f.ndim == self.idx.ndim and not f.all() else None
+        return f.any(axis=-2).sum(axis=-1).tolist() if self.diagonal and not f.all() else None
 
     def _unpadded(self, rows: NDArray) -> NDArray | tuple[NDArray, ...]:
         w = self.factors
-        if w.ndim == 3 or w.all():
+        if not self.diagonal or w.all():
             return rows
         return tuple(r[wi != 0.0] for r, wi in zip(rows, w))
 
@@ -238,7 +246,7 @@ class SketchSample:
             raise DimMismatch(f"expected vector of length {self.d}")
         out = np.zeros(self.d)
         idx = self.idx[i]
-        out[idx] = _times(self.factors[i : i + 1], x[idx][None, :, None])[0, :, 0]
+        out[idx] = self.times(x[self.idx][..., None])[i, :, 0]
         return out
 
     def client_matrix(self, i: int) -> NDArray:
@@ -251,14 +259,14 @@ class SketchSample:
 
     def curvature(self, p: QuadraticProblem) -> NDArray:
         """Per-round curvature B = (1/n) sum_i C_i L_i C_i, dense."""
-        cl = _times(self.factors, _sub_blocks(p, self.idx))
-        clc = _times(self.factors, np.swapaxes(cl, -1, -2))
+        cl = self.times(_sub_blocks(p, self.idx))
+        clc = self.times(np.swapaxes(cl, -1, -2))
         return _scatter(self.idx, clc, self.d) / self.n
 
     def linear_term(self, p: QuadraticProblem) -> NDArray:
         """(1/n) sum_i C_i b_i as a dense vector."""
-        cb = _times(self.factors, _rows(p.b, self.idx)[..., None])
-        return _accumulate(self.idx, cb, self.d) / self.n
+        cb = self.times(_rows(p.b, self.idx)[..., None])
+        return _accumulate(self.idx, cb[..., 0], self.d) / self.n
 
     def local_blocks(self, p: QuadraticProblem) -> NDArray:
         """``local``, gathered on the first call from ``p``, which must be the
@@ -267,6 +275,12 @@ class SketchSample:
             object.__setattr__(self, "local", _sub_blocks(p, self.idx))  # frozen dataclass
         return self.local
 
+    def local_rhs(self, p: QuadraticProblem) -> NDArray:
+        """``rhs``, gathered and kept as :meth:`local_blocks` keeps ``local``."""
+        if self.rhs is None:
+            object.__setattr__(self, "rhs", _rows(p.b, self.idx)[..., None])
+        return self.rhs
+
     def submodel_loss(self, p: QuadraticProblem, x: NDArray) -> float | NDArray:
         """(1/n) sum_i f_i(C_i x): on the kept coordinates when q <= GATHER_MAX_FRACTION * d,
         otherwise with C_i x scattered to a dense vector and multiplied by all of L_i.
@@ -274,11 +288,11 @@ class SketchSample:
         A stack of k rounds of one width (:meth:`parts`) takes their iterates
         ``x`` as (k, d) and returns the k losses, each bitwise the one-round value."""
         n, d = self.n, self.d
-        w = _times(self.factors, np.take_along_axis(x[..., None, :], self.idx, axis=-1)[..., None])
+        w = self.times(np.take_along_axis(x[..., None, :], self.idx, axis=-1)[..., None])
         if self.idx.shape[-1] <= GATHER_MAX_FRACTION * d:
             terms = w * (0.5 * (self.local_blocks(p) @ w) - _rows(p.b, self.idx)[..., None])
         else:
-            z = _accumulate(self.idx + _client_offsets(n, d), w, n * d).reshape(x.shape[:-1] + (n, d))
+            z = _accumulate(self.idx + _client_offsets(n, d), w[..., 0], n * d).reshape(x.shape[:-1] + (n, d))
             terms = z * (0.5 * (p.L @ z[..., None])[..., 0] - p.b)
         total = terms.reshape(x.shape[:-1] + (-1,)).sum(axis=-1)
         return total / n if x.ndim > 1 else float(total) / n
@@ -286,19 +300,16 @@ class SketchSample:
     def _blocks(self) -> NDArray:
         """C_i restricted to S_i as an (n, q, q) stack."""
         q = self.idx.shape[-1]
-        return _times(self.factors, np.broadcast_to(np.eye(q), self.idx.shape + (q,)))
+        return self.times(np.broadcast_to(np.eye(q), self.idx.shape + (q,)))
 
+    def times(self, m: NDArray) -> NDArray:
+        """C_i restricted to S_i times m[..., i, :, :], for every client i.
 
-def _times(factors: NDArray, m: NDArray) -> NDArray:
-    """C_i restricted to S_i times m[i], for every client i.
-
-    ``m`` is (..., n, q, k) and ``factors`` is (..., n, q) weights or
-    (..., n, q, q) blocks: weights scale rows, blocks multiply.  This is the
-    one place that tells diagonal factors from blocks.
-    """
-    if factors.ndim < m.ndim:
-        return factors[..., None] * m
-    return factors @ m
+        ``m`` is (..., n, q, k), where its leading axes match or broadcast
+        against the sample's (a sweep's lanes on one round's draw): weights
+        scale rows, blocks multiply.
+        """
+        return self.factors[..., None] * m if self.diagonal else self.factors @ m
 
 
 @functools.lru_cache(maxsize=16)
@@ -331,11 +342,12 @@ def _sub_blocks(p: QuadraticProblem, idx: NDArray) -> NDArray:
 
 
 def _accumulate(idx: NDArray, v: NDArray, d: int) -> NDArray:
-    """v placed at idx and summed over the last two axes into (..., d) vectors."""
-    lead = idx.shape[:-2]
-    if lead:  # one run of d bins per stacked outcome
+    """v placed at idx and summed over the last two axes into (..., d) vectors;
+    idx broadcasts against v, whose leading axes may stack lanes on one draw."""
+    lead = v.shape[:-2]
+    if lead:  # one run of d bins per stacked outcome or lane
         m = math.prod(lead)
-        idx = idx + (np.arange(m) * d).reshape(lead + (1, 1))
+        idx = idx + _client_offsets(m, d).reshape(lead + (1, 1))
         return np.bincount(idx.ravel(), weights=v.ravel(), minlength=m * d).reshape(lead + (d,))
     return np.bincount(idx.ravel(), weights=v.ravel(), minlength=d)
 
@@ -344,7 +356,7 @@ def _scatter(idx: NDArray, blocks: NDArray, d: int) -> NDArray:
     """sum_i of the q x q blocks placed at idx[i] x idx[i] in (..., d, d) matrices."""
     q = idx.shape[-1]
     flat = (idx[..., :, None] * d + idx[..., None, :]).reshape(idx.shape[:-1] + (q * q,))
-    return _accumulate(flat, blocks, d * d).reshape(idx.shape[:-2] + (d, d))
+    return _accumulate(flat, blocks.reshape(flat.shape), d * d).reshape(idx.shape[:-2] + (d, d))
 
 
 def _require_positive_diagonal(p: QuadraticProblem) -> None:

@@ -298,6 +298,20 @@ class TestStackedAgainstClientLoop:
                 ref += C @ (p.L[i] @ y - p.b[i])
             np.testing.assert_allclose(g, ref / 3, rtol=0, atol=1e-12 * np.abs(ref).max())
 
+    @pytest.mark.parametrize("kind", KINDS + [SketchKind.identity(), None], ids=lambda k: getattr(k, "kind", "dgd"))
+    @pytest.mark.parametrize("name", ["ist", "cgd"])
+    def test_stacked_iterates_are_bitwise_their_own_calls(self, kind, name):
+        # a sweep's lanes: one call on (lanes, d) iterates and one draw
+        p = gen_heterogeneous(3, 6, seed=16)
+        rng = np.random.default_rng(17)
+        est = EstimatorKind.dgd() if kind is None else EstimatorKind(name, kind)
+        X = rng.standard_normal((4, 6))
+        s = None if kind is None else sketches.sample(kind, p, rng)
+        g = estimate(est, p, X, None, s)[0]
+        assert g.shape == X.shape
+        for j in range(4):
+            assert g[j].tobytes() == estimate(est, p, X[j], None, s)[0].tobytes()
+
     def test_bernoulli_padding_has_zero_weight(self):
         p = gen_heterogeneous(4, 8, seed=14)
         rng = np.random.default_rng(15)

@@ -314,19 +314,33 @@ class TestSweep:
         (EstimatorKind.ist(SketchKind.rand_q(3)), 10),
         (EstimatorKind.cgd(SketchKind.rand_q(3)), 0),
     ], ids=["ist-perm_q", "ist-rand_q", "cgd-rand_q"])
-    def test_draw_gathers_local_blocks_on_first_use(self, monkeypatch, est, gathers):
-        # a draw that needs no L_i[S_i, S_i] for its factors gathers it at the
-        # first lane's ist gradient and keeps it for the others; cgd never reads it
-        calls = []
+    def test_each_draws_blocks_are_gathered_once_for_every_lane(self, monkeypatch, est, gathers):
+        # a draw whose factors need no L_i[S_i, S_i] has it gathered with its tape's,
+        # once for every lane's ist gradient: one (draw, client) block per client
+        # and round for K = 10 rounds; cgd never reads it
+        blocks = []
         sub_blocks = sketches._sub_blocks
         monkeypatch.setattr(sketches, "_sub_blocks",
-                            lambda p, idx: calls.append(idx.shape) or sub_blocks(p, idx))
+                            lambda p, idx: blocks.append(idx[..., 0].size) or sub_blocks(p, idx))
         p = gen_heterogeneous(3, 9, seed=12)
         cfg = RunConfig(problem=p, estimator=est, schedule=StepSchedule.constant(0.001),
                         K=10, seed=3, repeats=1, metrics=("grad_sq",))
         traces = sweep(cfg, [0.001, 0.002, 0.003])
         assert all((t.diverged_at < 0).all() for t in traces)
-        assert calls == [(3, 3)] * gathers
+        assert sum(blocks) == gathers * 3
+
+    def test_cgd_gathers_each_draws_rows_once_for_every_lane(self, monkeypatch):
+        # L_i[S_i, :] is gathered once per round, for all three lanes' gradients
+        gathers = []
+        rows = sketches._rows
+        monkeypatch.setattr(sketches, "_rows", lambda a, idx: gathers.append(a is p.L) or rows(a, idx))
+        p = gen_heterogeneous(3, 9, seed=12)
+        cfg = RunConfig(problem=p, estimator=EstimatorKind.cgd(SketchKind.rand_q(3)),
+                        schedule=StepSchedule.constant(0.001), K=10, seed=3, repeats=1,
+                        metrics=("grad_sq",))
+        traces = sweep(cfg, [0.001, 0.002, 0.003])
+        assert all((t.diverged_at < 0).all() for t in traces)
+        assert sum(gathers) == cfg.K
 
     @pytest.mark.parametrize("est", [
         EstimatorKind.ist(SketchKind.rand_q(3)),

@@ -261,6 +261,24 @@ class TestApply:
                     s.apply(i, x), s.client_matrix(i) @ x, atol=1e-12
                 )
 
+    @pytest.mark.parametrize("lanes", [2, 3])
+    @pytest.mark.parametrize("kind", [SketchKind.scaled_perm_het(), SketchKind.rand_q(3),
+                                      SketchKind.bernoulli(0.5)], ids=lambda k: k.kind)
+    def test_times_takes_a_leading_lane_axis(self, kind, lanes):
+        # n = q = 3 (blocks) also at 3 lanes, where (n, q, q) blocks broadcast
+        # against (lanes, n, q, 1) as weights would, silently
+        p = het_problem(3, 9, seed=4)
+        s = sample(kind, p, np.random.default_rng(5))
+        assert s.diagonal == (kind.kind != "scaled_perm_het")
+        m = np.random.default_rng(6).standard_normal((lanes,) + s.idx.shape + (1,))
+        got = s.times(m)
+        assert got.shape == m.shape
+        for j in range(lanes):
+            assert got[j].tobytes() == s.times(m[j]).tobytes()
+            for i in range(3):
+                dense = s.client_matrix(i)[np.ix_(s.idx[i], s.idx[i])]
+                np.testing.assert_allclose(got[j, i], dense @ m[j, i], rtol=0, atol=1e-12)
+
 
 class TestPerRealizationIdentities:
     def test_perm_q_perfect_reconstruction_exact(self):
