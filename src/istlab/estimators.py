@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg, sketches
-from .errors import IncompatibleShape, WrongKind
+from .errors import DimMismatch, IncompatibleShape, WrongKind
 from .quadratics import QuadraticProblem
 from .sketches import SketchKind, SketchSample
 
@@ -92,6 +92,8 @@ def estimate(
     so ``ist`` with an identity sketch reproduces ``dgd`` bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != (p.d,):
+        raise DimMismatch(f"expected iterates of length {p.d}, got shape {x.shape}")
     if est.kind == "dgd":
         return linalg.mat_rows(p.L_bar, x) - p.b_bar, None
     if sample is None:

@@ -265,7 +265,7 @@ class SketchSample:
 
     def linear_term(self, p: QuadraticProblem) -> NDArray:
         """(1/n) sum_i C_i b_i as a dense vector."""
-        cb = self.times(_rows(p.b, self.idx)[..., None])
+        cb = self.times(self.local_rhs(p))
         return _accumulate(self.idx, cb[..., 0], self.d) / self.n
 
     def local_blocks(self, p: QuadraticProblem) -> NDArray:
@@ -290,7 +290,7 @@ class SketchSample:
         n, d = self.n, self.d
         w = self.times(np.take_along_axis(x[..., None, :], self.idx, axis=-1)[..., None])
         if self.idx.shape[-1] <= GATHER_MAX_FRACTION * d:
-            terms = w * (0.5 * (self.local_blocks(p) @ w) - _rows(p.b, self.idx)[..., None])
+            terms = w * (0.5 * (self.local_blocks(p) @ w) - self.local_rhs(p))
         else:
             z = _accumulate(self.idx + _client_offsets(n, d), w[..., 0], n * d).reshape(x.shape[:-1] + (n, d))
             terms = z * (0.5 * (p.L @ z[..., None])[..., 0] - p.b)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from istlab import sketches
-from istlab.errors import IncompatibleShape, NoClosedForm, WrongKind
+from istlab.errors import DimMismatch, IncompatibleShape, NoClosedForm, WrongKind
 from istlab.estimators import (
     EstimatorKind,
     estimate,
@@ -311,6 +311,8 @@ class TestStackedAgainstClientLoop:
         assert g.shape == X.shape
         for j in range(4):
             assert g[j].tobytes() == estimate(est, p, X[j], None, s)[0].tobytes()
+        with pytest.raises(DimMismatch):
+            estimate(est, p, X[:, :5], None, s)
 
     def test_bernoulli_padding_has_zero_weight(self):
         p = gen_heterogeneous(4, 8, seed=14)
