@@ -20,13 +20,12 @@ second moment leaks outside range(W), the certificate reports the pair as
 inadmissible (a value, not an error, so sweeps can tabulate it).
 
 Where the sketch fixes a value, it is returned exactly, with no products,
-pencil or eigvalsh: E[B] = I gives W = sym(L_bar), E[B L_bar B] = W gives
+pencil or eigvalsh: E[B] = I gives W = L_bar, E[B L_bar B] = W gives
 theta = 1, and W = L_bar positive definite gives rho = 1 - gamma.
 scaled_perm_het states that B = I on every draw (its family's
-``unit_curvature``), so its W is the problem's cached ``L_bar_sym`` and its
-second moment ``L_bar`` itself; where L_bar is symmetric the two are one
-array, and identity tests on the arrays stand in for d x d scans.  Other
-moments meet the last two tests by value.
+``unit_curvature``), so its W and its second moment are both the problem's
+``L_bar`` array, and identity tests on the arrays stand in for d x d scans.
+Other moments meet the last two tests by value.
 """
 
 from __future__ import annotations
@@ -58,30 +57,17 @@ def descent_matrix(
     """W = (L_bar E[B] + E[B] L_bar) / 2.
 
     Where the family fixes E[B] = I and ``moments`` are its closed form or
-    not given, W is the problem's read-only ``L_bar_sym``, which the product
+    not given, W is the problem's read-only ``L_bar``, which the product
     formula gives bit for bit at E[B] = I.
     """
     family = kind.family
     if family.unit_curvature and (moments is None or moments.method == "closed_form"):
         family.check_problem(kind, p)
-        return p.L_bar_sym
+        return p.L_bar
     if moments is None:
         moments = sketches._moments(kind, p)
     eb = moments.curvature
     return 0.5 * linalg.symmetrize(p.L_bar @ eb + eb @ p.L_bar)
-
-
-def _descent(
-    p: QuadraticProblem, kind: SketchKind, moments: SketchMoments | None = None
-) -> tuple[NDArray, NDArray]:
-    """W and E[B L_bar B]: from ``moments`` where they hold the second moment,
-    else by the route policy, which for a family with B = I on every draw is
-    the problem's ``L_bar_sym`` and ``L_bar`` with no d x d pass."""
-    if moments is None or moments.curvature_second is None:
-        if kind.family.unit_curvature:
-            return descent_matrix(p, kind), p.L_bar
-        moments = sketches._moments(kind, p, second=True)
-    return descent_matrix(p, kind, moments), moments.curvature_second
 
 
 def step_constant(
@@ -98,14 +84,25 @@ def step_constant(
     no finite theta exists.  Exactly 1.0 when E[B L_bar B] equals a PSD,
     nonzero W bit for bit (B = I on every draw), with no pencil formed.
     """
-    W, second = _descent(p, kind, moments)
-    return _theta(_descent_spectrum(p, W), W, second, psd_tol, rank_tol_factor)
+    return _descent_theta(p, kind, moments, psd_tol, rank_tol_factor)[2]
 
 
-def _descent_spectrum(p: QuadraticProblem, W: NDArray) -> linalg.Spectrum:
-    """Eigendecomposition of W: the problem's cached spectrum of L_bar where W
-    is the problem's ``L_bar_sym`` (E[B] = I), whose eigendecomposition it is."""
-    return p.spectrum if W is p.L_bar_sym else linalg.eig_sym(W)
+def _descent_theta(
+    p: QuadraticProblem, kind: SketchKind, moments: SketchMoments | None = None, *tols: float
+) -> tuple[NDArray, linalg.Spectrum, float | None]:
+    """W, its eigendecomposition and theta, with the tolerances of :func:`_theta`.
+
+    W and E[B L_bar B] come from ``moments`` where they hold the second
+    moment, else by the route policy.  For a family with B = I on every draw
+    that is the problem's ``L_bar`` for both, whose spectrum is the problem's
+    cached one, with no d x d pass.
+    """
+    if moments is None or moments.curvature_second is None:
+        moments = None if kind.family.unit_curvature else sketches._moments(kind, p, second=True)
+    W = descent_matrix(p, kind, moments)
+    spec = p.spectrum if W is p.L_bar else linalg.eig_sym(W)
+    second = p.L_bar if moments is None else moments.curvature_second
+    return W, spec, _theta(spec, W, second, *tols)
 
 
 def _theta(
@@ -172,8 +169,7 @@ def interpolation_rates(
     StepTooLarge
         If gamma is outside (0, 1/theta].
     """
-    W, second = _descent(p, kind)
-    theta = _theta(_descent_spectrum(p, W), W, second)
+    W, _, theta = _descent_theta(p, kind)
     if theta is None:
         raise ThetaInadmissible(f"sketch {kind.kind!r} admits no step constant here")
     if not (0.0 < gamma <= 1.0 / theta * (1.0 + 1e-12)):
@@ -440,23 +436,17 @@ def certificate(
     populated only for the scaled permutation estimators.
     """
     notes: list[str] = []
-    W, second = _descent(p, kind)
-    spec = _descent_spectrum(p, W)
+    W, spec, theta = _descent_theta(p, kind)
     psd = linalg.psd_eigenvalues(spec.eigenvalues)
-    theta = _theta(spec, W, second)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
-    rho = None
-    used_gamma = None
+    rho = used_gamma = None
     if theta is not None:
         used_gamma = gamma if gamma is not None else (gamma_max if gamma_max else 1.0)
         rho = contraction_factor(p, W, used_gamma)
     else:
         notes.append("no finite step constant: descent matrix fails PSD or pencil leaks")
 
-    bias = None
-    bias_norm = None
-    x_inf = None
-    sigma2 = None
+    bias = bias_norm = x_inf = sigma2 = None
     if kind.family.fixed_point is not None:
         try:
             x_inf = fixed_point(p, kind)

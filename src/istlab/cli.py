@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, certificates, linalg, quadratics, runner
+from . import __version__, certificates, quadratics, runner
 from .errors import ConfigInvalid, DegenerateEnsemble, IncompatibleShape, IstLabError
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
@@ -204,20 +204,15 @@ def write_outputs(trace: runner.Trace, output: dict, meta: dict) -> None:
 def cmd_gen(args) -> int:
     p = generate_problem(args.mode, args.n, args.d, args.seed)
     p.save(args.out)
-    vals = np.linalg.eigvalsh(linalg.symmetrize(p.L_bar))
+    vals = np.linalg.eigvalsh(p.L_bar)
     print(f"lambda_min(L_bar) = {vals[0]:.12g}")
     print(f"lambda_max(L_bar) = {vals[-1]:.12g}")
     return 0
 
 
 def _sketch_from_args(args) -> SketchKind:
-    doc = {"kind": args.sketch}
-    if args.q is not None:
-        doc["q"] = args.q
-    if args.p is not None:
-        doc["p"] = args.p
     try:
-        return SketchKind.from_config(doc)
+        return SketchKind(args.sketch, q=args.q, p=args.p)
     except IncompatibleShape as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -338,15 +333,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DegenerateEnsemble as exc:
+    except (IstLabError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IncompatibleShape as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ConfigInvalid, IstLabError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DegenerateEnsemble) else 4 if isinstance(exc, IncompatibleShape) else 2
 
 
 if __name__ == "__main__":

@@ -4,10 +4,10 @@ A problem is a collection of client losses
 
     f_i(x) = 1/2 x^T L_i x - x^T b_i,      f(x) = (1/n) sum_i f_i(x),
 
-with L_i symmetric.  The mean matrix ``L_bar`` and mean linear term
-``b_bar`` are cached, so the full gradient is ``L_bar @ x - b_bar``; the
-symmetric part and the eigendecomposition of ``L_bar`` are cached on first
-use.
+with L_i symmetric bit for bit, and so ``L_bar``.  The mean matrix ``L_bar``
+and mean linear term ``b_bar`` are cached, so the full gradient is
+``L_bar @ x - b_bar``; the eigendecomposition of ``L_bar`` is cached on
+first use.
 
 Randomness contract
 -------------------
@@ -63,6 +63,14 @@ def _write_json_rows(fh, rows: NDArray) -> None:
     fh.write("]")
 
 
+def _bitwise_symmetric(a: NDArray) -> bool:
+    """True iff the square ``a`` equals ``a.T`` bit for bit, compared in 256 x 256
+    tiles (512 KB, cache-sized) so no temporary of ``a``'s size is made."""
+    u, t = a.view(np.uint64), 256
+    return all(np.array_equal(u[i:i + t, j:j + t], u[j:j + t, i:i + t].T)
+               for i in range(0, len(u), t) for j in range(i, len(u), t))
+
+
 def client_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for substream ``index`` of a 64-bit ``seed``."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -73,8 +81,10 @@ class QuadraticProblem:
     """Immutable ensemble {L_i, b_i} with cached means.
 
     Arrays are stored read-only; the instance can be shared freely across
-    threads.  Use :meth:`from_arrays` rather than the raw constructor so the
-    inputs are validated and symmetrized.
+    threads.  The constructor holds every L_i bitwise symmetric: a client
+    that already is is kept as given, with no copy, and any other becomes
+    (L_i + L_i^T) / 2, as :meth:`from_arrays` computes it.  Only
+    :meth:`from_arrays` also rejects non-finite data.
     """
 
     L: NDArray  # (n, d, d)
@@ -91,18 +101,15 @@ class QuadraticProblem:
             raise DimMismatch(f"L must have shape (n, d, d), got {L.shape}")
         if b.shape != L.shape[:2]:
             raise DimMismatch(f"b must have shape (n, d) = {L.shape[:2]}, got {b.shape}")
-        for arr in (L, b):
-            arr.setflags(write=False)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "b", b)
-        L_bar = L.mean(axis=0)
-        b_bar = b.mean(axis=0)
+        asym = [i for i, Li in enumerate(L) if not _bitwise_symmetric(Li)]
+        if asym:  # on a copy: the caller's array is not written
+            L = L.copy()
+            L[asym] = linalg.symmetrize(L[asym])
         diag = np.ascontiguousarray(np.diagonal(L, axis1=1, axis2=2))
-        for arr in (L_bar, b_bar, diag):
+        for name, arr in (("L", L), ("b", b), ("L_bar", L.mean(axis=0)), ("b_bar", b.mean(axis=0)),
+                          ("diag", diag)):
             arr.setflags(write=False)
-        object.__setattr__(self, "L_bar", L_bar)
-        object.__setattr__(self, "b_bar", b_bar)
-        object.__setattr__(self, "diag", diag)
+            object.__setattr__(self, name, arr)  # frozen dataclass
 
     # -- construction ---------------------------------------------------
 
@@ -168,21 +175,6 @@ class QuadraticProblem:
     def positive_diagonal(self) -> bool:
         """True iff every [L_i]_jj > 0; computed on first use, then cached."""
         return bool((self.diag > 0.0).all())
-
-    @cached_property
-    def L_bar_sym(self) -> NDArray:
-        """Read-only symmetric part (L_bar + L_bar^T) / 2; computed on first use, then cached.
-
-        It is ``L_bar`` itself when that is bitwise symmetric, as on every
-        problem built by :meth:`from_arrays` or a generator, so no second
-        d x d array is kept; only a problem constructed directly from an
-        asymmetric ``L`` gets a copy.
-        """
-        if np.array_equal(self.L_bar, self.L_bar.T):
-            return self.L_bar
-        sym = linalg.symmetrize(self.L_bar)
-        sym.setflags(write=False)
-        return sym
 
     @cached_property
     def spectrum(self) -> linalg.Spectrum:
@@ -267,18 +259,45 @@ class QuadraticProblem:
             fh.write(f', "seed": {json.dumps(self.seed)}}}\n')
 
     @classmethod
-    def from_json(cls, doc: dict) -> "QuadraticProblem":
-        n, d = int(doc["n"]), int(doc["d"])
-        L = np.array([np.asarray(row, dtype=np.float64).reshape(d, d) for row in doc["L"]])
-        b = np.array(doc["b"], dtype=np.float64)
-        if L.shape != (n, d, d) or b.shape != (n, d):
-            raise DimMismatch("problem file shapes disagree with declared (n, d)")
-        return cls.from_arrays(L, b, seed=doc.get("seed"), symmetry_tol=SYMMETRY_TOL)
+    def from_json(cls, doc) -> "QuadraticProblem":
+        """Build a problem from a :meth:`to_json` document through :meth:`from_arrays`.
+        Raises :class:`DimMismatch`, naming the field, unless ``doc`` is an object
+        with positive integers n and d, numbers L and b of shapes (n, d * d) and
+        (n, d), and an integer or null seed."""
+        if not isinstance(doc, dict):
+            raise DimMismatch("problem file must hold a JSON object")
+        n, d = _doc_field(doc, "n"), _doc_field(doc, "d")
+        L = _doc_field(doc, "L", (n, d * d)).reshape(n, d, d)
+        b = _doc_field(doc, "b", (n, d))
+        if not isinstance(seed := doc.get("seed"), int | None) or isinstance(seed, bool):
+            raise DimMismatch(f"problem file seed must be an integer or null, got {seed!r}")
+        return cls.from_arrays(L, b, seed=seed, symmetry_tol=SYMMETRY_TOL)
 
     @classmethod
     def load(cls, path) -> "QuadraticProblem":
+        """Read a problem file; a file that is not JSON raises :class:`DimMismatch`."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON alike
+                raise DimMismatch(f"problem file is not valid JSON: {exc}") from None
+        return cls.from_json(doc)
+
+
+def _doc_field(doc: dict, key: str, shape: tuple[int, int] | None = None):
+    """``doc[key]`` of a problem file: a positive integer, or a float array of ``shape``."""
+    value = doc.get(key)
+    if shape is None:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DimMismatch(f"problem file {key} must be a positive integer, got {value!r}")
+        return value
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged lists
+        arr = np.array(None)
+    if arr.dtype.kind not in "fiu" or arr.shape != shape:
+        raise DimMismatch(f"problem file {key} must be a list of {shape[0]} lists of {shape[1]} numbers")
+    return arr.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -322,14 +341,14 @@ def ensure_nondegenerate(p: QuadraticProblem, rel_tol: float = DEGENERACY_TOL) -
     """Raise :class:`DegenerateEnsemble` if lambda_min(L_bar) <= rel_tol * lambda_max.
 
     From ``CHOLESKY_MIN_D`` on, a shifted Cholesky accepts clearly
-    well-conditioned ensembles; every other case is decided by ``eigvalsh``
-    of the symmetric part.  NaN or Inf in L_bar raises :class:`NonFinite` first.
+    well-conditioned ensembles; every other case is decided by ``eigvalsh``.
+    NaN or Inf in L_bar raises :class:`NonFinite` first.
     """
     if not np.isfinite(p.L_bar).all():
         raise NonFinite("mean matrix holds NaN or Inf")
-    if p.d >= CHOLESKY_MIN_D and _clearly_nondegenerate(linalg.symmetrize(p.L_bar), rel_tol):
+    if p.d >= CHOLESKY_MIN_D and _clearly_nondegenerate(p.L_bar.copy(), rel_tol):
         return
-    vals = np.linalg.eigvalsh(linalg.symmetrize(p.L_bar))
+    vals = np.linalg.eigvalsh(p.L_bar)
     if vals[-1] <= 0.0 or vals[0] <= rel_tol * vals[-1]:
         raise DegenerateEnsemble(
             f"mean matrix nearly singular: lambda_min={vals[0]:.3e}, lambda_max={vals[-1]:.3e}"
@@ -368,8 +387,7 @@ def gen_homogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
         raise DimMismatch("n and d must be positive")
     rng = client_rng(seed, 0)
     B = rng.standard_normal((d, d))
-    L1 = B.T @ B
-    L1 = (L1 + L1.T) / 2.0
+    L1 = B.T @ B  # one syrk with the triangle mirrored: exactly symmetric
     b1 = rng.standard_normal(d)
     L = np.broadcast_to(L1, (n, d, d)).copy()
     b = np.broadcast_to(b1, (n, d)).copy()

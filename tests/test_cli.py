@@ -344,6 +344,29 @@ class TestRun:
         assert_config_error(capsys, ["run", "--config", str(cfg_path)], "must be finite")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "p.json"]
 
+    @pytest.mark.parametrize("edit, phrase", [
+        (lambda doc: dict(doc, n="x"), "n must be a positive integer, got 'x'"),
+        (lambda doc: dict(doc, n=1.5), "n must be a positive integer, got 1.5"),
+        (lambda doc: dict(doc, n=True), "n must be a positive integer, got True"),
+        (lambda doc: dict(doc, d=2, L=[[1.0, 0.0, 1.0]] * 4, b=[[0.0, 0.0]] * 4),
+         "L must be a list of 4 lists of 4 numbers"),
+        (lambda doc: dict(doc, L=[["a"] + row[1:] for row in doc["L"]]), "L must be a list of 4 lists of 16"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "b"}, "b must be a list of 4 lists of 4"),
+        (lambda doc: [doc], "must hold a JSON object"),
+        (lambda doc: json.dumps(doc)[:40], "not valid JSON"),
+    ], ids=["n-string", "n-float", "n-bool", "L-row-length", "L-string", "no-b", "list", "truncated"])
+    def test_malformed_problem_file_exits_2_without_trace(self, tmp_path, capsys, edit, phrase):
+        prob_path = tmp_path / "p.json"
+        run_cli("gen", "--n", "4", "--d", "4", "--seed", "6", "--mode", "het",
+                "--out", str(prob_path))
+        doc = edit(json.loads(prob_path.read_text()))
+        prob_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(out, problem=str(prob_path))))
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], phrase)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "p.json"]
+
     def test_problem_file_overflowing_when_symmetrized_exits_2_in_one_line(self, tmp_path, capsys):
         # every entry is finite, but L_i + L_i^T overflows on the diagonal
         prob_path = tmp_path / "big.json"

@@ -5,11 +5,11 @@ For each one, ``hypothesis`` (derandomized, so every run sees the same
 problems) picks small problems the family can sample and whose outcome
 space is small enough to enumerate; a fixed list adds the cases the
 equality-pattern second moments must get right (partitions with q >= 2,
-bernoulli at p = 0.3, 0.5 and 1, rand_q at q = d).  Every closed form the
-family provides must match enumeration to 1e-12 relative: its moments,
-E[C_i], the fixed point and sigma2.  Past the enumeration budget, the
-closed E[B], mean linear term and E[B L_bar B] are checked against Monte
-Carlo.
+bernoulli at p = 0.3, 0.5 and 1, rand_q at q = d, raw asymmetric L_i).
+Every closed form the family provides must match enumeration to 1e-12
+relative: its moments, E[C_i], the fixed point and sigma2.  Past the
+enumeration budget, the closed E[B], mean linear term and E[B L_bar B] are
+checked against Monte Carlo.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from istlab import sketches
 from istlab.errors import IncompatibleShape, NoClosedForm, SingularMatrix, WrongKind
 from istlab.estimators import EstimatorKind, heterogeneity_variance
-from istlab.quadratics import gen_heterogeneous, gen_homogeneous, precondition_homogeneous
+from istlab.quadratics import QuadraticProblem, gen_heterogeneous, gen_homogeneous, precondition_homogeneous
 from istlab.sketches import FAMILIES, SketchKind
 
 #: Largest outcome space a case may enumerate; keeps the matrix fast.
@@ -55,6 +55,10 @@ def _problem(mode, n, d, seed):
     if mode == "hom":
         return precondition_homogeneous(gen_homogeneous(n, d, seed))[0]
     p = gen_heterogeneous(n, d, seed)
+    if mode == "asym":  # the raw constructor symmetrizes an L_i that is off by 0.5 in one entry
+        L = np.array(p.L)
+        L[0, 0, 1] += 0.5
+        return QuadraticProblem(L=L, b=p.b)
     return p.as_interpolation() if mode == "interp" else p
 
 
@@ -76,7 +80,9 @@ def test_closed_forms_match_enumeration(name, data):
 
 
 # (kind, mode, n, d): second moments of partitions with q >= 2, bernoulli at
-# each p the strategy draws, and rand_q keeping every coordinate
+# each p the strategy draws, rand_q keeping every coordinate, and raw
+# asymmetric input, whose second moment assumed symmetric L_i before the
+# constructor symmetrized it
 FIXED_CASES = [
     (SketchKind.perm_q(), "het", 2, 4), (SketchKind.perm_q(), "het", 2, 6),
     (SketchKind.perm_q(3), "hom", 2, 6), (SketchKind.perm_q(), "het", 3, 6),
@@ -86,6 +92,7 @@ FIXED_CASES = [
     (SketchKind.bernoulli(1.0), "het", 2, 3), (SketchKind.bernoulli(0.3), "hom", 2, 2),
     (SketchKind.rand_q(3), "het", 2, 3), (SketchKind.rand_q(2), "het", 3, 2),
     (SketchKind.rand_q(1), "het", 4, 1), (SketchKind.rand_q(2), "hom", 2, 4),
+    (SketchKind.rand_q(2), "asym", 2, 3), (SketchKind.bernoulli(0.5), "asym", 2, 3),
 ]
 
 

@@ -11,6 +11,7 @@ from istlab import linalg, quadratics
 from istlab.errors import (
     DegenerateEnsemble,
     DimMismatch,
+    IstLabError,
     NonFinite,
     NonPositiveDiagonal,
     NotHomogeneous,
@@ -168,6 +169,40 @@ class TestNondegeneracyCheck:
         gen_heterogeneous(10, 100, seed=3)
         gen_homogeneous(4, 50, seed=3)
         assert calls["eigvalsh"] == 0
+
+
+def bitwise_symmetric(L) -> bool:
+    u = L.view(np.uint64)
+    return bool((u == np.swapaxes(u, -1, -2)).all())
+
+
+class TestSymmetricInvariant:
+    """The constructor holds every L_i bitwise symmetric, and copies only what is not."""
+
+    def test_symmetric_input_keeps_its_bytes_without_a_copy(self):
+        p = gen_heterogeneous(3, 300, seed=5)  # d past one 256 x 256 tile
+        L = np.array(p.L)
+        before = L.tobytes()
+        q = QuadraticProblem(L=L, b=p.b)
+        assert q.L is L and L.tobytes() == before
+
+    @pytest.mark.parametrize("d, at", [(3, (0, 1)), (300, (299, 17))], ids=["3", "300"])
+    def test_asymmetric_input_is_what_from_arrays_gives(self, d, at):
+        p = gen_heterogeneous(2, d, seed=7)
+        L = np.array(p.L)
+        L[1][at] += 0.5
+        before = L.tobytes()
+        q = QuadraticProblem(L=L, b=p.b)
+        assert q.L.tobytes() == QuadraticProblem.from_arrays(L, p.b).L.tobytes()
+        assert bitwise_symmetric(q.L) and bitwise_symmetric(q.L_bar)
+        assert q.L[0].tobytes() == p.L[0].tobytes()  # the symmetric client is untouched
+        assert L.tobytes() == before  # the caller's array is not written
+
+    def test_signed_zeros_count_as_asymmetric(self):
+        L = np.array([[[1.0, -0.0], [0.0, 1.0]]])
+        q = QuadraticProblem(L=L, b=np.zeros((1, 2)))
+        assert q.L.tobytes() == QuadraticProblem.from_arrays(L, np.zeros((1, 2))).L.tobytes()
+        assert bitwise_symmetric(q.L)
 
 
 class TestInterpolation:
@@ -357,6 +392,44 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         q = QuadraticProblem.load(path)
         assert q.L[0, 0, 0] == q.L_bar[0, 0] == q.b_bar[0] == 8e307
+
+
+# any JSON value, and problem documents that are valid or corrupted in one field
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**65) | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=10,
+)
+ENTRIES = st.floats(-10.0, 10.0) | st.integers(-3, 3) | st.sampled_from([1e308, -1e308, 8e307])
+
+
+@st.composite
+def problem_docs(draw):
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    L = [[draw(ENTRIES) for _ in range(d * d)] for _ in range(n)]
+    if draw(st.booleans()):  # mirror the upper triangle
+        L = [[Li[min(j, k) * d + max(j, k)] for j in range(d) for k in range(d)] for Li in L]
+    doc = {"n": n, "d": d, "L": L, "b": [[draw(ENTRIES) for _ in range(d)] for _ in range(n)],
+           "seed": draw(st.none() | st.integers(0, 2**64))}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(doc=problem_docs() | JSON_VALUES)
+def test_from_json_loads_a_symmetric_finite_problem_or_raises(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            p = QuadraticProblem.from_json(doc)
+        except IstLabError:
+            return
+    assert bitwise_symmetric(p.L) and np.isfinite(p.L).all() and np.isfinite(p.b).all()
 
 
 def json_dump_bytes(p, path) -> bytes:

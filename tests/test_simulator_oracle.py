@@ -10,17 +10,27 @@ rounds (``runner.BLOCK_ROUNDS``), and whether a tape holds one round or a
 whole block (``sketches.CHUNK_BYTES`` set from the family's
 ``round_bytes``).  And each lane of a sweep, the diverging one included, is
 bitwise a ``run()`` at that lane's schedule alone (constant or staircase).
+
+Two more properties close the loop from the simulator to its expectations
+and to its files.  Wherever ``expected_estimate`` has a closed form (ist
+and cgd with every family, on problems small enough to enumerate), the
+probability-weighted mean of ``estimate`` over every enumerated outcome
+matches it to 1e-12.  And each lane's trace, written as CSV and as JSON
+with its sidecar, reads back to the in-memory ``Trace``.
 """
 
+import csv
+import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from istlab import runner, sketches
-from istlab.errors import IncompatibleShape
-from istlab.estimators import EstimatorKind
+from istlab import cli, runner, sketches
+from istlab.errors import IncompatibleShape, NoClosedForm
+from istlab.estimators import EstimatorKind, estimate, expected_estimate
 from istlab.quadratics import gen_heterogeneous
 from istlab.runner import RunConfig, StepSchedule, run, sweep
 from istlab.sketches import FAMILIES, SketchKind
@@ -109,3 +119,93 @@ def test_every_sweep_lane_is_its_own_run(est, name, data):
         for gamma, t in zip(gammas, traces, strict=True):
             assert_traces_bitwise([t], [run(replace(cfg, schedule=cfg.schedule.with_gamma(gamma)))])
     assert cfg.K < 5 or (traces[-1].diverged_at >= 0).all()
+
+
+# at most this many joint outcomes per enumerated mean
+MAX_OUTCOMES = 720
+
+
+def _has_closed_mean(est, p):
+    """True where ``expected_estimate`` takes its closed form rather than enumeration."""
+    sketch = est.sketch
+    if est.kind == "cgd":
+        return sketch.family.client_means(sketch, p) is not None
+    try:
+        return sketches.closed_moments(sketch, p, second=False).linear is not None
+    except NoClosedForm:
+        return False
+
+
+@pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)])
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_mean_estimate_over_outcomes_matches_closed_form(est, name, data):
+    params = FAMILIES[name].params
+    kind = SketchKind(
+        name,
+        q=data.draw(st.integers(1, 3)) if params.get("q") else None,
+        p=data.draw(st.sampled_from([0.3, 0.5, 1.0])) if params.get("p") else None,
+    )
+    shapes = [(n, d) for n in range(4, 0, -1) for d in range(6, 0, -1)  # largest first, as in configs
+              if _feasible(kind, n, d) and kind.family.count(kind, n, d) <= MAX_OUTCOMES]
+    n, d = data.draw(st.sampled_from(shapes))
+    p = gen_heterogeneous(n, d, seed=data.draw(st.integers(0, 10_000)))
+    if data.draw(st.booleans()):
+        p = p.as_interpolation()  # scaled_perm_het's q > 1 linear mean is closed only here
+    est = EstimatorKind(est, kind)
+    if not _has_closed_mean(est, p):
+        return
+    x = np.random.default_rng(data.draw(st.integers(0, 1000))).standard_normal(d)
+    total, scale = np.zeros(d), np.zeros(d)
+    for prob, s in sketches.enumerate_outcomes(kind, p):
+        g = estimate(est, p, x, None, s)[0]
+        total += prob * g
+        scale += prob * np.abs(g)
+    want = expected_estimate(est, p, x)
+    # rounding scales with the summed terms, which may cancel to a small mean
+    assert np.abs(total - want).max() <= 1e-12 * max(scale.max(), np.abs(want).max())
+
+
+def _same_floats(got, want):
+    """Bitwise equal where ``want`` is finite; NaN in ``got`` wherever it is not."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    finite = np.isfinite(want)
+    assert got.shape == want.shape
+    assert got[finite].tobytes() == want[finite].tobytes()
+    assert np.isnan(got[~finite]).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)]
+                         + [("dgd", "identity")])
+@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_csv_and_json_traces_read_back(est, name, data, tmp_path_factory):
+    cfg, gammas = data.draw(configs(est, name))
+    tmp = tmp_path_factory.mktemp("traces")
+    for j, t in enumerate(sweep(cfg, gammas)):
+        K = len(t.gammas)
+        for fmt in ("csv", "json"):
+            path = tmp / f"lane{j}.{fmt}"
+            cli.write_outputs(t, {"format": fmt, "path": str(path)}, {})
+            meta = json.loads(path.with_name(path.name + ".meta.json").read_text())
+            assert meta["diverged_at"] == t.diverged_at.tolist()
+            if fmt == "csv":
+                got = {m: np.full((t.repeats, K + 1), np.nan) for m in t.metric_order}
+                with open(path, newline="", encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))
+                assert rows[0] == ["repeat", "k", "metric_name", "value"]
+                for r, k, m, v in rows[1:]:
+                    got[m][int(r), int(k)] = float(v)
+            else:
+                doc = json.loads(path.read_text())
+                as_float = np.vectorize(lambda v: np.nan if v is None else v, otypes=[float])
+                got = {m: as_float(np.array(doc["metrics"][m], dtype=object).reshape(t.repeats, K + 1))
+                       for m in doc["metrics"]}
+                _same_floats(as_float(np.array(doc["final_f"], dtype=object)), t.final_f)
+                assert doc["diverged_at"] == t.diverged_at.tolist()
+                assert np.array(doc["gammas"]).reshape(K).tobytes() == t.gammas.tobytes()
+                assert np.array(doc["x0"]).tobytes() == t.x0.tobytes()
+            assert list(got) == list(t.metric_order)
+            for m in t.metric_order:
+                _same_floats(got[m], t.metrics[m])
