@@ -439,14 +439,18 @@ def certificate(
     W, spec, theta = _descent_theta(p, kind)
     psd = linalg.psd_eigenvalues(spec.eigenvalues)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
-    rho = used_gamma = None
+    rho = None
+    used_gamma = None
     if theta is not None:
         used_gamma = gamma if gamma is not None else (gamma_max if gamma_max else 1.0)
         rho = contraction_factor(p, W, used_gamma)
     else:
         notes.append("no finite step constant: descent matrix fails PSD or pencil leaks")
 
-    bias = bias_norm = x_inf = sigma2 = None
+    bias = None
+    bias_norm = None
+    x_inf = None
+    sigma2 = None
     if kind.family.fixed_point is not None:
         try:
             x_inf = fixed_point(p, kind)

@@ -211,8 +211,13 @@ def cmd_gen(args) -> int:
 
 
 def _sketch_from_args(args) -> SketchKind:
+    doc = {"kind": args.sketch}
+    if args.q is not None:
+        doc["q"] = args.q
+    if args.p is not None:
+        doc["p"] = args.p
     try:
-        return SketchKind(args.sketch, q=args.q, p=args.p)
+        return SketchKind.from_config(doc)
     except IncompatibleShape as exc:
         raise ConfigInvalid(str(exc)) from exc
 
@@ -333,9 +338,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (IstLabError, OSError, KeyError) as exc:
+    except DegenerateEnsemble as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, DegenerateEnsemble) else 4 if isinstance(exc, IncompatibleShape) else 2
+        return 3
+    except IncompatibleShape as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except (ConfigInvalid, IstLabError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,6 +47,9 @@ DEGENERACY_TOL = 1e-10
 #: (crossover at d = 12-14, about 27 us, on one OpenBLAS thread).
 CHOLESKY_MIN_D = 13
 
+#: Side of the tiles in which the constructor compares each L_i with L_i^T.
+SYM_TILE = 256
+
 #: Most floats encoded by one ``json.dumps`` call in :meth:`QuadraticProblem.save`.
 SAVE_CHUNK = 1 << 16
 
@@ -63,12 +66,24 @@ def _write_json_rows(fh, rows: NDArray) -> None:
     fh.write("]")
 
 
-def _bitwise_symmetric(a: NDArray) -> bool:
-    """True iff the square ``a`` equals ``a.T`` bit for bit, compared in 256 x 256
-    tiles (512 KB, cache-sized) so no temporary of ``a``'s size is made."""
-    u, t = a.view(np.uint64), 256
-    return all(np.array_equal(u[i:i + t, j:j + t], u[j:j + t, i:i + t].T)
-               for i in range(0, len(u), t) for j in range(i, len(u), t))
+def _asymmetric_clients(L: NDArray) -> NDArray:
+    """Indices of the clients whose L_i differs from L_i^T in some bit.
+
+    Tiles of SYM_TILE x SYM_TILE entries are compared (512 KB, cache-sized),
+    as many clients' whole matrices at once as fit in one where d is smaller,
+    so no temporary of L's size is made and a small ensemble takes one pass.
+    """
+    u, (n, d) = L.view(np.uint64), L.shape[:2]
+    t = min(SYM_TILE, d)
+    g = SYM_TILE * SYM_TILE // (t * t)
+    asym = np.zeros(n, dtype=bool)
+    for c in range(0, n, g):
+        for i in range(0, d, t):
+            for j in range(i, d, t):
+                ne = u[c:c + g, i:i + t, j:j + t] != u[c:c + g, j:j + t, i:i + t].transpose(0, 2, 1)
+                if ne.any():
+                    asym[c:c + g] |= ne.any(axis=(1, 2))
+    return np.flatnonzero(asym)
 
 
 def client_rng(seed: int, index: int) -> np.random.Generator:
@@ -101,15 +116,22 @@ class QuadraticProblem:
             raise DimMismatch(f"L must have shape (n, d, d), got {L.shape}")
         if b.shape != L.shape[:2]:
             raise DimMismatch(f"b must have shape (n, d) = {L.shape[:2]}, got {b.shape}")
-        asym = [i for i, Li in enumerate(L) if not _bitwise_symmetric(Li)]
-        if asym:  # on a copy: the caller's array is not written
+        asym = _asymmetric_clients(L)
+        if asym.size:  # on a copy: the caller's array is not written
             L = L.copy()
             L[asym] = linalg.symmetrize(L[asym])
-        diag = np.ascontiguousarray(np.diagonal(L, axis1=1, axis2=2))
-        for name, arr in (("L", L), ("b", b), ("L_bar", L.mean(axis=0)), ("b_bar", b.mean(axis=0)),
-                          ("diag", diag)):
+        for arr in (L, b):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)  # frozen dataclass
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "b", b)
+        L_bar = L.mean(axis=0)
+        b_bar = b.mean(axis=0)
+        diag = np.ascontiguousarray(np.diagonal(L, axis1=1, axis2=2))
+        for arr in (L_bar, b_bar, diag):
+            arr.setflags(write=False)
+        object.__setattr__(self, "L_bar", L_bar)
+        object.__setattr__(self, "b_bar", b_bar)
+        object.__setattr__(self, "diag", diag)
 
     # -- construction ---------------------------------------------------
 
@@ -183,7 +205,8 @@ class QuadraticProblem:
         Every consumer of L_bar's eigenvectors reads this one: the minimizer,
         the L_bar^{-1} metric weight and the contraction factor's L_bar^{-1/2}.
         """
-        spec = linalg.eig_sym(self.L_bar)
+        vals, vecs = np.linalg.eigh(linalg.check_finite(self.L_bar))  # L_bar is symmetric
+        spec = linalg.Spectrum(eigenvalues=vals, eigenvectors=vecs)
         for arr in (spec.eigenvalues, spec.eigenvectors):
             arr.setflags(write=False)
         return spec
@@ -295,7 +318,8 @@ def _doc_field(doc: dict, key: str, shape: tuple[int, int] | None = None):
         arr = np.array(value)
     except ValueError:  # ragged lists
         arr = np.array(None)
-    if arr.dtype.kind not in "fiu" or arr.shape != shape:
+    if (arr.dtype.kind not in "fiu" or arr.shape != shape
+            or any(bool in map(type, row) for row in value)):  # numpy reads true in [true, 0.5] as 1.0
         raise DimMismatch(f"problem file {key} must be a list of {shape[0]} lists of {shape[1]} numbers")
     return arr.astype(np.float64, copy=False)
 

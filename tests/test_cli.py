@@ -351,10 +351,13 @@ class TestRun:
         (lambda doc: dict(doc, d=2, L=[[1.0, 0.0, 1.0]] * 4, b=[[0.0, 0.0]] * 4),
          "L must be a list of 4 lists of 4 numbers"),
         (lambda doc: dict(doc, L=[["a"] + row[1:] for row in doc["L"]]), "L must be a list of 4 lists of 16"),
+        (lambda doc: dict(doc, L=[[True] + row[1:] for row in doc["L"]]), "L must be a list of 4 lists of 16"),
+        (lambda doc: dict(doc, b=[[False] + row[1:] for row in doc["b"]]), "b must be a list of 4 lists of 4"),
         (lambda doc: {k: v for k, v in doc.items() if k != "b"}, "b must be a list of 4 lists of 4"),
         (lambda doc: [doc], "must hold a JSON object"),
         (lambda doc: json.dumps(doc)[:40], "not valid JSON"),
-    ], ids=["n-string", "n-float", "n-bool", "L-row-length", "L-string", "no-b", "list", "truncated"])
+    ], ids=["n-string", "n-float", "n-bool", "L-row-length", "L-string", "L-bool", "b-bool", "no-b", "list",
+            "truncated"])
     def test_malformed_problem_file_exits_2_without_trace(self, tmp_path, capsys, edit, phrase):
         prob_path = tmp_path / "p.json"
         run_cli("gen", "--n", "4", "--d", "4", "--seed", "6", "--mode", "het",

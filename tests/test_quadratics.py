@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from istlab import linalg, quadratics
@@ -186,16 +186,21 @@ class TestSymmetricInvariant:
         q = QuadraticProblem(L=L, b=p.b)
         assert q.L is L and L.tobytes() == before
 
-    @pytest.mark.parametrize("d, at", [(3, (0, 1)), (300, (299, 17))], ids=["3", "300"])
-    def test_asymmetric_input_is_what_from_arrays_gives(self, d, at):
-        p = gen_heterogeneous(2, d, seed=7)
+    @pytest.mark.parametrize("n, d, client, at", [
+        (2, 3, 1, (0, 1)),
+        (2, 300, 1, (299, 17)),  # in the second of a client's tiles
+        (14, 100, 13, (5, 60)),  # six clients share a tile: in the last, partial group
+    ], ids=["3", "300", "groups"])
+    def test_asymmetric_input_is_what_from_arrays_gives(self, n, d, client, at):
+        p = gen_heterogeneous(n, d, seed=7)
         L = np.array(p.L)
-        L[1][at] += 0.5
+        L[client][at] += 0.5
         before = L.tobytes()
         q = QuadraticProblem(L=L, b=p.b)
         assert q.L.tobytes() == QuadraticProblem.from_arrays(L, p.b).L.tobytes()
         assert bitwise_symmetric(q.L) and bitwise_symmetric(q.L_bar)
-        assert q.L[0].tobytes() == p.L[0].tobytes()  # the symmetric client is untouched
+        for i in set(range(n)) - {client}:  # the symmetric clients are untouched
+            assert q.L[i].tobytes() == p.L[i].tobytes()
         assert L.tobytes() == before  # the caller's array is not written
 
     def test_signed_zeros_count_as_asymmetric(self):
@@ -411,6 +416,12 @@ def problem_docs(draw):
         L = [[Li[min(j, k) * d + max(j, k)] for j in range(d) for k in range(d)] for Li in L]
     doc = {"n": n, "d": d, "L": L, "b": [[draw(ENTRIES) for _ in range(d)] for _ in range(n)],
            "seed": draw(st.none() | st.integers(0, 2**64))}
+    if draw(st.booleans()):  # a boolean among numbers, which numpy reads as 0.0 or 1.0
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+        if draw(st.booleans()):
+            doc["b"][i][j] = draw(st.booleans())
+        else:  # on the diagonal, so a mirrored L stays symmetric
+            doc["L"][i][j * (d + 1)] = draw(st.booleans())
     if draw(st.booleans()):
         key = draw(st.sampled_from(sorted(doc)))
         if draw(st.booleans()):
@@ -422,6 +433,8 @@ def problem_docs(draw):
 
 @settings(derandomize=True, max_examples=120, deadline=None, database=None)
 @given(doc=problem_docs() | JSON_VALUES)
+@example(doc={"n": 1, "d": 2, "L": [[True, 0.5, 0.5, 2.0]], "b": [[0.0, 1.0]], "seed": None})
+@example(doc={"n": 1, "d": 2, "L": [[1.0, 0.5, 0.5, 2.0]], "b": [[False, 1.0]], "seed": None})
 def test_from_json_loads_a_symmetric_finite_problem_or_raises(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -430,6 +443,7 @@ def test_from_json_loads_a_symmetric_finite_problem_or_raises(doc):
         except IstLabError:
             return
     assert bitwise_symmetric(p.L) and np.isfinite(p.L).all() and np.isfinite(p.b).all()
+    assert not any(bool in map(type, row) for row in doc["L"] + doc["b"])
 
 
 def json_dump_bytes(p, path) -> bytes:
