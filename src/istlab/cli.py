@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, certificates, quadratics, runner
-from .errors import ConfigInvalid, DegenerateEnsemble, IncompatibleShape, IstLabError
+from .errors import ConfigInvalid, DegenerateEnsemble, IncompatibleShape, IstLabError, integer, json_object
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
 from .runner import RunConfig, StepSchedule
@@ -63,17 +63,12 @@ def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         return p, {"path": str(path), "sha256": digest}
     if isinstance(source, dict) and isinstance(source.get("generator"), dict):
-        spec = dict(source["generator"])
+        spec = json_object(dict(source["generator"]), ConfigInvalid, "generator", GENERATOR_KEYS,
+                           required=("mode", "n", "d", "seed"))
         precondition = spec.get("precondition", False)
         if not isinstance(precondition, bool):
             raise ConfigInvalid(f"precondition must be true or false, got {precondition!r}")
-        extra = set(spec) - GENERATOR_KEYS
-        if extra:
-            raise ConfigInvalid(f"unknown generator keys {sorted(extra)}")
-        p = generate_problem(
-            spec["mode"], _json_int(spec, "n"), _json_int(spec, "d"), _json_int(spec, "seed"),
-            precondition,
-        )
+        p = generate_problem(spec["mode"], spec["n"], spec["d"], spec["seed"], precondition)
         return p, {"generator": spec}
     raise ConfigInvalid("problem must be a path string or {'generator': {...}}")
 
@@ -83,31 +78,21 @@ def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _json_int(doc: dict, key: str, default: int | None = None) -> int:
-    """``doc[key]`` as an integer; JSON booleans, strings and floats are rejected."""
-    value = doc.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigInvalid(f"{key} must be an integer, got {value!r}")
-    return value
+def _spec(make, *args):
+    """``make(*args)`` for an estimator or sketch spec: a malformed one is a config
+    error (exit 2), not a shape mismatch met at run time (exit 4)."""
+    try:
+        return make(*args)
+    except IncompatibleShape as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
     """Validate an experiment document; returns (config, output spec, provenance)."""
-    if not isinstance(doc, dict):
-        raise ConfigInvalid("experiment file must hold a JSON object")
-    extra = set(doc) - EXPERIMENT_KEYS
-    if extra:
-        raise ConfigInvalid(f"unknown experiment keys {sorted(extra)}")
-    for key in ("problem", "estimator", "schedule", "K", "seed", "output"):
-        if key not in doc:
-            raise ConfigInvalid(f"experiment file missing key {key!r}")
+    json_object(doc, ConfigInvalid, "experiment file", EXPERIMENT_KEYS,
+                required=("problem", "estimator", "schedule", "K", "seed", "output"))
     problem, provenance = _load_problem_source(doc["problem"])
-    try:
-        est = EstimatorKind.from_config(doc["estimator"], doc.get("sketch"))
-    except IncompatibleShape as exc:
-        # malformed estimator/sketch spec is a config error, not a runtime
-        # shape mismatch
-        raise ConfigInvalid(str(exc)) from exc
+    est = _spec(EstimatorKind.from_config, doc["estimator"], doc.get("sketch"))
     schedule = StepSchedule.from_config(doc["schedule"])
     metrics = doc.get("metrics", ["f_gap_rel_log"])
     if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
@@ -122,9 +107,9 @@ def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
         problem=problem,
         estimator=est,
         schedule=schedule,
-        K=_json_int(doc, "K"),
-        seed=_json_int(doc, "seed"),
-        repeats=_json_int(doc, "repeats", 1),
+        K=doc["K"],
+        seed=doc["seed"],
+        repeats=doc.get("repeats", 1),
         metrics=tuple(metrics),
     )
     return cfg, output, provenance
@@ -210,25 +195,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _sketch_from_args(args) -> SketchKind:
-    doc = {"kind": args.sketch}
-    if args.q is not None:
-        doc["q"] = args.q
-    if args.p is not None:
-        doc["p"] = args.p
-    try:
-        return SketchKind.from_config(doc)
-    except IncompatibleShape as exc:
-        raise ConfigInvalid(str(exc)) from exc
-
-
 def cmd_theory(args) -> int:
-    if args.sigma2_samples is not None and args.sigma2_samples < 1:
-        raise ConfigInvalid(f"--sigma2-samples must be >= 1, got {args.sigma2_samples}")
+    if args.sigma2_samples is not None:
+        integer(args.sigma2_samples, ConfigInvalid, "--sigma2-samples must be >= 1", low=1)
     if args.gamma is not None:
         StepSchedule.constant(args.gamma)  # the --gammas rule: rejects nan, inf and gamma <= 0
     p = QuadraticProblem.load(args.problem)
-    kind = _sketch_from_args(args)
+    kind = _spec(SketchKind, args.sketch, args.q, args.p)
     cert = certificates.certificate(
         p, kind, gamma=args.gamma, sigma2_samples=args.sigma2_samples,
         rng=np.random.default_rng(0) if args.sigma2_samples is not None else None,
@@ -344,7 +317,7 @@ def main(argv=None) -> int:
     except IncompatibleShape as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigInvalid, IstLabError, OSError, KeyError) as exc:
+    except (IstLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

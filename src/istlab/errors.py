@@ -1,4 +1,22 @@
-"""Exception hierarchy shared by all istlab modules."""
+"""Exception hierarchy shared by all istlab modules, and the field rules.
+
+Every reader of an experiment file, a problem file or a sketch parameter
+checks its fields with the three rules below, so a field is rejected the
+same way wherever it is read.  Each rule raises the exception class its
+caller passes (a config error, a shape error or a plain ``ValueError``),
+with the caller's one-line ``what`` and the value it got:
+
+:func:`integer`
+    an int, not a bool, at least ``low``;
+:func:`real`
+    a finite real number, not a bool, above ``above`` and at most ``at_most``;
+:func:`json_object`
+    an object whose keys are among ``allowed`` (listed sorted when not) and
+    include every ``required`` key (the first missing one named).
+"""
+
+import math
+import numbers
 
 
 class IstLabError(Exception):
@@ -72,3 +90,38 @@ class WrongKind(IstLabError):
 
 class ConfigInvalid(IstLabError):
     """Run or experiment configuration failed validation."""
+
+
+def integer(value, error: type[Exception], what: str, low: int | None = None):
+    """``value`` if it is an integer, not a bool, and at least ``low``;
+    else raise ``error(f"{what}, got {value!r}")``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and (low is None or value >= low):
+        return value
+    raise error(f"{what}, got {value!r}")
+
+
+def real(value, error: type[Exception], what: str, above: float | None = None, at_most: float | None = None):
+    """``value`` if it is a real number, not a bool, finite as a float, above ``above``
+    and at most ``at_most``; else raise ``error(f"{what}, got {value!r}")``."""
+    try:
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+                and (above is None or value > above) and (at_most is None or value <= at_most)):
+            return value
+    except OverflowError:  # an int past the float range
+        pass
+    raise error(f"{what}, got {value!r}")
+
+
+def json_object(doc, error: type[Exception], what: str, allowed=None, required=()) -> dict:
+    """``doc`` if it is a dict whose keys are among ``allowed`` (any, where None) and
+    include each of ``required``; else raise ``error`` naming the document ``what``
+    and its unknown keys, sorted, or its first missing key."""
+    if not isinstance(doc, dict):
+        raise error(f"{what} must be an object (a JSON object), got {doc!r}")
+    extra = set() if allowed is None else set(doc) - set(allowed)
+    if extra:
+        raise error(f"unknown {what} keys {sorted(extra)}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{what} missing key {key!r}")
+    return doc

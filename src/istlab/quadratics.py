@@ -34,6 +34,7 @@ from .errors import (
     NonPositiveDiagonal,
     NotHomogeneous,
     SingularMatrix,
+    integer,
 )
 
 #: Symmetry validation tolerance used by the JSON loader.
@@ -289,11 +290,12 @@ class QuadraticProblem:
         (n, d), and an integer or null seed."""
         if not isinstance(doc, dict):
             raise DimMismatch("problem file must hold a JSON object")
-        n, d = _doc_field(doc, "n"), _doc_field(doc, "d")
-        L = _doc_field(doc, "L", (n, d * d)).reshape(n, d, d)
-        b = _doc_field(doc, "b", (n, d))
-        if not isinstance(seed := doc.get("seed"), int | None) or isinstance(seed, bool):
-            raise DimMismatch(f"problem file seed must be an integer or null, got {seed!r}")
+        n = integer(doc.get("n"), DimMismatch, "problem file n must be a positive integer", low=1)
+        d = integer(doc.get("d"), DimMismatch, "problem file d must be a positive integer", low=1)
+        L = _doc_array(doc, "L", (n, d * d)).reshape(n, d, d)
+        b = _doc_array(doc, "b", (n, d))
+        if (seed := doc.get("seed")) is not None:
+            integer(seed, DimMismatch, "problem file seed must be an integer or null")
         return cls.from_arrays(L, b, seed=seed, symmetry_tol=SYMMETRY_TOL)
 
     @classmethod
@@ -307,13 +309,9 @@ class QuadraticProblem:
         return cls.from_json(doc)
 
 
-def _doc_field(doc: dict, key: str, shape: tuple[int, int] | None = None):
-    """``doc[key]`` of a problem file: a positive integer, or a float array of ``shape``."""
+def _doc_array(doc: dict, key: str, shape: tuple[int, int]) -> NDArray:
+    """``doc[key]`` of a problem file as a float array of ``shape``."""
     value = doc.get(key)
-    if shape is None:
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise DimMismatch(f"problem file {key} must be a positive integer, got {value!r}")
-        return value
     try:
         arr = np.array(value)
     except ValueError:  # ragged lists
@@ -391,8 +389,8 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
         If the sampled mean matrix is numerically singular (the caller
         should retry with a different seed).
     """
-    if n < 1 or d < 1:
-        raise DimMismatch("n and d must be positive")
+    integer(n, DimMismatch, "n must be an integer >= 1", low=1)
+    integer(d, DimMismatch, "d must be an integer >= 1", low=1)
     L = np.empty((n, d, d))
     b = np.empty((n, d))
     for i in range(n):
@@ -407,8 +405,8 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
 
 def gen_homogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
     """One Gaussian (L, b) pair replicated to all ``n`` clients."""
-    if n < 1 or d < 1:
-        raise DimMismatch("n and d must be positive")
+    integer(n, DimMismatch, "n must be an integer >= 1", low=1)
+    integer(d, DimMismatch, "d must be an integer >= 1", low=1)
     rng = client_rng(seed, 0)
     B = rng.standard_normal((d, d))
     L1 = B.T @ B  # one syrk with the triangle mirrored: exactly symmetric

@@ -44,8 +44,6 @@ returns normally.
 
 from __future__ import annotations
 
-import math
-import numbers
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401  (wrapped by bench/tracer.py)
 from dataclasses import dataclass, field, replace
@@ -54,7 +52,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import certificates, estimators, linalg, sketches
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, integer, json_object, real
 from .estimators import EstimatorKind
 from .quadratics import QuadraticProblem
 
@@ -73,17 +71,8 @@ DIVERGENCE_LIMIT = 1e100
 BLOCK_ROUNDS = 256
 
 
-def _finite_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def check_seed(seed) -> None:
-    if not (_is_int(seed) and seed >= 0):
-        raise ConfigInvalid(f"seed must be a non-negative integer, got {seed!r}")
+    integer(seed, ConfigInvalid, "seed must be a non-negative integer", low=0)
 
 
 @dataclass(frozen=True)
@@ -98,13 +87,10 @@ class StepSchedule:
     def __post_init__(self) -> None:
         if self.variant not in ("constant", "staircase"):
             raise ConfigInvalid(f"unknown schedule variant {self.variant!r}")
-        if not (_finite_real(self.gamma) and self.gamma > 0.0):
-            raise ConfigInvalid(f"step size must be a finite positive number, got {self.gamma!r}")
+        real(self.gamma, ConfigInvalid, "step size must be a finite positive number", above=0.0)
         if self.variant == "staircase":
-            if not (_finite_real(self.divide_by) and self.divide_by > 1.0):
-                raise ConfigInvalid("staircase divide_by must be a finite number > 1")
-            if not (_is_int(self.period) and self.period >= 1):
-                raise ConfigInvalid("staircase period must be an integer >= 1")
+            real(self.divide_by, ConfigInvalid, "staircase divide_by must be a finite number > 1", above=1.0)
+            integer(self.period, ConfigInvalid, "staircase period must be an integer >= 1", low=1)
 
     @classmethod
     def constant(cls, gamma: float) -> "StepSchedule":
@@ -124,17 +110,13 @@ class StepSchedule:
 
     @classmethod
     def from_config(cls, doc: dict) -> "StepSchedule":
-        if not isinstance(doc, dict):
-            raise ConfigInvalid("schedule must be an object with a 'type' key")
-        if doc.get("type") == "constant":
-            extra = set(doc) - {"type", "gamma"}
-            if extra:
-                raise ConfigInvalid(f"unknown schedule keys {sorted(extra)}")
+        variant = json_object(doc, ConfigInvalid, "schedule").get("type")
+        if variant == "constant":
+            json_object(doc, ConfigInvalid, "schedule", {"type", "gamma"}, required=("gamma",))
             return cls.constant(doc["gamma"])
-        if doc.get("type") == "staircase":
-            extra = set(doc) - {"type", "gamma0", "divide_by", "period"}
-            if extra:
-                raise ConfigInvalid(f"unknown schedule keys {sorted(extra)}")
+        if variant == "staircase":
+            json_object(doc, ConfigInvalid, "schedule", {"type", "gamma0", "divide_by", "period"},
+                        required=("gamma0",))
             return cls.staircase(doc["gamma0"], doc.get("divide_by", 10.0), doc.get("period", 1000))
         raise ConfigInvalid("schedule type must be 'constant' or 'staircase'")
 
@@ -162,11 +144,9 @@ class RunConfig:
     record_iterates: bool = False
 
     def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ConfigInvalid("K must be >= 0")
+        integer(self.K, ConfigInvalid, "K must be an integer >= 0", low=0)
         check_seed(self.seed)
-        if self.repeats < 1:
-            raise ConfigInvalid("repeats must be >= 1")
+        integer(self.repeats, ConfigInvalid, "repeats must be an integer >= 1", low=1)
         unknown = set(self.metrics) - set(METRICS)
         if unknown:
             raise ConfigInvalid(f"unknown metrics {sorted(unknown)}")

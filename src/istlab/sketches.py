@@ -40,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,6 +56,9 @@ from .errors import (
     SingularMatrix,
     TooLarge,
     WrongKind,
+    integer,
+    json_object,
+    real,
 )
 from .quadratics import QuadraticProblem
 
@@ -127,11 +129,7 @@ class SketchKind:
 
     @classmethod
     def from_config(cls, doc: dict) -> "SketchKind":
-        if not isinstance(doc, dict):
-            raise IncompatibleShape(f"sketch must be an object, got {doc!r}")
-        extra = set(doc) - {"kind", "q", "p"}
-        if extra:
-            raise IncompatibleShape(f"unknown sketch config keys {sorted(extra)}")
+        json_object(doc, IncompatibleShape, "sketch", {"kind", "q", "p"})
         return cls(doc.get("kind"), q=doc.get("q"), p=doc.get("p"))
 
     def to_config(self) -> dict:
@@ -215,8 +213,9 @@ class SketchSample:
     def parts(self):
         """Yield (positions, sample) parts covering a stack's rounds, for stacked
         passes whose results are bitwise per round: each sample stacks rounds of
-        one width, cut to it as :meth:`rounds` cuts them, whose (n, w, w) blocks
-        and their gather index fit ``CHUNK_BYTES // 2``."""
+        one width, cut to it as :meth:`rounds` cuts them (``local`` and ``rhs``
+        too, where gathered), whose (n, w, w) blocks and their gather index fit
+        ``CHUNK_BYTES // 2``."""
         k, n, q = self.idx.shape
         widths = np.array(self._widths() or [q] * k)
         for w in sorted(set(widths.tolist())):  # not np.unique, whose first call imports numpy.ma
@@ -224,8 +223,9 @@ class SketchSample:
             step = max(1, CHUNK_BYTES // (32 * n * max(w, 1) ** 2))
             for at in np.split(pos, range(step, len(pos), step)):
                 local = None if self.local is None else self.local[at, :, :w, :w]
+                rhs = None if self.rhs is None else self.rhs[at, :, :w]
                 yield at, SketchSample(self.kind, self.n, self.d, self.idx[at, :, :w],
-                                       self.factors[at, :, :w], local)
+                                       self.factors[at, :, :w], local, rhs=rhs)
 
     def _widths(self) -> list[int] | None:
         """Each round's own width, the columns some client keeps, where a stack's
@@ -586,16 +586,6 @@ def _selection_weights(kind: SketchKind, n: int, d: int) -> tuple[float, float, 
 # ---------------------------------------------------------------------------
 
 
-#: Sketch parameters: the rule a value must meet, and its check (NaN fails
-#: the comparisons, and inf the upper bound).
-_PARAMS = {
-    "q": ("an integer q >= 1",
-          lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1),
-    "p": ("a real 0 < p <= 1",
-          lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v <= 1.0),
-}
-
-
 class _Family:
     """Everything istlab knows about one sketch family.
 
@@ -620,16 +610,14 @@ class _Family:
         self.name, self.params = name, params or {}
 
     def check(self, kind: SketchKind) -> None:
-        """Reject a parameter the family does not take or of the wrong type."""
-        for name, (rule, ok) in _PARAMS.items():
-            value = getattr(kind, name)
-            if value is None:
-                if self.params.get(name):
-                    raise IncompatibleShape(f"{self.name} requires {rule}")
-            elif name not in self.params:
+        """Reject a parameter the family does not take, and a missing or malformed one."""
+        for name, value in (("q", kind.q), ("p", kind.p)):
+            if value is not None and name not in self.params:
                 raise IncompatibleShape(f"{self.name} takes no {name} parameter")
-            elif not ok(value):
-                raise IncompatibleShape(f"{self.name} requires {rule}, got {value!r}")
+        if kind.q is not None or self.params.get("q"):
+            integer(kind.q, IncompatibleShape, f"{self.name} requires an integer q >= 1", low=1)
+        if kind.p is not None or self.params.get("p"):
+            real(kind.p, IncompatibleShape, f"{self.name} requires a real 0 < p <= 1", above=0.0, at_most=1.0)
 
     def block_size(self, kind: SketchKind, n: int, d: int) -> int:
         """Coordinates per client; raises IncompatibleShape on a bad shape."""
@@ -1062,8 +1050,7 @@ def _draws(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator, n_sa
     order, as chunks of the family's ``draw_many`` stacks at weight
     1 / n_samples (Bernoulli rows padded to the chunk's widest client with
     dropped coordinates at weight 0); rng ends where those calls leave it."""
-    if not _PARAMS["q"][1](n_samples):  # the rule for q: an integer >= 1, not a bool
-        raise ValueError(f"n_samples must be >= 1 and an integer, got {n_samples!r}")
+    integer(n_samples, ValueError, "n_samples must be >= 1 and an integer", low=1)
     if rng is None:
         raise ValueError("Monte Carlo needs an rng")
     m = max(1, CHUNK_BYTES // (8 * p.d * p.d))

@@ -1,16 +1,23 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from istlab import certificates, cli, quadratics, runner
-from istlab.errors import DegenerateEnsemble
+from istlab.errors import DegenerateEnsemble, IstLabError
 from istlab.quadratics import QuadraticProblem
 from istlab.sketches import SketchKind
 
@@ -568,6 +575,9 @@ class TestExperimentValidation:
                                     "precondition": "no"}}},
          "precondition must be true or false"),
         ({"metrics": ["grad_sq", "grad_sq"]}, "metrics must not repeat a name"),
+        ({"problem": {"generator": {"n": 4, "d": 4, "seed": 1}}}, "generator missing key 'mode'"),
+        ({"schedule": {"type": "constant"}}, "schedule missing key 'gamma'"),
+        ({"schedule": {"type": "staircase", "divide_by": 2.0}}, "schedule missing key 'gamma0'"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
         cfg_path = tmp_path / "exp.json"
@@ -579,3 +589,77 @@ class TestExperimentValidation:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text("[1, 2]")
         assert_config_error(capsys, ["run", "--config", str(cfg_path)], "JSON object")
+
+
+#: Valid experiment documents, small enough that every run takes milliseconds.
+FUZZ_BASES = [
+    experiment_doc("trace.csv", K=4, problem={"generator": {"mode": "het", "n": 3, "d": 3, "seed": 12}},
+                   sketch={"kind": "rand_q", "q": 2}),
+    experiment_doc("trace.json", "json", K=4, estimator="cgd",
+                   problem={"generator": {"mode": "hom", "n": 2, "d": 4, "seed": 5, "precondition": False}},
+                   sketch={"kind": "bernoulli", "p": 0.5},
+                   schedule={"type": "staircase", "gamma0": 0.2, "divide_by": 2.0, "period": 2}),
+    {key: value for key, value in experiment_doc(
+        "trace.csv", K=4, estimator="dgd", metrics=["grad_sq"],
+        problem={"generator": {"mode": "het-interp", "n": 2, "d": 2, "seed": 1}}).items() if key != "sketch"},
+]
+
+#: What a fuzzed field may become: null, booleans, strings, lists, objects, NaN,
+#: infinities and numbers outside some field's range.
+FUZZ_VALUES = [None, True, False, "", "x", [], [1, "a"], {}, {"x": 1},
+               math.nan, math.inf, -math.inf, -1, 0, 1, 3, -0.5, 0.0, 2.5, -1e308, 1e308]
+#: Fields whose valid but huge values are sizes, not malformed input: they get
+#: no huge integer.
+FUZZ_SIZES = {"K", "n", "d", "repeats"}
+
+
+def _field_paths(doc, prefix=()):
+    """The key path of every field of a document, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@st.composite
+def fuzzed_experiments(draw):
+    """A valid experiment document with one or two fields dropped, added or swapped."""
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(sorted(_field_paths(doc))))
+        node = doc
+        for name in parents:
+            node = node[name]
+        values = FUZZ_VALUES if key in FUZZ_SIZES else FUZZ_VALUES + [2**64, 10**400]
+        op = draw(st.sampled_from(["drop", "add", "swap", "swap"]))
+        if op == "drop":
+            del node[key]
+        elif op == "add":
+            node["extra"] = draw(st.sampled_from(values))
+        else:
+            node[key] = draw(st.sampled_from(values))
+    return doc
+
+
+@settings(max_examples=300)
+@given(doc=fuzzed_experiments())
+def test_fuzzed_experiment_parses_or_exits_with_one_error_line(doc):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # where relative problem and output paths land
+        try:
+            try:
+                cli.parse_experiment(doc)
+                parsed = True
+            except (IstLabError, OSError):
+                parsed = False
+            pathlib.Path("exp.json").write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["run", "--config", "exp.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in ((0, 2, 3, 4) if parsed else (2, 3, 4))
+    if code:
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.startswith("error: ")

@@ -73,7 +73,7 @@ def assert_close(got, want, scale=None):
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@settings(max_examples=12)
 @given(data=st.data())
 def test_closed_forms_match_enumeration(name, data):
     check_against_enumeration(*data.draw(cases(name)))

@@ -431,7 +431,7 @@ def problem_docs(draw):
     return doc
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@settings(max_examples=120)
 @given(doc=problem_docs() | JSON_VALUES)
 @example(doc={"n": 1, "d": 2, "L": [[True, 0.5, 0.5, 2.0]], "b": [[0.0, 1.0]], "seed": None})
 @example(doc={"n": 1, "d": 2, "L": [[1.0, 0.5, 0.5, 2.0]], "b": [[False, 1.0]], "seed": None})
@@ -487,7 +487,7 @@ class TestStreamedSave:
         monkeypatch.setattr(quadratics, "SAVE_CHUNK", chunk)
         assert_save_matches_json_dump(gen_heterogeneous(3, 4, seed=5), tmp_path)
 
-    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(n=st.integers(1, 6), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
            keep_seed=st.booleans(), interp=st.booleans())
     def test_round_trip_is_bitwise(self, tmp_path_factory, n, d, seed, keep_seed, interp):

@@ -211,6 +211,16 @@ class TestMetricsAndDivergence:
         with pytest.raises(ConfigInvalid):
             scaled_het_cfg(p, metrics=("nope",))
 
+    @pytest.mark.parametrize("field, value", [
+        ("K", 2.5), ("K", True), ("K", "3"), ("K", -1),
+        ("repeats", 2.0), ("repeats", True), ("repeats", 0),
+    ])
+    def test_K_and_repeats_must_be_integers_in_range(self, field, value):
+        # the experiment file's integer rules, for library callers too
+        p = gen_heterogeneous(2, 2, seed=16)
+        with pytest.raises(ConfigInvalid, match=f"{field} must be an integer"):
+            scaled_het_cfg(p, **{field: value})
+
     def test_setup_eigendecomposes_L_bar_once(self, monkeypatch):
         # x* (for f_gap_rel_log) and the L_bar^{-1} weight read one cached spectrum
         calls = []

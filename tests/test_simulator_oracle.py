@@ -82,7 +82,7 @@ def assert_traces_bitwise(got, want):
 
 @pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)]
                          + [("dgd", "identity")])
-@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@settings(max_examples=2)
 @given(data=st.data())
 def test_traces_do_not_depend_on_block_or_tape_length(est, name, data):
     cfg, gammas = data.draw(configs(est, name))
@@ -105,7 +105,7 @@ def test_traces_do_not_depend_on_block_or_tape_length(est, name, data):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)]
                          + [("dgd", "identity")])
-@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@settings(max_examples=2)
 @given(data=st.data())
 def test_every_sweep_lane_is_its_own_run(est, name, data):
     cfg, gammas = data.draw(configs(est, name))
@@ -137,7 +137,7 @@ def _has_closed_mean(est, p):
 
 
 @pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)])
-@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@settings(max_examples=5)
 @given(data=st.data())
 def test_mean_estimate_over_outcomes_matches_closed_form(est, name, data):
     params = FAMILIES[name].params
@@ -178,7 +178,7 @@ def _same_floats(got, want):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)]
                          + [("dgd", "identity")])
-@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@settings(max_examples=2)
 @given(data=st.data())
 def test_csv_and_json_traces_read_back(est, name, data, tmp_path_factory):
     cfg, gammas = data.draw(configs(est, name))

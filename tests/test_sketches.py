@@ -207,6 +207,21 @@ class TestStackedDraws:
                 assert np.shares_memory(s.idx, stack.idx)
                 assert np.shares_memory(s.factors, stack.factors)
 
+    @pytest.mark.parametrize("case", ["rand_q", "bernoulli", "bernoulli_sparse"])
+    def test_parts_read_the_stacks_gathered_rhs(self, case, monkeypatch):
+        # a part of a stack whose b_i[S_i] are gathered reads them cut to its
+        # width, as the stack's rounds do, and gathers nothing again
+        kind, n, d = STREAM_CASES[case]
+        p = het_problem(n, d, seed=n + d)
+        stack = sample(kind, p, np.random.default_rng(4), 9, stacked=True)
+        stack.local_rhs(p)
+        rows = sketches._rows
+        monkeypatch.setattr(sketches, "_rows", lambda a, idx: pytest.fail("gathered again"))
+        for at, part in stack.parts():
+            assert part.local_rhs(p) is part.rhs
+            expected = rows(p.b, part.idx)[..., None]
+            assert part.rhs.shape == expected.shape and part.rhs.tobytes() == expected.tobytes()
+
     def test_sparse_bernoulli_rounds_keep_their_own_width(self):
         # each round of one stacked tape is cut back to its own widest client,
         # so rounds that keep no coordinate have width 0 beside wider rounds
