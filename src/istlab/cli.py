@@ -97,9 +97,9 @@ def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
     metrics = doc.get("metrics", ["f_gap_rel_log"])
     if not isinstance(metrics, list) or not all(isinstance(m, str) for m in metrics):
         raise ConfigInvalid(f"metrics must be a list of metric names, got {metrics!r}")
-    output = doc["output"]
-    if (not isinstance(output, dict) or set(output) != {"format", "path"}
-            or not isinstance(output["path"], str)):
+    output = json_object(doc["output"], ConfigInvalid, "output", {"format", "path"},
+                         required=("format", "path"))
+    if not isinstance(output["path"], str):
         raise ConfigInvalid("output must be {'format': 'csv'|'json', 'path': ...}")
     if output["format"] not in ("csv", "json"):
         raise ConfigInvalid("output format must be 'csv' or 'json'")

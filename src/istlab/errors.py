@@ -112,13 +112,13 @@ def real(value, error: type[Exception], what: str, above: float | None = None, a
     raise error(f"{what}, got {value!r}")
 
 
-def json_object(doc, error: type[Exception], what: str, allowed=None, required=()) -> dict:
-    """``doc`` if it is a dict whose keys are among ``allowed`` (any, where None) and
-    include each of ``required``; else raise ``error`` naming the document ``what``
-    and its unknown keys, sorted, or its first missing key."""
+def json_object(doc, error: type[Exception], what: str, allowed, required=()) -> dict:
+    """``doc`` if it is a dict whose keys are among ``allowed`` and include each of
+    ``required``; else raise ``error`` naming the document ``what`` and its unknown
+    keys, sorted, or its first missing key."""
     if not isinstance(doc, dict):
         raise error(f"{what} must be an object (a JSON object), got {doc!r}")
-    extra = set() if allowed is None else set(doc) - set(allowed)
+    extra = set(doc) - set(allowed)
     if extra:
         raise error(f"unknown {what} keys {sorted(extra)}")
     for key in required:

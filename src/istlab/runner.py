@@ -103,22 +103,25 @@ class StepSchedule:
     def gamma_at(self, k: int) -> float:
         if self.variant == "constant":
             return self.gamma
-        return self.gamma / self.divide_by ** (k // self.period)
+        try:
+            return self.gamma / self.divide_by ** (k // self.period)
+        except OverflowError:  # divide_by ** (k // period) past the float range
+            return 0.0
 
     def with_gamma(self, gamma: float) -> "StepSchedule":
         return replace(self, gamma=gamma)
 
     @classmethod
     def from_config(cls, doc: dict) -> "StepSchedule":
-        variant = json_object(doc, ConfigInvalid, "schedule").get("type")
+        # a non-object passes as "constant" here and json_object rejects it
+        variant = doc.get("type") if isinstance(doc, dict) else "constant"
+        if variant not in ("constant", "staircase"):
+            raise ConfigInvalid("schedule type must be 'constant' or 'staircase'")
+        keys = ("gamma",) if variant == "constant" else ("gamma0", "divide_by", "period")
+        json_object(doc, ConfigInvalid, "schedule", {"type", *keys}, required=keys[:1])
         if variant == "constant":
-            json_object(doc, ConfigInvalid, "schedule", {"type", "gamma"}, required=("gamma",))
             return cls.constant(doc["gamma"])
-        if variant == "staircase":
-            json_object(doc, ConfigInvalid, "schedule", {"type", "gamma0", "divide_by", "period"},
-                        required=("gamma0",))
-            return cls.staircase(doc["gamma0"], doc.get("divide_by", 10.0), doc.get("period", 1000))
-        raise ConfigInvalid("schedule type must be 'constant' or 'staircase'")
+        return cls.staircase(doc["gamma0"], doc.get("divide_by", 10.0), doc.get("period", 1000))
 
     def to_config(self) -> dict:
         if self.variant == "constant":

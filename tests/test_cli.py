@@ -578,12 +578,23 @@ class TestExperimentValidation:
         ({"problem": {"generator": {"n": 4, "d": 4, "seed": 1}}}, "generator missing key 'mode'"),
         ({"schedule": {"type": "constant"}}, "schedule missing key 'gamma'"),
         ({"schedule": {"type": "staircase", "divide_by": 2.0}}, "schedule missing key 'gamma0'"),
+        ({"output": {"format": "csv", "path": "t.csv", "mode": "w"}}, "unknown output keys ['mode']"),
+        ({"output": {"format": "csv"}}, "output missing key 'path'"),
+        ({"output": "t.csv"}, "output must be an object"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, overrides, phrase):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(experiment_doc(tmp_path / "trace.csv", **overrides)))
         assert_config_error(capsys, ["run", "--config", str(cfg_path)], phrase)
         assert not (tmp_path / "trace.csv").exists()
+
+    def test_staircase_past_the_float_range_runs(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(
+            out, K=400, schedule={"type": "staircase", "gamma0": 0.1, "divide_by": 10, "period": 1})))
+        assert run_cli("run", "--config", str(cfg_path)) == 0
+        assert len(read_trace_csv(out)) == 2 * 401 * 2
 
     def test_top_level_list_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
@@ -602,6 +613,10 @@ FUZZ_BASES = [
     {key: value for key, value in experiment_doc(
         "trace.csv", K=4, estimator="dgd", metrics=["grad_sq"],
         problem={"generator": {"mode": "het-interp", "n": 2, "d": 2, "seed": 1}}).items() if key != "sketch"},
+    # divide_by ** 2 is past the float range from k = 2 on
+    experiment_doc("trace.csv", K=4, problem={"generator": {"mode": "het", "n": 2, "d": 3, "seed": 4}},
+                   sketch={"kind": "perm_q", "q": 1},
+                   schedule={"type": "staircase", "gamma0": 0.1, "divide_by": 1e200, "period": 1}),
 ]
 
 #: What a fuzzed field may become: null, booleans, strings, lists, objects, NaN,

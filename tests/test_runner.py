@@ -42,6 +42,13 @@ class TestStepSchedule:
         assert s.gamma_at(100) == pytest.approx(0.1)
         assert s.gamma_at(250) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("divide_by, period, first_zero", [(10.0, 1, 309), (10, 1, 309), (1e200, 1, 2),
+                                                                (1e200, 3, 6)])
+    def test_staircase_past_the_float_range_steps_zero(self, divide_by, period, first_zero):
+        s = StepSchedule.staircase(0.1, divide_by=divide_by, period=period)
+        assert s.gamma_at(first_zero - period) > 0.0
+        assert s.gamma_at(first_zero) == s.gamma_at(first_zero + 10 * period) == 0.0
+
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
             StepSchedule.constant(0.0)
