@@ -63,6 +63,7 @@ def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         return p, {"path": str(path), "sha256": digest}
     if isinstance(source, dict) and isinstance(source.get("generator"), dict):
+        json_object(source, ConfigInvalid, "problem", {"generator"})
         spec = json_object(dict(source["generator"]), ConfigInvalid, "generator", GENERATOR_KEYS,
                            required=("mode", "n", "d", "seed"))
         precondition = spec.get("precondition", False)
@@ -91,7 +92,6 @@ def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
     """Validate an experiment document; returns (config, output spec, provenance)."""
     json_object(doc, ConfigInvalid, "experiment file", EXPERIMENT_KEYS,
                 required=("problem", "estimator", "schedule", "K", "seed", "output"))
-    problem, provenance = _load_problem_source(doc["problem"])
     est = _spec(EstimatorKind.from_config, doc["estimator"], doc.get("sketch"))
     schedule = StepSchedule.from_config(doc["schedule"])
     metrics = doc.get("metrics", ["f_gap_rel_log"])
@@ -103,16 +103,10 @@ def parse_experiment(doc: dict) -> tuple[RunConfig, dict, dict]:
         raise ConfigInvalid("output must be {'format': 'csv'|'json', 'path': ...}")
     if output["format"] not in ("csv", "json"):
         raise ConfigInvalid("output format must be 'csv' or 'json'")
-    cfg = RunConfig(
-        problem=problem,
-        estimator=est,
-        schedule=schedule,
-        K=doc["K"],
-        seed=doc["seed"],
-        repeats=doc.get("repeats", 1),
-        metrics=tuple(metrics),
-    )
-    return cfg, output, provenance
+    fields = {"K": doc["K"], "seed": doc["seed"], "repeats": doc.get("repeats", 1), "metrics": tuple(metrics)}
+    runner.check_fields(**fields)  # before the problem, which may take seconds to build
+    problem, provenance = _load_problem_source(doc["problem"])
+    return RunConfig(problem=problem, estimator=est, schedule=schedule, **fields), output, provenance
 
 
 def resolved_config_doc(cfg: RunConfig, output: dict, provenance: dict) -> dict:

@@ -62,17 +62,33 @@ class EstimatorKind:
         return cls(name, sk)
 
 
-# x is (..., d), iterates on one round's draw (a sweep's lanes), or one iterate on
-# a stack of outcomes; each row's products are the one-vector ones, bitwise
+# The kernels take a draw's arrays as SketchSample holds them (``factors`` as its operand)
+# and x (..., d): iterates on one round's draw (a sweep's lanes), or one iterate on a
+# stack of outcomes; each row's products are the one-vector ones, bitwise.
+def ist_kernel(p: QuadraticProblem, idx: NDArray, factors: NDArray, local: NDArray,
+               rhs: NDArray, x: NDArray) -> NDArray:
+    """(1/n) sum_i C_i (L_i C_i x - b_i) on one draw's arrays."""
+    w = sketches._times(factors, x.take(idx, axis=-1)[..., None])
+    return sketches._accumulate(idx, sketches._times(factors, local @ w - rhs), p.d) / p.n
+
+
+def cgd_kernel(p: QuadraticProblem, idx: NDArray, factors: NDArray, rhs: NDArray, x: NDArray) -> NDArray:
+    """(1/n) sum_i C_i (L_i x - b_i) on one draw's arrays; gathers the rows L_i[S_i, :]."""
+    t = sketches._rows(p.L, idx) @ x[..., None, :, None] - rhs
+    return sketches._accumulate(idx, sketches._times(factors, t), p.d) / p.n
+
+
+def dgd_kernel(p: QuadraticProblem, x: NDArray) -> NDArray:
+    """L_bar x - b_bar, the exact gradient."""
+    return linalg.mat_rows(p.L_bar, x) - p.b_bar
+
+
 def _ist_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    w = s.times(x.take(s.idx, axis=-1)[..., None])
-    t = s.local_blocks(p) @ w - s.local_rhs(p)
-    return sketches._accumulate(s.idx, s.times(t)[..., 0], p.d) / p.n
+    return ist_kernel(p, s.idx, s.operand, s.local_blocks(p), s.local_rhs(p), x)
 
 
 def _cgd_gradient(p: QuadraticProblem, s: SketchSample, x: NDArray) -> NDArray:
-    t = sketches._rows(p.L, s.idx) @ x[..., None, :, None] - s.local_rhs(p)
-    return sketches._accumulate(s.idx, s.times(t)[..., 0], p.d) / p.n
+    return cgd_kernel(p, s.idx, s.operand, s.local_rhs(p), x)
 
 
 def estimate(
@@ -95,11 +111,11 @@ def estimate(
     if x.shape[-1:] != (p.d,):
         raise DimMismatch(f"expected iterates of length {p.d}, got shape {x.shape}")
     if est.kind == "dgd":
-        return linalg.mat_rows(p.L_bar, x) - p.b_bar, None
+        return dgd_kernel(p, x), None
     if sample is None:
         sample = sketches.sample(est.sketch, p, rng)
     if est.sketch.family.whole_model:
-        return linalg.mat_rows(p.L_bar, x) - p.b_bar, sample
+        return dgd_kernel(p, x), sample
     if est.kind == "ist":
         return _ist_gradient(p, sample, x), sample
     return _cgd_gradient(p, sample, x), sample

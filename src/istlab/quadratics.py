@@ -176,11 +176,11 @@ class QuadraticProblem:
 
     # -- basic shape ------------------------------------------------------
 
-    @property
+    @cached_property  # read by every gradient kernel call
     def n(self) -> int:
         return self.L.shape[0]
 
-    @property
+    @cached_property
     def d(self) -> int:
         return self.L.shape[1]
 

@@ -6,15 +6,15 @@ problem and the initial point; repeat ``r`` draws its sketches from the
 substream ``SeedSequence(seed, spawn_key=(r,))``.  Repeats run one after
 another on the calling thread, so a trace is bitwise reproducible for a fixed
 config and problem.  A repeat draws its sketches as tapes: each chunk of
-rounds is one ``sketches.sample`` call, one stacked sample whose rounds are
-views of it and bit for bit one draw per round.  A chunk holds at most
-``sketches._tape_len`` rounds: as many as fit ``sketches.CHUNK_BYTES`` at
-the bytes one round holds (``round_bytes`` of the family).
-A sweep advances its step sizes in lockstep: each round's joint sketch is
-drawn once, and one ``estimators.estimate`` call steps every live step size
-with it, on the stacked iterates; a tape gathers its draws' b_i[S_i] rows
-(and, for ist, blocks L_i[S_i, S_i]) once for all its rounds and lanes.
-Each step size's trace is bitwise equal to a separate run at that step size.
+rounds is one ``sketches.sample`` call, one stacked sample, bit for bit one
+draw per round, that gathers its b_i[S_i] rows (and, for ist, blocks
+L_i[S_i, S_i]) once.  A chunk holds at most ``sketches._tape_len`` rounds: as
+many as fit ``sketches.CHUNK_BYTES`` at the bytes one round holds
+(``round_bytes`` of the family).  A round is a slice of the stack's arrays
+(``SketchSample.slices``), stepped by one call of its estimator's array kernel.
+A sweep's step sizes are lanes in lockstep: one kernel call per round steps
+them all, on their stacked iterates, with the round's one draw; each step
+size's trace is bitwise equal to a separate run at that step size.
 
 Metrics (recorded at every iterate x^0 .. x^K):
 
@@ -108,6 +108,14 @@ class StepSchedule:
         except OverflowError:  # divide_by ** (k // period) past the float range
             return 0.0
 
+    def gammas(self, K: int) -> list[float]:
+        """``[gamma_at(k) for k in range(K)]``, each staircase level computed once and none
+        past the first at 0.0: a level's quotient cannot rise with the level."""
+        out, period = [], self.period or K or 1  # a constant schedule is one level
+        for k in range(0, K, period):
+            out += [self.gamma_at(k) if not out or out[-1] else 0.0] * min(period, K - k)
+        return out
+
     def with_gamma(self, gamma: float) -> "StepSchedule":
         return replace(self, gamma=gamma)
 
@@ -147,14 +155,19 @@ class RunConfig:
     record_iterates: bool = False
 
     def __post_init__(self) -> None:
-        integer(self.K, ConfigInvalid, "K must be an integer >= 0", low=0)
-        check_seed(self.seed)
-        integer(self.repeats, ConfigInvalid, "repeats must be an integer >= 1", low=1)
-        unknown = set(self.metrics) - set(METRICS)
-        if unknown:
-            raise ConfigInvalid(f"unknown metrics {sorted(unknown)}")
-        if len(set(self.metrics)) != len(self.metrics):
-            raise ConfigInvalid(f"metrics must not repeat a name, got {list(self.metrics)}")
+        check_fields(self.K, self.seed, self.repeats, self.metrics)
+
+
+def check_fields(K, seed, repeats, metrics) -> None:
+    """The rules for a run's fields that need no problem; experiment files check them first."""
+    integer(K, ConfigInvalid, "K must be an integer >= 0", low=0)
+    check_seed(seed)
+    integer(repeats, ConfigInvalid, "repeats must be an integer >= 1", low=1)
+    unknown = set(metrics) - set(METRICS)
+    if unknown:
+        raise ConfigInvalid(f"unknown metrics {sorted(unknown)}")
+    if len(set(metrics)) != len(metrics):
+        raise ConfigInvalid(f"metrics must not repeat a name, got {list(metrics)}")
 
 
 @dataclass
@@ -267,8 +280,7 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     p = cfg.problem
     x0 = resolve_x0(cfg)
     K, n_lanes, d = cfg.K, len(schedules), p.d
-    gammas = np.array([[s.gamma_at(k) for k in range(K)] for s in schedules],
-                      dtype=np.float64).reshape(n_lanes, K)
+    gammas = np.array([s.gammas(K) for s in schedules], dtype=np.float64).reshape(n_lanes, K)
     # where every C_i = I (dgd, the identity sketch) the submodel loss is f(x); otherwise
     # each round records it under its own draw, one extra draw serving the final iterate
     sketch = cfg.estimator.sketch
@@ -276,6 +288,10 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     records_sub = "submodel_loss_avg" in cfg.metrics and not whole_model
     metric_fns = _metric_fns(cfg, x0, whole_model)
     gathers = cfg.estimator.kind == "ist" and not whole_model  # rounds keep blocks L_i[S_i, S_i]
+    # each round's gradient: the estimator's kernel on the named arrays of the round's draw
+    kernel, names = (estimators.dgd_kernel, ()) if whole_model else (
+        (estimators.ist_kernel, ("idx", "operand", "local", "rhs")) if gathers else
+        (estimators.cgd_kernel, ("idx", "operand", "rhs")))
     # rounds per tape chunk, resolved only where some round draws (a run without draws takes any shape)
     tape = BLOCK_ROUNDS
     if sketch is not None and (K or records_sub):
@@ -312,20 +328,20 @@ def _simulate(cfg: RunConfig, schedules: Sequence[StepSchedule]) -> list[Trace]:
     def tape_chunk(rng, X, gam, sub, k0: int, i0: int, i1: int, n_draws: int) -> None:
         """Step the live lanes of ``X`` through rows ``i0``..``i1`` of the block on one tape
         chunk, then record their submodel losses; the chunk's arrays are freed on return."""
-        views = []
+        rounds = [()] * (i1 - i0)  # a whole-model step reads no draw
         if n_draws > i0:
             stack = sketches.sample(sketch, p, rng, min(i1, n_draws) - i0, stacked=True)
             if not whole_model:  # one gather per tape, for every lane's gradient and loss
                 stack.local_rhs(p)
                 if gathers:
                     stack.local_blocks(p)
-            views = stack.rounds()
-        for i in range(i0, min(i1, K - k0)):
-            # one estimate of every live lane on the round's draw; a lone lane steps as one
-            # vector by a scalar, which numpy applies faster than a (1, 1) broadcast
-            x, gamma = (X[:, i], gam[:, i, None]) if len(X) > 1 else (X[0, i], gam[0, i])
-            g = estimators.estimate(cfg.estimator, p, x, rng, views[i - i0] if views else None)[0]
-            X[:, i + 1] = x - gamma * g
+                rounds = stack.slices(*names)
+        # Xs[i] holds every live lane's x^{k0 + i} and gs[i] its step size; a lone lane
+        # steps as one vector by a float, which numpy applies faster than a (1, 1) broadcast
+        Xs, gs = (X[0], gam[0].tolist()) if len(X) == 1 else (X.swapaxes(0, 1), gam.T[..., None])
+        for i, arrays in zip(range(i0, min(i1, K - k0)), rounds):
+            x = Xs[i]
+            np.subtract(x, gs[i] * kernel(p, *arrays, x), out=Xs[i + 1])
         if records_sub:  # every round drew; per lane, one stacked pass per part of one width
             for at, part in stack.parts():
                 for row in range(len(X)):

@@ -9,7 +9,7 @@ because ``C_i`` is diagonal, for every kind except the heterogeneity-scaled
 permutation sketch with q > 1, which stores dense q x q blocks.  Each
 operation on a sample works on the whole stack at once.  A tape of rounds,
 an enumeration chunk and a Monte Carlo chunk are each one sample with a
-leading axis, split into one-round views by :meth:`SketchSample.rounds`.
+leading axis, sliced per round by :meth:`SketchSample.slices`.
 
 Families
 --------
@@ -163,11 +163,10 @@ class SketchSample:
     the (n, q, q) stack L_i[S_i, S_i]: gathered by the draw where its factors
     need it, else by the first ``local_blocks`` call, and then kept; ``rhs``,
     the (n, q, 1) columns b_i[S_i], likewise by the first ``local_rhs`` call.  A
-    tape gathers both once for all its rounds, whose views read slices of
-    the stack's (as do the parts of ``local``), and every lane of a sweep
-    reads them.  The methods that take a problem must therefore get the one
-    the sample was drawn for (``submodel_loss`` and the gradients read
-    ``local`` and ``rhs`` over ``p.L`` and ``p.b``).
+    tape gathers both once for all its rounds and lanes, which read slices of
+    them.  The methods that take a problem must therefore get the one the
+    sample was drawn for (``submodel_loss`` and the gradients read ``local``
+    and ``rhs`` over ``p.L`` and ``p.b``).
     """
 
     kind: SketchKind
@@ -192,28 +191,35 @@ class SketchSample:
         return None if self.diagonal else self.factors
 
     @property
+    def operand(self) -> NDArray:
+        """``factors`` as :func:`_times` applies them: weights with a trailing unit axis, or blocks."""
+        return self.factors[..., None] if self.diagonal else self.factors
+
+    @property
     def diagonal(self) -> bool:
         """True for weight factors, one per kept coordinate; False for blocks."""
         return self.factors.ndim == self.idx.ndim
 
     def rounds(self) -> list[SketchSample]:
-        """The one-round samples of a stack, each a view of it.  Where its weights
-        hold zeros, round t is cut back to its own widest client, as drawn alone:
-        to the columns some client keeps, found once per stack.  A stack is padded
-        to its widest round, so a one-round stack needs no cut."""
-        none = [None] * len(self.idx)
-        idx, factors, local, perm, rhs = (none if a is None else a for a in
-                                          (self.idx, self.factors, self.local, self.permutation, self.rhs))
-        if len(idx) > 1 and (widths := self._widths()) is not None:
-            idx, factors, rhs = ([a if a is None else a[:, :w] for a, w in zip(b, widths)]
-                                 for b in (idx, factors, rhs))
-            local = [a if a is None else a[:, :w, :w] for a, w in zip(local, widths)]
-        return [SketchSample(self.kind, self.n, self.d, *r) for r in zip(idx, factors, local, perm, rhs)]
+        """The one-round samples of a stack, views of it as :meth:`slices` cuts them."""
+        return [SketchSample(self.kind, self.n, self.d, *r)
+                for r in self.slices("idx", "factors", "local", "permutation", "rhs")]
+
+    def slices(self, *names: str):
+        """Each round's slices of the stack's arrays ``names`` (fields, or ``operand``; None
+        where unset).  Where its weights hold zeros, round t is cut back to its own widest
+        client, as drawn alone: to the columns some client keeps, found once per stack.  A
+        stack is padded to its widest round, so a one-round stack needs no cut."""
+        arrays = [getattr(self, name) for name in names]
+        if len(self.idx) == 1 or (widths := self._widths()) is None:
+            return zip(*([None] * len(self.idx) if a is None else a for a in arrays))
+        return [[None if a is None else a[t, :, :w, :w] if name == "local" else a[t, :, :w]
+                 for a, name in zip(arrays, names)] for t, w in enumerate(widths)]
 
     def parts(self):
         """Yield (positions, sample) parts covering a stack's rounds, for stacked
         passes whose results are bitwise per round: each sample stacks rounds of
-        one width, cut to it as :meth:`rounds` cuts them (``local`` and ``rhs``
+        one width, cut to it as :meth:`slices` cuts them (``local`` and ``rhs``
         too, where gathered), whose (n, w, w) blocks and their gather index fit
         ``CHUNK_BYTES // 2``."""
         k, n, q = self.idx.shape
@@ -266,7 +272,7 @@ class SketchSample:
     def linear_term(self, p: QuadraticProblem) -> NDArray:
         """(1/n) sum_i C_i b_i as a dense vector."""
         cb = self.times(self.local_rhs(p))
-        return _accumulate(self.idx, cb[..., 0], self.d) / self.n
+        return _accumulate(self.idx, cb, self.d) / self.n
 
     def local_blocks(self, p: QuadraticProblem) -> NDArray:
         """``local``, gathered on the first call from ``p``, which must be the
@@ -292,7 +298,7 @@ class SketchSample:
         if self.idx.shape[-1] <= GATHER_MAX_FRACTION * d:
             terms = w * (0.5 * (self.local_blocks(p) @ w) - self.local_rhs(p))
         else:
-            z = _accumulate(self.idx + _client_offsets(n, d), w[..., 0], n * d).reshape(x.shape[:-1] + (n, d))
+            z = _accumulate(self.idx + _client_offsets(n, d), w, n * d).reshape(x.shape[:-1] + (n, d))
             terms = z * (0.5 * (p.L @ z[..., None])[..., 0] - p.b)
         total = terms.reshape(x.shape[:-1] + (-1,)).sum(axis=-1)
         return total / n if x.ndim > 1 else float(total) / n
@@ -303,13 +309,15 @@ class SketchSample:
         return self.times(np.broadcast_to(np.eye(q), self.idx.shape + (q,)))
 
     def times(self, m: NDArray) -> NDArray:
-        """C_i restricted to S_i times m[..., i, :, :], for every client i.
+        """C_i restricted to S_i times m[..., i, :, :], for every client i (:func:`_times`)."""
+        return _times(self.operand, m)
 
-        ``m`` is (..., n, q, k), where its leading axes match or broadcast
-        against the sample's (a sweep's lanes on one round's draw): weights
-        scale rows, blocks multiply.
-        """
-        return self.factors[..., None] * m if self.diagonal else self.factors @ m
+
+def _times(factors: NDArray, m: NDArray) -> NDArray:
+    """A sample's ``operand`` times ``m`` (..., n, q, k), whose leading axes match or broadcast
+    against the sample's (a sweep's lanes on one round's draw): weights, with a trailing unit
+    axis, scale rows; blocks, q x q with q > 1 (one kept coordinate has a weight), multiply."""
+    return factors * m if factors.shape[-1] == 1 else factors @ m
 
 
 @functools.lru_cache(maxsize=16)
@@ -342,9 +350,9 @@ def _sub_blocks(p: QuadraticProblem, idx: NDArray) -> NDArray:
 
 
 def _accumulate(idx: NDArray, v: NDArray, d: int) -> NDArray:
-    """v placed at idx and summed over the last two axes into (..., d) vectors;
-    idx broadcasts against v, whose leading axes may stack lanes on one draw."""
-    lead = v.shape[:-2]
+    """The (..., n, q, 1) columns v placed at idx (..., n, q) and summed over clients into
+    (..., d) vectors; idx broadcasts against v, whose leading axes may stack lanes on one draw."""
+    lead = v.shape[:-3]
     if lead:  # one run of d bins per stacked outcome or lane
         m = math.prod(lead)
         idx = idx + _client_offsets(m, d).reshape(lead + (1, 1))
@@ -356,7 +364,7 @@ def _scatter(idx: NDArray, blocks: NDArray, d: int) -> NDArray:
     """sum_i of the q x q blocks placed at idx[i] x idx[i] in (..., d, d) matrices."""
     q = idx.shape[-1]
     flat = (idx[..., :, None] * d + idx[..., None, :]).reshape(idx.shape[:-1] + (q * q,))
-    return _accumulate(flat, blocks.reshape(flat.shape), d * d).reshape(idx.shape[:-2] + (d, d))
+    return _accumulate(flat, blocks.reshape(flat.shape + (1,)), d * d).reshape(idx.shape[:-2] + (d, d))
 
 
 def _require_positive_diagonal(p: QuadraticProblem) -> None:
@@ -995,8 +1003,7 @@ def sample(kind: SketchKind, p: QuadraticProblem, rng: np.random.Generator,
     Permutations are Fisher-Yates shuffles, so every permutation-family
     realization is uniform.
     """
-    # the dict, not the ``family`` property: this runs once per chunk of rounds;
-    # the rounds are views of the family's one stacked draw
+    # the dict, not the ``family`` property: this runs once per chunk of rounds
     stack = FAMILIES[kind.kind].draw_many(kind, p, rng, 1 if rounds is None else rounds)
     if stacked:
         return stack

@@ -596,6 +596,29 @@ class TestExperimentValidation:
         assert run_cli("run", "--config", str(cfg_path)) == 0
         assert len(read_trace_csv(out)) == 2 * 401 * 2
 
+    def test_unknown_key_beside_the_generator_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.json"
+        problem = {"generator": {"mode": "het", "n": 4, "d": 4, "seed": 12}, "note": 1}
+        cfg_path.write_text(json.dumps(experiment_doc(tmp_path / "trace.csv", problem=problem)))
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], "unknown problem keys ['note']")
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("overrides, phrase", [
+        ({"K": -1}, "K must be an integer"),
+        ({"seed": "x"}, "seed must be a non-negative integer"),
+        ({"repeats": 0}, "repeats must be an integer"),
+        ({"metrics": ["grad_sq", "grad_sq"]}, "metrics must not repeat"),
+        ({"estimator": "sgd"}, "unknown estimator kind"),
+        ({"schedule": {"type": "constant", "gamma": -1}}, "step size must be"),
+        ({"output": {"format": "xml", "path": "t.xml"}}, "output format"),
+    ])
+    def test_cheap_fields_are_checked_before_the_problem_is_built(self, tmp_path, capsys, monkeypatch,
+                                                                 overrides, phrase):
+        monkeypatch.setattr(cli, "generate_problem", lambda *args: pytest.fail("problem built"))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(tmp_path / "trace.csv", **overrides)))
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], phrase)
+
     def test_top_level_list_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text("[1, 2]")

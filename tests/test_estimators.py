@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from istlab import sketches
+from istlab import estimators, sketches
 from istlab.errors import DimMismatch, IncompatibleShape, NoClosedForm, WrongKind
 from istlab.estimators import (
     EstimatorKind,
@@ -326,3 +326,56 @@ class TestStackedAgainstClientLoop:
             np.testing.assert_array_equal(s.idx[i][: len(s.coords[i])], s.coords[i])
             assert not s.factors[i][len(s.coords[i]):].any()
             np.testing.assert_array_equal(np.diag(s.client_matrix(i))[s.coords[i]], s.weights[i])
+
+
+# every family; scaled_perm_het with weights (q = 1) and blocks (q = 2); Bernoulli
+# tapes whose rounds have different widths, some none, some near 20
+TAPE_CASES = {
+    "identity": (SketchKind.identity(), 3, 4),
+    "perm_q": (SketchKind.perm_q(), 3, 6),
+    "perm_multiset": (SketchKind.perm_multiset(), 6, 3),
+    "scaled_perm_homog": (SketchKind.scaled_perm_homog(), 2, 4),
+    "scaled_perm_het_q1": (SketchKind.scaled_perm_het(), 4, 4),
+    "scaled_perm_het_q2": (SketchKind.scaled_perm_het(), 3, 6),
+    "rand_q": (SketchKind.rand_q(2), 3, 5),
+    "bernoulli": (SketchKind.bernoulli(0.3), 4, 6),
+    "bernoulli_sparse": (SketchKind.bernoulli(0.1), 2, 3),
+    "bernoulli_wide": (SketchKind.bernoulli(0.3), 4, 64),  # where a padded product has other bits
+}
+
+
+class TestKernelsOnTapeSlices:
+    """A run steps each round with its estimator's kernel on slices of the tape's arrays."""
+
+    def test_cases_cover_every_family(self):
+        assert {kind.kind for kind, _, _ in TAPE_CASES.values()} == set(sketches.FAMILIES)
+
+    @pytest.mark.parametrize("case", sorted(TAPE_CASES))
+    @pytest.mark.parametrize("name", ["ist", "cgd"])
+    def test_kernel_on_a_rounds_slices_is_estimate_on_that_round(self, case, name):
+        kind, n, d = TAPE_CASES[case]
+        p = gen_heterogeneous(n, d, seed=n + d)
+        est = EstimatorKind(name, kind)
+        tape = sketches.sample(kind, p, np.random.default_rng(21), 12, stacked=True)
+        # the same draws as the tape's rounds and drawn one at a time, each round
+        # gathering its own b_i[S_i] and blocks in estimate
+        rounds = sketches.sample(kind, p, np.random.default_rng(21), 12)
+        rng = np.random.default_rng(21)
+        alone = [sketches.sample(kind, p, rng) for _ in rounds]
+        if kind.kind == "bernoulli":
+            assert len(set(tape._widths())) > 1
+        tape.local_rhs(p)  # gathered once for the tape, as a run gathers them
+        if kind.family.whole_model:
+            kernel, names = estimators.dgd_kernel, ()
+        elif name == "ist":
+            tape.local_blocks(p)
+            kernel, names = estimators.ist_kernel, ("idx", "operand", "local", "rhs")
+        else:
+            kernel, names = estimators.cgd_kernel, ("idx", "operand", "rhs")
+        slices = tape.slices(*names) if names else [()] * len(rounds)
+        rng = np.random.default_rng(22)
+        for arrays, s, s_alone in zip(slices, rounds, alone, strict=True):
+            for x in (rng.standard_normal(d), rng.standard_normal((3, d))):  # a lone lane, three lanes
+                g = kernel(p, *arrays, x).tobytes()
+                assert g == estimate(est, p, x, None, s)[0].tobytes()
+                assert g == estimate(est, p, x, None, s_alone)[0].tobytes()

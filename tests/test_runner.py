@@ -527,6 +527,25 @@ class TestBlockMetrics:
                 assert_bitwise(getattr(t, attr), getattr(t_ref, attr))
 
 
+class TestStepSizes:
+    @pytest.mark.parametrize("schedule", [
+        StepSchedule.constant(0.3),
+        StepSchedule.staircase(0.1, 10, 1),  # an int divide_by: exact integer powers
+        StepSchedule.staircase(0.1, 10.0, 3),
+        StepSchedule.staircase(0.7, 10**150, 2),  # past the float range at the third level
+        StepSchedule.staircase(0.7, 1e150, 1),
+        StepSchedule.staircase(1e-300, 7, 2),  # underflows to 0.0
+    ], ids=["constant", "int", "float", "int_overflow", "float_overflow", "underflow"])
+    def test_each_step_size_is_gamma_at(self, schedule):
+        K = 61
+        want = np.array([schedule.gamma_at(k) for k in range(K)])
+        assert np.array(schedule.gammas(K)).tobytes() == want.tobytes()
+        p = gen_heterogeneous(2, 3, seed=1)
+        cfg = RunConfig(problem=p, estimator=EstimatorKind.dgd(), schedule=schedule, K=K, seed=1, metrics=())
+        assert run(cfg).gammas.tobytes() == want.tobytes()
+        assert schedule.gammas(0) == []
+
+
 class TestMemory:
     def test_run_peak_stays_within_two_tape_chunks(self):
         # the c09 shape (q = 10) with the submodel loss: a run holds one tape
@@ -606,9 +625,9 @@ class TestSubmodelLoss:
 
     def test_final_iterate_draws_without_a_gradient(self, monkeypatch):
         calls = []
-        estimate = estimators.estimate
-        monkeypatch.setattr(estimators, "estimate",
-                            lambda *args: calls.append(1) or estimate(*args))
+        for name in ("ist_kernel", "cgd_kernel", "dgd_kernel"):  # one gradient per step
+            monkeypatch.setattr(estimators, name, lambda *args, kernel=getattr(estimators, name):
+                                calls.append(1) or kernel(*args))
         p = gen_heterogeneous(3, 6, seed=9)
         for est in (EstimatorKind.ist(SketchKind.rand_q(2)), EstimatorKind.dgd()):
             calls.clear()
