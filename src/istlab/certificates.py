@@ -65,7 +65,7 @@ def descent_matrix(
         family.check_problem(kind, p)
         return p.L_bar
     if moments is None:
-        moments = sketches._moments(kind, p)
+        moments = sketches.closed_moments(kind, p, second=False)
     eb = moments.curvature
     return 0.5 * linalg.symmetrize(p.L_bar @ eb + eb @ p.L_bar)
 
@@ -93,12 +93,12 @@ def _descent_theta(
     """W, its eigendecomposition and theta, with the tolerances of :func:`_theta`.
 
     W and E[B L_bar B] come from ``moments`` where they hold the second
-    moment, else by the route policy.  For a family with B = I on every draw
+    moment, else from the closed moments.  For a family with B = I on every draw
     that is the problem's ``L_bar`` for both, whose spectrum is the problem's
     cached one, with no d x d pass.
     """
     if moments is None or moments.curvature_second is None:
-        moments = None if kind.family.unit_curvature else sketches._moments(kind, p, second=True)
+        moments = None if kind.family.unit_curvature else sketches.closed_moments(kind, p)
     W = descent_matrix(p, kind, moments)
     spec = p.spectrum if W is p.L_bar else linalg.eig_sym(W)
     second = p.L_bar if moments is None else moments.curvature_second

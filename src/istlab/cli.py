@@ -8,7 +8,6 @@ failure, 4 sketch/problem shape mismatch.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -58,10 +57,8 @@ def generate_problem(mode: str, n: int, d: int, seed: int, precond: bool = False
 def _load_problem_source(source) -> tuple[QuadraticProblem, dict]:
     """Resolve the experiment file's "problem" entry; returns (problem, provenance)."""
     if isinstance(source, str):
-        path = Path(source)
-        p = QuadraticProblem.load(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        return p, {"path": str(path), "sha256": digest}
+        p, digest = QuadraticProblem.read(source)
+        return p, {"path": str(Path(source)), "sha256": digest}
     if isinstance(source, dict) and isinstance(source.get("generator"), dict):
         json_object(source, ConfigInvalid, "problem", {"generator"})
         spec = json_object(dict(source["generator"]), ConfigInvalid, "generator", GENERATOR_KEYS,

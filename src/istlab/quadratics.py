@@ -19,6 +19,7 @@ reproducible at a fixed BLAS thread count only: ``B.T @ B`` rounds with it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -300,13 +301,22 @@ class QuadraticProblem:
 
     @classmethod
     def load(cls, path) -> "QuadraticProblem":
-        """Read a problem file; a file that is not JSON raises :class:`DimMismatch`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON alike
-                raise DimMismatch(f"problem file is not valid JSON: {exc}") from None
-        return cls.from_json(doc)
+        """Read a problem file (:meth:`read`)."""
+        return cls.read(path)[0]
+
+    @classmethod
+    def read(cls, path) -> tuple["QuadraticProblem", str]:
+        """Read a problem file once: its problem and the sha256 of the bytes parsed.
+        A file that is not UTF-8 JSON raises :class:`DimMismatch`."""
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest = hashlib.sha256(data).hexdigest()
+        try:  # each step drops the form before it: no two copies of the file are held
+            data = data.decode("utf-8")
+            data = json.loads(data)
+        except (ValueError, RecursionError) as exc:  # undecodable bytes and bad JSON alike
+            raise DimMismatch(f"problem file is not valid JSON: {exc}") from None
+        return cls.from_json(data), digest
 
 
 def _doc_array(doc: dict, key: str, shape: tuple[int, int]) -> NDArray:
@@ -398,6 +408,7 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
         B = rng.standard_normal((d, d))
         np.matmul(B.T, B, out=L[i])  # one syrk with the triangle mirrored: exactly symmetric
         b[i] = rng.standard_normal(d)
+    del B  # d x d, not held through the checks below
     p = QuadraticProblem(L=L, b=b, seed=seed)
     ensure_nondegenerate(p)
     return p

@@ -22,17 +22,17 @@ is one class here and one entry in FAMILIES.
 
 Expectations
 ------------
-:func:`_expectation` is the one route policy: closed form, else an exact
-route (enumeration within :data:`ENUMERATION_BUDGET`, or for q = 1
-scaled_perm_het sigma2 a pair-probability formula), else Monte Carlo where
-a draw count was given.  Enumeration (:func:`_chunks`) and Monte Carlo
-(:func:`_draws`) feed one consumer, :func:`_sums`; Monte Carlo sums are
-shifted by the first draw.  The closed E[B] and E[B L_bar B] of rand_q,
-bernoulli, perm_q and scaled_perm_homog come from one helper,
-:func:`_selection_moments`, which sums the equality patterns of the four
-indices of E[B L_bar B] over shared per-client products (equal to one einsum
-per pattern up to round-off); perm_multiset's second moment and q > 1
-scaled_perm_het's sigma2 stay on enumeration or Monte Carlo.
+Every family has closed E[B] and E[B L_bar B] (:func:`closed_moments`).
+Those of rand_q, bernoulli, perm_q, perm_multiset and scaled_perm_homog come
+from one helper, :func:`_selection_moments`, which sums the equality
+patterns of the four indices of E[B L_bar B] over shared per-client
+products (equal to one einsum per pattern up to round-off).
+:func:`_expectation` is the route policy for the rest, the mean estimate
+and sigma2: closed form, else an exact route (enumeration within
+:data:`ENUMERATION_BUDGET`, or for q = 1 scaled_perm_het sigma2 a
+pair-probability formula), else Monte Carlo where a draw count was given.
+Enumeration (:func:`_chunks`) and Monte Carlo (:func:`_draws`) feed one
+consumer, :func:`_sums`; Monte Carlo sums are shifted by the first draw.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from . import linalg
 from .errors import (
     DimMismatch,
     IncompatibleShape,
-    NoClosedForm,
     NoExpectation,
     NonPositiveDiagonal,
     SingularMatrix,
@@ -602,11 +601,13 @@ class _Family:
     for bit k one-round draws and leave ``rng`` where those leave it; and
     ``chunks(kind, p, m)``, which yields the outcomes in order as chunks of at
     most m: their probabilities and (positions, sample) parts, each sample
-    stacking the outcomes at those positions (Bernoulli: one part per width).
-    ``params`` maps each parameter the family takes to whether it is
-    required.  ``fixed_point`` and ``sigma2`` are None for a family without
-    those quantities; where defined, they raise :class:`WrongKind` on
-    problems they do not cover.
+    stacking the outcomes at those positions (Bernoulli: one part per width);
+    and ``moments(kind, p, second)``, the closed E[B], mean linear term and,
+    where ``second``, E[B L_bar B] (:func:`closed_moments`).  ``params`` maps
+    each parameter the family takes to whether it is required.
+    ``fixed_point`` and ``sigma2`` are None for a family without those
+    quantities; where defined, they raise :class:`WrongKind` on problems
+    they do not cover.
     """
 
     fixed_point = None
@@ -643,10 +644,6 @@ class _Family:
     def count_exceeds(self, kind: SketchKind, n: int, d: int, budget: int) -> bool:
         """True when the joint outcomes number more than ``budget``."""
         return self.count(kind, n, d) > budget
-
-    def moments(self, kind: SketchKind, p: QuadraticProblem, second: bool = True) -> SketchMoments:
-        """Closed-form expectations; E[B L_bar B] is left None unless ``second``."""
-        raise NoClosedForm(f"no closed-form expectations for kind {self.name!r}")
 
     def client_means(self, kind: SketchKind, p: QuadraticProblem) -> list[NDArray] | None:
         """E[C_i] per client where known in closed form, else None."""
@@ -687,22 +684,24 @@ class _Partition(_Family):
         Permutes [d]; (1/n) sum_i C_i = I holds for every realization.
     scaled_perm_homog  (d = q * n, w2 = n)
         The same partition with weight sqrt(n).
-    perm_multiset  (n = q * d, w2 = d)
-        Permutes the multiset {1..d, each q times}; client i holds pi_i.
+    perm_multiset  (n = c * d, w2 = d)
+        Permutes the multiset {1..d, each c times}; client i holds pi_i.
 
-    Client i's run is a uniform q-subset of [d], so
+    Client i's run is a uniform q-subset of [d] (q = 1 for perm_multiset), so
     E[B] = (w2 q/d) Diag(L_bar) + w2 q(q-1)/(d(d-1)) offdiag(L_bar), and
     E[C_i] and the mean linear term are I and b_bar divided by
-    s = sqrt(d^2 / (w2 q^2)).  E[B L_bar B] is closed for perm_q and
-    scaled_perm_homog at any q (:func:`_selection_moments`, the Perm-K
-    moments of Szlendak, Tyurin & Richtarik, arXiv 2110.03300): k given
-    coordinates all lie in one client's run with probability
-    q^(k) / d^(k) (falling factorials), and two clients' runs are disjoint,
-    so k1 coordinates lie in client i's run and k2 others in client j's with
-    probability q^(k1) q^(k2) / d^(k1 + k2).  perm_multiset hands a
-    coordinate to several clients, so its E[B L_bar B] is enumerated, except
-    where B is the same on every realization (q = 1 on a homogeneous
-    problem, any of these families), where it is E[B] L_bar E[B].
+    s = sqrt(d^2 / (w2 q^2)).  E[B L_bar B] comes from
+    :func:`_selection_moments` (the Perm-K moments of Szlendak, Tyurin &
+    Richtarik, arXiv 2110.03300).  Each client holds q of the n q slots and
+    each coordinate fills c = n q / d of them (c = 1 but for perm_multiset,
+    whose q is 1).  So k_t given coordinates lie in client t's run, for
+    distinct clients t, with probability prod_t q^(k_t) c^k / (n q)^(k),
+    k = sum_t k_t (falling factorials), where a coordinate given to two
+    clients takes c^(2) = c(c-1) in place of c^2: q^(k1) q^(k2) / d^(k1+k2)
+    for disjoint coordinates of perm_q and scaled_perm_homog, and
+    c^2 / (n(n-1)) for perm_multiset's clients keeping a != b, c(c-1) /
+    (n(n-1)) for a = b.  Where B is the same on every realization (q = 1 on
+    a homogeneous problem), E[B L_bar B] is E[B] L_bar E[B].
     """
 
     def __init__(self, name, w2=None, multiset=False, params=None):
@@ -764,16 +763,17 @@ class _Partition(_Family):
         return Fraction(self.w2(n, d))
 
     def keep(self, kind, n, d, sizes, disjoint):
+        # q = 1 or c = 1, so two clients share at most one coordinate where this is nonzero
         q = self.block_size(kind, n, d)
-        if not disjoint:
-            return Fraction(0)
-        return _ratio(math.prod(math.perm(q, k) for k in sizes), math.perm(d, sum(sizes)))
+        c, shared, k = n * q // d, int(not disjoint), sum(sizes)
+        ways = math.prod(math.perm(q, t) for t in sizes) * c ** (k - 2 * shared) * math.perm(c, 2) ** shared
+        return _ratio(ways, math.perm(n * q, k))
 
     def moments(self, kind, p, second=True):
         n, d = p.n, p.d
         q = self.block_size(kind, n, d)
         fixed = q == 1 and p.homogeneous  # B is the same on every realization
-        curv, curv2 = _selection_moments(kind, p, second and not (fixed or self.multiset))
+        curv, curv2 = _selection_moments(kind, p, second and not fixed)
         if second and fixed:
             curv2 = curv @ p.L_bar @ curv
         return SketchMoments(curv, curv2, p.b_bar / self._scale(n, d, q), "closed_form")
@@ -1130,7 +1130,7 @@ class SketchMoments:
     curvature : ndarray (d, d)
         E[B] with B = (1/n) sum_i C_i L_i C_i.
     curvature_second : ndarray (d, d) or None
-        E[B L_bar B]; None when no exact route produced it or it was not asked for.
+        E[B L_bar B]; None where it was not asked for, and in Monte Carlo reports.
     linear : ndarray (d,) or None
         E[(1/n) sum_i C_i b_i]; None when unavailable.
     method : str
@@ -1153,12 +1153,12 @@ class SketchMoments:
 def closed_moments(kind: SketchKind, p: QuadraticProblem, second: bool = True) -> SketchMoments:
     """Closed-form expectations of ``kind`` on ``p``.
 
-    Each family's class documents its forms.  Every family has E[B] and the
-    mean linear term (None for q > 1 scaled_perm_het on a problem with
-    linear terms).  E[B L_bar B] is None for perm_multiset except where B is
-    the same on every realization; rand_q, bernoulli, perm_q and
-    scaled_perm_homog get it in O(n d^3) from :func:`_selection_moments`.
-    It is left None, and not computed, when ``second`` is false.
+    Each family's class documents its forms.  Every family has E[B],
+    E[B L_bar B] and the mean linear term (None for q > 1 scaled_perm_het on
+    a problem with linear terms); rand_q, bernoulli, perm_q, perm_multiset
+    and scaled_perm_homog get E[B L_bar B] in O(n d^3) from
+    :func:`_selection_moments`.  It is left None, and not computed, when
+    ``second`` is false.
     """
     return kind.family.moments(kind, p, second)
 
@@ -1193,14 +1193,11 @@ def monte_carlo_moments(kind: SketchKind, p: QuadraticProblem, n_samples: int,
 
 def _expectation(kind: SketchKind, p: QuadraticProblem, what: str, closed, exact,
                  sampled=None, n_samples: int | None = None, rng=None):
-    """The one route policy: ``closed()`` unless it raises NoClosedForm or
+    """The route policy of the mean estimate and sigma2: ``closed()`` unless it
     returns None, else ``exact()`` unless its enumeration raises TooLarge,
     else ``sampled(draws)`` over :func:`_draws` where ``n_samples`` is given.
     A route that is None is skipped; where none answers, raises NoExpectation."""
-    try:
-        value = closed()
-    except NoClosedForm:
-        value = None
+    value = closed()
     if value is None and exact is not None:
         try:
             value = exact()
@@ -1213,13 +1210,3 @@ def _expectation(kind: SketchKind, p: QuadraticProblem, what: str, closed, exact
             f"no exact route to {what} for sketch {kind.kind!r} at n={p.n}, d={p.d}")
     return value
 
-
-def _moments(kind: SketchKind, p: QuadraticProblem, second: bool = False) -> SketchMoments:
-    """E[B], and E[B L_bar B] if ``second``, by :func:`_expectation`."""
-
-    def closed():
-        m = closed_moments(kind, p, second)
-        return None if second and m.curvature_second is None else m
-
-    return _expectation(kind, p, "E[B L B]" if second else "E[B]", closed,
-                        lambda: enumerated_moments(kind, p))

@@ -1,6 +1,8 @@
+import builtins
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -335,6 +337,25 @@ class TestRun:
         meta = json.loads((tmp_path / "trace.csv.meta.json").read_text())
         assert meta["resolved_config"]["problem"]["path"] == str(prob_path)
         assert len(meta["resolved_config"]["problem"]["sha256"]) == 64
+
+    def test_problem_file_is_read_once_and_its_bytes_hashed(self, tmp_path, monkeypatch):
+        prob_path = tmp_path / "p.json"
+        run_cli("gen", "--n", "4", "--d", "4", "--seed", "6", "--mode", "het",
+                "--out", str(prob_path))
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)  # pathlib's open
+        monkeypatch.setattr(builtins, "open", counting_open)
+        _, _, provenance = cli.parse_experiment(experiment_doc(tmp_path / "t.csv", problem=str(prob_path)))
+        monkeypatch.undo()
+        assert opened.count(str(prob_path)) == 1
+        assert provenance == {"path": str(prob_path),
+                              "sha256": hashlib.sha256(prob_path.read_bytes()).hexdigest()}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_problem_file_exits_2_without_trace(self, tmp_path, capsys, bad):

@@ -116,6 +116,23 @@ enumerated_moments (for closed_moments, max |difference| over max |entry|
 of E[B L_bar B]; largest: perm_q/het-3-6, 5.7e-15, against 5.9e-15 for the
 einsum form; largest certificate field: gamma_max of perm_q/hom-2-4,
 3.9e-15).
+
+The digests below were re-taken when perm_multiset's E[B L_bar B] off the
+q = 1 homogeneous case moved from enumeration to the equality-pattern
+closed form, and W and theta with it from enumerated moments to closed
+ones.  At n = d perm_multiset is the q = 1 scaled_perm_homog sketch, and
+the moved digests of perm_multiset/het-3-3 are now those of
+scaled_perm_homog/het-3-3.  Old -> new:
+
+perm_multiset/het-3-3: closed_moments 324a4744->a008eb20, cert.descent
+  5fb79ec4->4097f323, cert.theta eece665c->5323368e, cert.gamma_max and
+  cert.gamma bede15e0->e7d8b3fa, cert.rho 078394d9->14200652.
+perm_multiset/het-4-2: closed_moments f84750fc->2a2ad88b, cert.descent
+  36bdf1fe->c91054f7, cert.rho 6c9c1cfd->012af862.
+
+Each moved value is within 1e-15 relative of the one computed from
+enumerated_moments (largest: E[B L_bar B] of het-4-2, 7.1e-16; theta of
+het-3-3, 7.1e-16).
 """
 
 import dataclasses
@@ -300,14 +317,14 @@ PINS = {
         "9754a4ab cf1706c0 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
     ),
     "perm_multiset/het-3-3": (
-        "324a4744 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
-        "fa648520 81ccf4be 907157ed f8dd20a0 5fb79ec4 b2908519 eece665c bede15e0 "
-        "bede15e0 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
+        "a008eb20 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
+        "fa648520 81ccf4be 907157ed f8dd20a0 4097f323 b2908519 5323368e e7d8b3fa "
+        "e7d8b3fa 14200652 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
     ),
     "perm_multiset/het-4-2": (
-        "f84750fc 231ccc13 56b5e5ae 17b55c62 2b352b7c 2b352b7c 8d0cc84b 381a3dbf "
-        "8824806c d3e4a267 8d0cc84b 381a3dbf 36bdf1fe b2908519 5be636f1 9a315a26 "
-        "9a315a26 6c9c1cfd 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
+        "2a2ad88b 231ccc13 56b5e5ae 17b55c62 2b352b7c 2b352b7c 8d0cc84b 381a3dbf "
+        "8824806c d3e4a267 8d0cc84b 381a3dbf c91054f7 b2908519 5be636f1 9a315a26 "
+        "9a315a26 012af862 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
     ),
     "perm_multiset/hom-4-2": (
         "b6e997c8 0845bce6 da9dab2a af9256cb 2a26c3fa fd8f7764 8d0cc84b c41f78d0 "

@@ -12,13 +12,15 @@ enumeration budget, the closed E[B], mean linear term and E[B L_bar B] are
 checked against Monte Carlo.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from istlab import sketches
-from istlab.errors import IncompatibleShape, NoClosedForm, SingularMatrix, WrongKind
+from istlab import certificates, sketches
+from istlab.errors import IncompatibleShape, SingularMatrix, WrongKind
 from istlab.estimators import EstimatorKind, heterogeneity_variance
 from istlab.quadratics import QuadraticProblem, gen_heterogeneous, gen_homogeneous, precondition_homogeneous
 from istlab.sketches import FAMILIES, SketchKind
@@ -80,9 +82,10 @@ def test_closed_forms_match_enumeration(name, data):
 
 
 # (kind, mode, n, d): second moments of partitions with q >= 2, bernoulli at
-# each p the strategy draws, rand_q keeping every coordinate, and raw
+# each p the strategy draws, rand_q keeping every coordinate, raw
 # asymmetric input, whose second moment assumed symmetric L_i before the
-# constructor symmetrized it
+# constructor symmetrized it, and perm_multiset with n > d, whose clients
+# share coordinates
 FIXED_CASES = [
     (SketchKind.perm_q(), "het", 2, 4), (SketchKind.perm_q(), "het", 2, 6),
     (SketchKind.perm_q(3), "hom", 2, 6), (SketchKind.perm_q(), "het", 3, 6),
@@ -93,6 +96,8 @@ FIXED_CASES = [
     (SketchKind.rand_q(3), "het", 2, 3), (SketchKind.rand_q(2), "het", 3, 2),
     (SketchKind.rand_q(1), "het", 4, 1), (SketchKind.rand_q(2), "hom", 2, 4),
     (SketchKind.rand_q(2), "asym", 2, 3), (SketchKind.bernoulli(0.5), "asym", 2, 3),
+    (SketchKind.perm_multiset(), "het", 4, 2), (SketchKind.perm_multiset(), "het", 6, 2),
+    (SketchKind.perm_multiset(), "het", 6, 3),
 ]
 
 
@@ -109,15 +114,11 @@ def check_against_enumeration(kind, p):
     outcomes = list(sketches.enumerate_outcomes(kind, p))
     enum = sketches.enumerated_moments(kind, p)
 
-    try:
-        closed = sketches.closed_moments(kind, p)
-    except NoClosedForm:
-        closed = None
-    if closed is not None:
-        assert_close(closed.curvature, enum.curvature)
-        for field in ("curvature_second", "linear"):
-            if getattr(closed, field) is not None:
-                assert_close(getattr(closed, field), getattr(enum, field))
+    closed = sketches.closed_moments(kind, p)
+    assert_close(closed.curvature, enum.curvature)
+    for field in ("curvature_second", "linear"):
+        if getattr(closed, field) is not None:
+            assert_close(getattr(closed, field), getattr(enum, field))
 
     means = family.client_means(kind, p)
     if means is not None:
@@ -148,7 +149,7 @@ def check_against_enumeration(kind, p):
             assert_close(sigma2, variance, scale=max(second, abs(sigma2)))
 
 
-# The Monte Carlo half: every family with closed moments, at a shape whose
+# The Monte Carlo half: every family, at a shape whose
 # joint outcomes exceed the enumeration budget (10! > 10^6; identity has one).
 MC_CASES = {
     "identity": (SketchKind.identity(), 10, 10),
@@ -164,17 +165,40 @@ MC_DRAWS = 2000
 
 
 def test_mc_cases_cover_every_family_with_closed_moments():
+    assert {kind.kind for kind, _, _ in MC_CASES.values()} == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_has_a_closed_second_moment(name):
+    kind = SketchKind(name, q=1 if FAMILIES[name].params.get("q") else None,
+                      p=0.5 if FAMILIES[name].params.get("p") else None)
     p = gen_heterogeneous(2, 2, seed=0)
-    with_moments = set()
-    for name in FAMILIES:
-        kind = SketchKind(name, q=1 if FAMILIES[name].params.get("q") else None,
-                          p=0.5 if FAMILIES[name].params.get("p") else None)
-        try:
-            sketches.closed_moments(kind, p)
-        except NoClosedForm:
-            continue
-        with_moments.add(name)
-    assert {kind.kind for kind, _, _ in MC_CASES.values()} == with_moments
+    assert sketches.closed_moments(kind, p).curvature_second is not None
+
+
+def test_perm_multiset_moments_match_enumeration_at_n_8():
+    """perm_multiset at 8 x 4: the moments alone, as the 8! outcomes are past
+    MAX_OUTCOMES for the full check."""
+    kind, p = SketchKind.perm_multiset(), _problem("het", 8, 4, seed=72)
+    closed, enum = sketches.closed_moments(kind, p), sketches.enumerated_moments(kind, p)
+    for field in ("curvature", "curvature_second", "linear"):
+        assert_close(getattr(closed, field), getattr(enum, field))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_perm_multiset_at_n_equal_d_is_scaled_perm_homog(n):
+    """At n = d both sketches hand each client one coordinate of a uniform
+    permutation at weight sqrt(n): their closed moments and certificate
+    fields are equal bit for bit (the notes name the sketch)."""
+    p = gen_heterogeneous(n, n, seed=46 + n)
+    kinds = (SketchKind.perm_multiset(), SketchKind.scaled_perm_homog())
+    got, want = (sketches.closed_moments(k, p) for k in kinds)
+    for field in ("curvature", "curvature_second", "linear"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    got, want = (certificates.certificate(p, k) for k in kinds)
+    for field in dataclasses.fields(got):
+        if field.name != "notes":
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
 
 
 @pytest.mark.parametrize("label", MC_CASES)
@@ -212,12 +236,15 @@ def test_q1_scaled_het_sigma2_matches_monte_carlo():
 
 
 # E[B L_bar B] of each family whose second moment comes from the equality
-# patterns, at the README's n = 10, d = 100
+# patterns, at the README's n = 10, d = 100, and perm_multiset past the
+# enumeration budget
 MC_SECOND = {
-    "rand_q": SketchKind.rand_q(10),
-    "bernoulli": SketchKind.bernoulli(0.3),
-    "perm_q": SketchKind.perm_q(),
-    "scaled_perm_homog": SketchKind.scaled_perm_homog(),
+    "rand_q": (SketchKind.rand_q(10), 10, 100),
+    "bernoulli": (SketchKind.bernoulli(0.3), 10, 100),
+    "perm_q": (SketchKind.perm_q(), 10, 100),
+    "scaled_perm_homog": (SketchKind.scaled_perm_homog(), 10, 100),
+    "perm_multiset-10x10": (SketchKind.perm_multiset(), 10, 10),
+    "perm_multiset-20x10": (SketchKind.perm_multiset(), 20, 10),
 }
 
 
@@ -229,8 +256,8 @@ def test_closed_second_moment_matches_monte_carlo(label):
     (four coordinates kept at once), so its sample spread says little; a
     direction mixes every entry.  Sums are shifted by the first draw's
     value, as in ``sketches._sample_stats``."""
-    kind = MC_SECOND[label]
-    p = gen_heterogeneous(10, 100, seed=85)
+    kind, n, d = MC_SECOND[label]
+    p = gen_heterogeneous(n, d, seed=85)
     U = np.random.default_rng(14).standard_normal((p.d, 8))
     closed = sketches.closed_moments(kind, p).curvature_second
     want = np.sum(U * (closed @ U), axis=0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -77,6 +78,20 @@ class TestGenerators:
             ref[i] = B.T @ B
         ref = (ref + np.transpose(ref, (0, 2, 1))) / 2.0
         np.testing.assert_array_equal(gen_heterogeneous(n, d, seed=seed).L, ref)
+
+    @pytest.mark.parametrize("n, d", [(4, 400), (2, 300)])
+    def test_heterogeneous_peak_holds_no_client_draw_through_the_checks(self, n, d):
+        # the n matrices, L_bar and the nondegeneracy check's working copy, with
+        # no d x d draw B left alive beside them: (n + 3.03) 8 d^2 bytes, and
+        # (n + 4.03) 8 d^2 with one
+        gen_heterogeneous(n, d, seed=7)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            gen_heterogeneous(n, d, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 3.5) * 8 * d * d
 
     def test_reference_scale_heterogeneous_setup(self):
         # ten clients at dimension 1000: the largest configuration the

@@ -1,11 +1,15 @@
 """The expectation route policy and the Monte Carlo draw source.
 
-Every expectation a certificate or an estimator needs goes through one route
-function: closed form, then exact enumeration, then Monte Carlo where a draw
-count and an rng were given.  Where no route applies, each caller raises the
-same :class:`NoExpectation`.  Monte Carlo reads its draws from one source,
-which must be the stream of the same number of ``sample`` calls.
+Every sketch family has closed E[B] and E[B L_bar B], so every certificate
+answers past the enumeration budget.  The mean estimate and sigma2 go
+through one route function: closed form, then exact enumeration, then
+Monte Carlo where a draw count and an rng were given.  Where no route
+applies, ``expected_estimate`` raises :class:`NoExpectation`.  Monte Carlo
+reads its draws from one source, which must be the stream of the same
+number of ``sample`` calls.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,9 +21,9 @@ from istlab.estimators import EstimatorKind, expected_estimate, heterogeneity_va
 from istlab.quadratics import gen_heterogeneous, gen_homogeneous
 from istlab.sketches import FAMILIES, SketchKind, monte_carlo_moments, sample
 
-# perm_multiset leaves E[B L_bar B] to enumeration, and at n = d = 10 it has
-# 10! > ENUMERATION_BUDGET outcomes
-NO_SECOND = (SketchKind.perm_multiset(), gen_heterogeneous(10, 10, seed=1))
+# perm_multiset at n = d = 10 has 10! > ENUMERATION_BUDGET outcomes; only its
+# closed moments answer
+MULTISET = (SketchKind.perm_multiset(), gen_heterogeneous(10, 10, seed=1))
 # q = 2 scaled_perm_het with linear terms has no closed mean linear term, and
 # 10! outcomes
 NO_MEAN = (SketchKind.scaled_perm_het(), gen_heterogeneous(5, 10, seed=1))
@@ -31,8 +35,7 @@ CALLS = {
     "expected_estimate": lambda kind, p: expected_estimate(EstimatorKind.ist(kind), p,
                                                            np.zeros(p.d)),
 }
-NO_ROUTE = {"step_constant": NO_SECOND, "certificate": NO_SECOND,
-            "interpolation_rates": NO_SECOND, "expected_estimate": NO_MEAN}
+NO_ROUTE = {"expected_estimate": NO_MEAN}
 # rand_q(2) at n = 4, d = 10 has 45^4 > ENUMERATION_BUDGET outcomes, and closed moments
 RAND_Q = (SketchKind.rand_q(2), gen_heterogeneous(4, 10, seed=1))
 
@@ -43,13 +46,19 @@ class TestNoExpectation:
         with pytest.raises(NoExpectation, match="no exact route"):
             CALLS[name](*NO_ROUTE[name])
 
-    def test_descent_matrix_answers_without_a_second_moment(self):
-        """E[B] is closed for every family, so descent_matrix answers where
-        E[B L_bar B] has no route."""
-        kind, p = NO_SECOND
+    def test_descent_matrix_is_the_closed_form(self):
+        kind, p = MULTISET
         eb = sketches.closed_moments(kind, p).curvature
         np.testing.assert_array_equal(descent_matrix(p, kind),
                                       0.5 * linalg.symmetrize(p.L_bar @ eb + eb @ p.L_bar))
+
+    @pytest.mark.parametrize("name", ["step_constant", "certificate", "interpolation_rates"])
+    def test_perm_multiset_answers_past_the_budget(self, name):
+        """The certificate callers answer for perm_multiset at 10 x 10, which
+        had no route before its closed second moment."""
+        got = CALLS[name](*MULTISET)
+        values = (got.theta, got.rho) if name == "certificate" else got  # theta, or (2/gamma, rho)
+        assert np.isfinite(np.array(values, dtype=float)).all()
 
     @pytest.mark.parametrize("name", CALLS)
     def test_random_sparsifiers_answer_past_the_budget(self, name):
@@ -61,12 +70,13 @@ class TestNoExpectation:
         assert issubclass(NoExpectation, NoClosedForm)
         assert issubclass(NoExpectation, TooLarge)
 
-    def test_cli_exit_code_is_two(self, tmp_path, capsys):
+    def test_cli_theory_answers_for_perm_multiset(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
-        NO_SECOND[1].save(path)
+        MULTISET[1].save(path)
         code = cli.main(["theory", "--problem", str(path), "--sketch", "perm_multiset"])
-        assert code == 2
-        assert "no exact route" in capsys.readouterr().err
+        assert code == 0
+        theta = json.loads(capsys.readouterr().out)["theta"]
+        assert isinstance(theta, float) and np.isfinite(theta)
 
 
 class TestCertificateSigma2:
