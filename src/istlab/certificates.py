@@ -284,7 +284,7 @@ def stationarity_bound(
     2 beta^{-1} (1-gamma) + gamma, and gamma.  ``f_final`` defaults to the
     problem's minimum value (a valid relaxation of the expected final
     value); pass a simulated mean final value for the sharp curve.
-    ``sigma2`` defaults to the exact enumerated heterogeneity variance.
+    ``sigma2`` defaults to the exact heterogeneity variance.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -428,12 +428,12 @@ def certificate(
 ) -> ConvergenceCertificate:
     """Assemble the full certificate for an IST run with sketch ``kind``.
 
-    ``gamma`` defaults to 1/theta when a step constant exists.  The
-    heterogeneity variance is exact where an exact route exists (for
-    scaled_perm_het, any n = d at q = 1 and enumeration within the budget
-    at q > 1), a Monte Carlo fallback when ``sigma2_samples`` is given, and
-    is omitted (None, with a note) otherwise.  Bias-related fields are
-    populated only for the scaled permutation estimators.
+    ``gamma`` defaults to 1/theta when a step constant exists.  sigma2 and
+    the fixed point are exact where a route exists (scaled_perm_het: any
+    n = d at q = 1, per-client subset sums within their budget at q > 1);
+    else each is None with a note naming the budget, or sigma2 Monte Carlo
+    when ``sigma2_samples`` is given.  Bias-related fields are populated only
+    for the scaled permutation estimators.
     """
     notes: list[str] = []
     W, spec, theta = _descent_theta(p, kind)
@@ -456,18 +456,18 @@ def certificate(
             x_inf = fixed_point(p, kind)
             bias = p.solution() - x_inf
             bias_norm = math.sqrt(max(linalg.weighted_sqnorm(bias, p.L_bar), 0.0))
-        except (WrongKind, SingularMatrix) as exc:
+        except (WrongKind, SingularMatrix, NoExpectation) as exc:
             notes.append(f"bias/fixed point unavailable: {exc}")
     if kind.family.sigma2 is not None:
         est = estimators.EstimatorKind.ist(kind)
         try:
             sigma2 = estimators.heterogeneity_variance(p, est)
-        except NoExpectation:
+        except NoExpectation as exc:
             if sigma2_samples is not None:
                 sigma2 = estimators.heterogeneity_variance(p, est, sigma2_samples, rng)
                 notes.append(f"sigma2 via monte carlo ({sigma2_samples} draws)")
             else:
-                notes.append("sigma2 omitted: enumeration infeasible, no sample budget given")
+                notes.append(f"sigma2 omitted, no sample budget given: {exc}")
         except WrongKind as exc:
             notes.append(f"sigma2 unavailable: {exc}")
 

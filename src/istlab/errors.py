@@ -60,8 +60,8 @@ class TooLarge(IstLabError):
 
 
 class NoExpectation(NoClosedForm, TooLarge):
-    """No closed form, enumeration or Monte Carlo route gives the sketch
-    expectation; handlers of either base class catch it."""
+    """No closed form within its budget, and no Monte Carlo route, gives the
+    sketch expectation; handlers of either base class catch it."""
 
 
 class ThetaInadmissible(IstLabError):

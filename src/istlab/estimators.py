@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import linalg, sketches
-from .errors import DimMismatch, IncompatibleShape, WrongKind
+from .errors import DimMismatch, IncompatibleShape, NoExpectation, WrongKind
 from .quadratics import QuadraticProblem
 from .sketches import SketchKind, SketchSample
 
@@ -122,36 +122,25 @@ def estimate(
 
 
 def expected_estimate(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> NDArray:
-    """Exact E[g] at a fixed point ``x``.
-
-    Closed forms are used where the sketch family admits them; otherwise the
-    joint outcome space is enumerated.  Raises :class:`NoExpectation` (a
-    :class:`NoClosedForm`) when neither route is feasible.
+    """Exact E[g] at a fixed point ``x``, from the closed forms of the sketch
+    family: E[B] x minus the mean linear term for ist, the per-client E[C_i]
+    for cgd.  Raises :class:`NoExpectation` where they are left out, past the
+    budget of q > 1 scaled_perm_het's subset sums.
     """
     x = np.asarray(x, dtype=np.float64)
     if est.kind == "dgd":
         return p.grad(x)
     sketch = est.sketch
-
-    def closed():
-        if est.kind == "cgd":
-            means = sketch.family.client_means(sketch, p)
-            if means is None:
-                return None
-            acc = np.zeros(p.d)
-            for i in range(p.n):
-                acc += means[i] @ (p.L[i] @ x - p.b[i])
-            return acc / p.n
+    if est.kind == "cgd":
+        means = sketch.family.client_means(sketch, p)
+        if means is not None:
+            return sum(means[i] @ (p.L[i] @ x - p.b[i]) for i in range(p.n)) / p.n
+    else:
         m = sketches.closed_moments(sketch, p, second=False)
-        return None if m.linear is None else m.curvature @ x - m.linear
-
-    return sketches._expectation(sketch, p, f"the mean of {est.kind}", closed,
-                                 lambda: _enumerated_mean(est, p, x))
-
-
-def _enumerated_mean(est: EstimatorKind, p: QuadraticProblem, x: NDArray) -> NDArray:
-    gradient = _ist_gradient if est.kind == "ist" else _cgd_gradient
-    return sketches.outcome_sums(est.sketch, p, lambda s: (gradient(p, s, x),))[0]
+        if m.linear is not None:
+            return m.curvature @ x - m.linear
+    raise NoExpectation(f"no exact route to the mean of {est.kind} for sketch {sketch.kind!r} "
+                        f"at n={p.n}, d={p.d}")
 
 
 def heterogeneity_variance(
@@ -165,8 +154,9 @@ def heterogeneity_variance(
     Defined by the sketch families whose per-round curvature is
     deterministic, so the noise g - E[g] is the linear-term fluctuation and
     does not depend on x.  It is exact (in O(n d^2) for q = 1
-    scaled_perm_het, else by enumeration where needed) unless ``n_samples``
-    draws from ``rng`` ask for a Monte Carlo estimate.
+    scaled_perm_het, from per-client subset sums for q > 1, which raise
+    :class:`NoExpectation` past their budget) unless ``n_samples`` draws from
+    ``rng`` ask for a Monte Carlo estimate.
     """
     if est.kind != "ist" or est.sketch is None:
         raise WrongKind("heterogeneity variance is defined for ist estimators")

@@ -26,13 +26,13 @@ Every family has closed E[B] and E[B L_bar B] (:func:`closed_moments`).
 Those of rand_q, bernoulli, perm_q, perm_multiset and scaled_perm_homog come
 from one helper, :func:`_selection_moments`, which sums the equality
 patterns of the four indices of E[B L_bar B] over shared per-client
-products (equal to one einsum per pattern up to round-off).
-:func:`_expectation` is the route policy for the rest, the mean estimate
-and sigma2: closed form, else an exact route (enumeration within
-:data:`ENUMERATION_BUDGET`, or for q = 1 scaled_perm_het sigma2 a
-pair-probability formula), else Monte Carlo where a draw count was given.
-Enumeration (:func:`_chunks`) and Monte Carlo (:func:`_draws`) feed one
-consumer, :func:`_sums`; Monte Carlo sums are shifted by the first draw.
+products (equal to one einsum per pattern up to round-off).  The mean
+linear term, E[C_i], the fixed point and sigma2 are closed too, for q > 1
+scaled_perm_het as sums over client q-subsets (:func:`_subset_sums`) within
+:data:`ENUMERATION_BUDGET`: past it they are None or raise NoExpectation,
+and sigma2 takes Monte Carlo where a draw count was given.  Enumeration
+(:func:`_chunks`, the tests' oracle) and Monte Carlo (:func:`_draws`) feed
+one consumer, :func:`_sums`; Monte Carlo sums are shifted by the first draw.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from . import linalg
 from .errors import (
     DimMismatch,
     IncompatibleShape,
+    NoClosedForm,
     NoExpectation,
     NonPositiveDiagonal,
     SingularMatrix,
@@ -61,7 +62,8 @@ from .errors import (
 )
 from .quadratics import QuadraticProblem
 
-#: Maximum number of joint outcomes the exact enumerator will visit.
+#: Most joint outcomes the exact enumerator visits, and most n C(d, q) 2^q (client,
+#: subset) terms :func:`_subset_sums` builds.
 ENUMERATION_BUDGET = 1_000_000
 
 #: Bytes of the largest stack a chunk makes: (outcomes, d, max(d, n q)) floats in
@@ -419,6 +421,52 @@ def fixed_point_het(p: QuadraticProblem) -> NDArray:
     return (p.b / np.sqrt(p.diag)).mean(axis=0) / math.sqrt(p.n)
 
 
+def _subset_sums(p: QuadraticProblem, q: int, what: str, second: bool = False) -> tuple:
+    """(mean linear term m, (n, d, d) stack of E[C_i]) of q > 1 scaled_perm_het, and with
+    ``second`` its sigma2, from the N = C(d, q) runs S a client may hold, each a uniform
+    q-subset on which it applies C_i(S) = sqrt(n) L_i[S, S]^{-1/2}.  With v_i(S) =
+    C_i(S) b_i[S] on S, m = (1/(n N)) sum_{i,S} v_i(S) and E[C_i] = (1/N) sum_S C_i(S).
+    Two clients hold a uniform disjoint pair of the N C(d - q, q), so n^2 E[l' L_bar l] =
+    (1/N) sum_{i,S} v_i(S)' L_bar v_i(S) + sum_{i != j} sum_A (-1)^|A| U_i(A)' L_bar U_j(A)
+    / (N C(d - q, q)), the disjoint pairs by inclusion-exclusion over the sets A, with
+    U_i(A) = sum_{T containing A} v_i(T) (the Perm-K marginals of arXiv 2110.03300);
+    sigma2 is that less m' L_bar m.  The n N 2^q (client, subset) terms are counted
+    first, and refused past ENUMERATION_BUDGET with :class:`NoExpectation`."""
+    n, d = p.n, p.d
+    if 1 << q > ENUMERATION_BUDGET or n * math.comb(d, q) << q > ENUMERATION_BUDGET:
+        raise NoExpectation(f"no exact route to {what} for scaled_perm_het at n={n}, d={d}: its "
+                            f"n C(d, q) 2^q = {n} C({d}, {q}) 2^{q} (client, subset) terms pass "
+                            f"the budget {ENUMERATION_BUDGET}")
+    S = np.array(list(itertools.combinations(range(d), q)))
+    N = len(S)
+    idx = np.broadcast_to(S[:, None], (N, n, q))
+    F, _ = _het_factors(p, idx)
+    v = _times(F, _rows(p.b, idx)[..., None])  # (N, n, q, 1)
+    mean = _accumulate(idx.reshape(-1, q), v.reshape(-1, q, 1), d) / (n * N)
+    means = _scatter(idx.swapaxes(0, 1), F.swapaxes(0, 1), d) / N
+    if not second:
+        return mean, means
+    sigma2, L_bar = 0.0, p.L_bar
+    if n > 1:  # else one outcome
+        # row of A in U: the sets of each size in turn, those of size k ranked by
+        # sum_t C(a_t, t) over their members a_1 < ... < a_k (the combinatorial number system)
+        masks = np.arange(1 << q)[:, None] >> np.arange(q) & 1  # which of S's members A_m(S) holds
+        size = np.cumsum([0] + [math.comb(d, k) for k in range(q + 1)])
+        comb = np.array([[math.comb(a, t) if t else 0 for t in range(q + 1)] for a in range(d)])
+        rows = size[masks.sum(axis=1)] + comb[S[:, None, :], np.cumsum(masks, axis=1) * masks].sum(axis=-1)
+        flat = (rows[..., None] * d + S[:, None, :]).reshape(-1, q)  # v_i(S) into every row A_m(S)
+        sign = np.repeat((-1.0) ** np.arange(q + 1), np.diff(size))
+        total, cross = 0.0, 0.0
+        for i in range(n):
+            U = _accumulate(flat, np.repeat(v[:, i], 1 << q, axis=0), size[-1] * d).reshape(-1, d)
+            cross -= sign @ np.sum(U * (U @ L_bar), axis=1)
+            total = total + U
+        cross += sign @ np.sum(total * (total @ L_bar), axis=1)
+        own = np.sum(v * (L_bar[S[:, :, None], S[:, None, :]][:, None] @ v))
+        sigma2 = (own + cross / math.comb(d - q, q)) / (N * n * n) - mean @ L_bar @ mean
+    return mean, means, float(sigma2)
+
+
 def _from_mask(kind: SketchKind, mask: NDArray) -> SketchSample:
     """Assemble a Bernoulli sample from a (..., n, d) boolean keep mask, rows padded stack-wide."""
     n, d = mask.shape[-2:]
@@ -575,7 +623,6 @@ def _selection_weights(kind: SketchKind, n: int, d: int) -> tuple[float, float, 
     clients' own L_i for the pairs i = j, less the first)."""
     family = kind.family
     w2 = family.weight2(kind, n, d)
-    g1, g2 = (float(w2 * family.keep(kind, n, d, (k,), True)) for k in (1, 2))
 
     def split(s):  # distinct coordinates of client i (a, c) and of client j (e, b)
         ac, eb = set(s[:2]), set(s[2:])
@@ -584,8 +631,12 @@ def _selection_weights(kind: SketchKind, n: int, d: int) -> tuple[float, float, 
     same = _mobius({s: w2 * w2 * family.keep(kind, n, d, (max(s) + 1,), True)
                     for s in _PATTERNS})
     cross = _mobius({s: w2 * w2 * family.keep(kind, n, d, *split(s)) for s in _PATTERNS})
-    return g1, g2, tuple((s, float(cross[s]), float((same[s] - cross[s]) / (n * n)))
-                         for s in _PATTERNS if cross[s] or same[s] != cross[s])
+    try:
+        return (*(float(w2 * family.keep(kind, n, d, (k,), True)) for k in (1, 2)),
+                tuple((s, float(cross[s]), float((same[s] - cross[s]) / (n * n)))
+                      for s in _PATTERNS if cross[s] or same[s] != cross[s]))
+    except OverflowError:  # bernoulli weights reach 1/p^3
+        raise NoClosedForm(f"{kind.kind} p={kind.p!r} puts its moment weights past the float range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +658,7 @@ class _Family:
     each parameter the family takes to whether it is required.
     ``fixed_point`` and ``sigma2`` are None for a family without those
     quantities; where defined, they raise :class:`WrongKind` on problems
-    they do not cover.
+    they do not cover, and :class:`NoExpectation` past a budget.
     """
 
     fixed_point = None
@@ -641,12 +692,8 @@ class _Family:
         where ``blocks``: for q coordinates per client, at most d x max(d, n q) floats."""
         return 8 * d * max(d, n * self.block_size(kind, n, d))
 
-    def count_exceeds(self, kind: SketchKind, n: int, d: int, budget: int) -> bool:
-        """True when the joint outcomes number more than ``budget``."""
-        return self.count(kind, n, d) > budget
-
     def client_means(self, kind: SketchKind, p: QuadraticProblem) -> list[NDArray] | None:
-        """E[C_i] per client where known in closed form, else None."""
+        """E[C_i] per client in closed form; None past a budget."""
         self.block_size(kind, p.n, p.d)
         return [np.eye(p.d)] * p.n  # unbiased compressors
 
@@ -722,15 +769,6 @@ class _Partition(_Family):
 
     def count(self, kind, n, d):
         return math.factorial(max(n, d))
-
-    def count_exceeds(self, kind, n, d, budget):
-        # builds 1 * 2 * ... only until it passes the budget: d! has 5736
-        # digits at d = 2000
-        total, k = 1, 1
-        while total <= budget and k < max(n, d):
-            k += 1
-            total *= k
-        return total > budget
 
     def draw_many(self, kind, p, rng, k):
         # permuted shuffles the rows in turn, each as rng.permutation shuffles [d]
@@ -811,11 +849,13 @@ class _ScaledHet(_Partition):
     """scaled_perm_het  (d = q * n): client i applies
     sqrt(n) (L_i[S_i, S_i])^{-1/2} on its run, for q = 1 the weight
     sqrt(n / L_i[j, j]).  The per-round curvature B is then the identity on
-    every realization (``unit_curvature``), so E[B L_bar B] = L_bar and the
-    noise is the linear term's fluctuation alone.  The mean linear term is
-    closed-form for q = 1 (or zero linear terms).  sigma2 is exact for q = 1 at any
-    n = d, in O(n d^2) from pair probabilities (:func:`_pair_sigma2`); for
-    q > 1 it is enumerated within the budget.
+    every realization (``unit_curvature``), so E[B L_bar B] = L_bar, the
+    fixed point is the mean linear term and the noise is the linear term's
+    fluctuation alone.  For q = 1 the mean linear term and E[C_i] take
+    O(n d) (:func:`fixed_point_het`) and sigma2 O(n d^2) from pair
+    probabilities (:func:`_pair_sigma2`), at any n = d; for q > 1 all three
+    are sums over each client's q-subsets (:func:`_subset_sums`), within the
+    budget.
     """
 
     _factors = staticmethod(_het_factors)
@@ -827,50 +867,40 @@ class _ScaledHet(_Partition):
         return q
 
     def moments(self, kind, p, second=True):
-        q = self.check_problem(kind, p)
-        if q == 1:
-            linear = fixed_point_het(p)
-        elif p.interpolation:
-            linear = np.zeros(p.d)
-        else:
-            linear = None  # block factors have no closed-form linear mean
+        self.check_problem(kind, p)
+        try:
+            linear = self.fixed_point(kind, p)
+        except NoExpectation:
+            linear = None  # past the subset budget
         return SketchMoments(np.eye(p.d), p.L_bar.copy() if second else None, linear, "closed_form")
 
     def client_means(self, kind, p):
-        if self.block_size(kind, p.n, p.d) > 1:
-            return None
-        return [np.diag(1.0 / np.sqrt(p.diag[i])) / np.sqrt(p.n) for i in range(p.n)]
+        q = self.block_size(kind, p.n, p.d)
+        if q == 1:
+            return [np.diag(1.0 / np.sqrt(p.diag[i])) / np.sqrt(p.n) for i in range(p.n)]
+        try:
+            return list(_subset_sums(p, q, "E[C_i]")[1])
+        except NoExpectation:
+            return None  # past the subset budget
 
     def fixed_point(self, kind, p):
-        if self.block_size(kind, p.n, p.d) > 1 and not p.interpolation:
-            raise WrongKind("closed-form fixed point needs one coordinate per client")
-        return fixed_point_het(p)
+        q = self.block_size(kind, p.n, p.d)
+        if q == 1 or p.interpolation:
+            return fixed_point_het(p)
+        return _subset_sums(p, q, "the fixed point")[0]
 
     def sigma2(self, kind, p, n_samples=None, rng=None):
-        """sigma2 by :func:`_expectation`: 0 under interpolation; else, without
-        ``n_samples``, exact: :func:`_pair_sigma2` for q = 1, two passes over
-        the outcomes for q > 1 (the mean, then the spread); else one shifted
-        pass over ``n_samples`` draws of ``rng``."""
+        """0 under interpolation; else, without ``n_samples``, exact:
+        :func:`_pair_sigma2` for q = 1, :func:`_subset_sums` for q > 1; else
+        one shifted pass over ``n_samples`` draws of ``rng``."""
         q = self.block_size(kind, p.n, p.d)
-
-        def exact():
-            if q == 1:
-                return _pair_sigma2(p)
-            (mean,) = outcome_sums(kind, p, lambda s: (s.linear_term(p),))
-
-            def spread(s):  # per outcome, the mat-vec and dot of the (d,) loop
-                c = (s.linear_term(p) - mean)[..., None]
-                return ((np.swapaxes(c, -1, -2) @ (p.L_bar @ c))[:, 0, 0],)
-
-            return float(outcome_sums(kind, p, spread)[0])
-
-        def sampled(draws):
-            _, (var,) = _sample_stats(draws, lambda s: (s.linear_term(p),),
+        if p.interpolation:
+            return 0.0
+        if n_samples is not None:
+            _, (var,) = _sample_stats(_draws(kind, p, rng, n_samples), lambda s: (s.linear_term(p),),
                                       lambda c: np.sum(c * (c @ p.L_bar), axis=-1))
             return float(var)
-
-        return _expectation(kind, p, "sigma2", lambda: 0.0 if p.interpolation else None,
-                            exact if n_samples is None else None, sampled, n_samples, rng)
+        return _pair_sigma2(p) if q == 1 else _subset_sums(p, q, "sigma2", second=True)[2]
 
 
 class _Independent(_Family):
@@ -1032,7 +1062,7 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
 def _chunks(kind: SketchKind, p: QuadraticProblem):
     family, n, d = kind.family, p.n, p.d
     q = family.block_size(kind, n, d)
-    if family.count_exceeds(kind, n, d, ENUMERATION_BUDGET):
+    if family.count(kind, n, d) > ENUMERATION_BUDGET:
         # the count itself is left out: n! can exceed Python's limit on the
         # digits an int may format
         raise TooLarge(
@@ -1154,8 +1184,8 @@ def closed_moments(kind: SketchKind, p: QuadraticProblem, second: bool = True) -
     """Closed-form expectations of ``kind`` on ``p``.
 
     Each family's class documents its forms.  Every family has E[B],
-    E[B L_bar B] and the mean linear term (None for q > 1 scaled_perm_het on
-    a problem with linear terms); rand_q, bernoulli, perm_q, perm_multiset
+    E[B L_bar B] and the mean linear term (None for q > 1 scaled_perm_het
+    past the budget of its subset sums); rand_q, bernoulli, perm_q, perm_multiset
     and scaled_perm_homog get E[B L_bar B] in O(n d^3) from
     :func:`_selection_moments`.  It is left None, and not computed, when
     ``second`` is false.
@@ -1189,24 +1219,3 @@ def monte_carlo_moments(kind: SketchKind, p: QuadraticProblem, n_samples: int,
         _draws(kind, p, rng, n_samples), lambda s: (s.curvature(p), s.linear_term(p)))
     curv_se, linear_se = (np.sqrt(np.maximum(v, 0.0) / n_samples) for v in var)
     return SketchMoments(curv, None, linear, "monte_carlo", n_samples, curv_se, linear_se)
-
-
-def _expectation(kind: SketchKind, p: QuadraticProblem, what: str, closed, exact,
-                 sampled=None, n_samples: int | None = None, rng=None):
-    """The route policy of the mean estimate and sigma2: ``closed()`` unless it
-    returns None, else ``exact()`` unless its enumeration raises TooLarge,
-    else ``sampled(draws)`` over :func:`_draws` where ``n_samples`` is given.
-    A route that is None is skipped; where none answers, raises NoExpectation."""
-    value = closed()
-    if value is None and exact is not None:
-        try:
-            value = exact()
-        except TooLarge:
-            pass
-    if value is None and sampled is not None and n_samples is not None:
-        value = sampled(_draws(kind, p, rng, n_samples))
-    if value is None:
-        raise NoExpectation(
-            f"no exact route to {what} for sketch {kind.kind!r} at n={p.n}, d={p.d}")
-    return value
-

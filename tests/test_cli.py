@@ -15,13 +15,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from istlab import certificates, cli, quadratics, runner
 from istlab.errors import DegenerateEnsemble, IstLabError
 from istlab.quadratics import QuadraticProblem
-from istlab.sketches import SketchKind
+from istlab.sketches import FAMILIES, SketchKind
 
 
 def run_cli(*argv):
@@ -156,8 +156,10 @@ class TestTheory:
         assert doc["theta"] == pytest.approx(1.0, abs=1e-9)
 
     def test_notes_and_gamma_max_follow_the_six_keys(self, tmp_path, capsys):
+        """At 10 x 100, q = 10, the subset sums of sigma2 and x_inf pass their
+        budget: both are null, each with a note that names the budget."""
         out = tmp_path / "p.json"
-        run_cli("gen", "--n", "5", "--d", "10", "--seed", "12", "--mode", "het",
+        run_cli("gen", "--n", "10", "--d", "100", "--seed", "12", "--mode", "het",
                 "--out", str(out))
         capsys.readouterr()
         assert run_cli("theory", "--problem", str(out), "--sketch", "scaled_perm_het") == 0
@@ -167,9 +169,36 @@ class TestTheory:
         cert = certificates.certificate(QuadraticProblem.load(out),
                                         SketchKind.scaled_perm_het())
         assert doc["notes"] == list(cert.notes)
-        assert "sigma2 omitted: enumeration infeasible, no sample budget given" in doc["notes"]
-        assert doc["sigma2"] is None
+        assert len(doc["notes"]) == 2
+        for note, head in zip(doc["notes"], ["bias/fixed point unavailable: ",
+                                             "sigma2 omitted, no sample budget given: "]):
+            assert note.startswith(head) and note.endswith("pass the budget 1000000")
+        assert doc["sigma2"] is None and doc["x_inf"] is None and doc["h_norm_L"] is None
         assert doc["gamma_max"] == cert.gamma_max == 1.0
+
+    def test_q2_scaled_het_is_exact_at_10_by_20(self, tmp_path, capsys):
+        """q = 2 on a gen 10 x 20 file (20! outcomes): numeric sigma2, x_inf and
+        h_norm_L from the subset sums, and no note."""
+        out = tmp_path / "p.json"
+        run_cli("gen", "--n", "10", "--d", "20", "--seed", "4", "--mode", "het",
+                "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("theory", "--problem", str(out), "--sketch", "scaled_perm_het") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["sigma2"] > 0.0 and doc["h_norm_L"] > 0.0 and doc["notes"] == []
+        assert len(doc["x_inf"]) == 20 and all(np.isfinite(doc["x_inf"]))
+
+    @pytest.mark.parametrize("p", ["1e-154", "1e-300", "5e-324"])
+    def test_tiny_bernoulli_p_exits_2_naming_p(self, tmp_path, capsys, p):
+        """A p whose closed moment weights (up to 1/p^3) pass the float range
+        exits 2 with one line that names it; 1e-100 still answers."""
+        out = tmp_path / "p.json"
+        run_cli("gen", "--n", "2", "--d", "4", "--seed", "1", "--mode", "het",
+                "--out", str(out))
+        capsys.readouterr()
+        assert run_cli("theory", "--problem", str(out), "--sketch", "bernoulli", "--p", "1e-100") == 0
+        assert_config_error(capsys, ["theory", "--problem", str(out), "--sketch", "bernoulli",
+                                     "--p", p], f"p={float(p)!r}")
 
     def test_random_sparsifiers_certify_at_readme_scale(self, tmp_path):
         """theory with rand_q(20) and bernoulli(0.1) on a gen 10 x 200 file
@@ -722,3 +751,47 @@ def test_fuzzed_experiment_parses_or_exits_with_one_error_line(doc):
     if code:
         message = err.getvalue()
         assert message.count("\n") == 1 and message.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def het_2x4_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("theory") / "het-2x4.json"
+    quadratics.gen_heterogeneous(2, 4, seed=3).save(path)
+    return str(path)
+
+
+#: Values for each ``istlab theory`` flag, None leaving it out: each family name
+#: and junk for --sketch, and for the numbers zeros, negatives, NaN, infinities,
+#: the smallest floats and values past any family's range.
+THEORY_FLAGS = {
+    "--sketch": sorted(FAMILIES) + ["", "junk", "Perm_q", "perm_q "],
+    "--q": [None, "-1", "0", "1", "2", "3", "4", "5", str(10**30)],
+    "--p": [None, "5e-324", "1e-300", "1e-154", "1e-100", "nan", "inf", "-inf", "-0.5", "0",
+            "0.5", "1", "1.5", "1e308"],
+    "--gamma": [None, "nan", "inf", "-1", "0", "5e-324", "1e-300", "0.5", "1", "2", "1e308"],
+    "--sigma2-samples": [None, "-1", "0", "1", "7"],
+}
+
+
+@settings(max_examples=300)
+@given(flags=st.fixed_dictionaries({flag: st.sampled_from(values)
+                                    for flag, values in THEORY_FLAGS.items()}))
+@example(flags={"--sketch": "bernoulli", "--q": None, "--p": "1e-300", "--gamma": None,
+                "--sigma2-samples": None})
+@example(flags={"--sketch": "bernoulli", "--q": None, "--p": "5e-324", "--gamma": "0.5",
+                "--sigma2-samples": "7"})
+def test_fuzzed_theory_argv_answers_or_exits_with_one_error_line(het_2x4_file, flags):
+    # flag=value, as argparse reads "--p -inf" as two flags
+    argv = ["theory", "--problem", het_2x4_file] + [f"{flag}={value}" for flag, value in flags.items()
+                                                    if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.startswith("error: ")
+        assert "Traceback" not in message
+    else:
+        doc = json.loads(out.getvalue())
+        assert list(doc) == ["theta", "rho", "h_norm_L", "x_inf", "sigma2", "W_psd", "notes", "gamma_max"]

@@ -105,12 +105,15 @@ def reference_moments(kind, p):
     return curv / total, second / total, linear / total
 
 
+def _gradient(est):
+    return estimators._ist_gradient if est.kind == "ist" else estimators._cgd_gradient
+
+
 def reference_mean(est, p, x):
     """The enumerated E[g] as a loop over single outcomes."""
-    gradient = estimators._ist_gradient if est.kind == "ist" else estimators._cgd_gradient
     acc = np.zeros(p.d)
     for prob, s in sketches.enumerate_outcomes(est.sketch, p):
-        acc += prob * gradient(p, s, x)
+        acc += prob * _gradient(est)(p, s, x)
     return acc
 
 
@@ -130,7 +133,8 @@ def test_enumerated_mean_bitwise_equal_outcome_loop(label, name, chunk):
     kind, p = _problem(label)
     est = EstimatorKind(name, kind)
     x = np.random.default_rng(3).standard_normal(p.d)
-    assert _bits(estimators._enumerated_mean(est, p, x)) == _bits(reference_mean(est, p, x))
+    (got,) = sketches.outcome_sums(kind, p, lambda s: (_gradient(est)(p, s, x),))
+    assert _bits(got) == _bits(reference_mean(est, p, x))
 
 
 def reference_sigma2(kind, p):
@@ -140,22 +144,16 @@ def reference_sigma2(kind, p):
     return float(sum(prob * ((v - mean) @ (p.L_bar @ (v - mean))) for prob, v in terms))
 
 
-@pytest.mark.parametrize("label", ["scaled_perm_het_q2"])
-def test_heterogeneity_variance_bitwise_equal_outcome_loop(label, chunk):
+@pytest.mark.parametrize("label", ["scaled_perm_het", "scaled_perm_het_q2"])
+def test_heterogeneity_variance_enumerates_nothing(label, monkeypatch):
+    """sigma2 is the pair-probability form at q = 1 and the subset sums at
+    q > 1: no outcome is visited, and it matches the outcome loop to 1e-12
+    relative."""
     kind, p = _problem(label)
-    want = reference_sigma2(kind, p)
-    got = estimators.heterogeneity_variance(p, EstimatorKind.ist(kind))
-    assert got.hex() == want.hex()
-
-
-def test_q1_heterogeneity_variance_enumerates_nothing(monkeypatch):
-    """q = 1 sigma2 is the pair-probability form: no outcome is visited, and
-    it matches the outcome loop to 1e-12 relative."""
-    kind, p = _problem("scaled_perm_het")
     want = reference_sigma2(kind, p)
 
     def no_chunks(*args):
-        raise AssertionError("q = 1 sigma2 enumerated its outcomes")
+        raise AssertionError("sigma2 enumerated its outcomes")
 
     monkeypatch.setattr(sketches, "_chunks", no_chunks)
     got = estimators.heterogeneity_variance(p, EstimatorKind.ist(kind))

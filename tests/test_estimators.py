@@ -20,6 +20,12 @@ from istlab.quadratics import (
 from istlab.sketches import SketchKind
 
 
+def enumerated_mean(est, p, x):
+    """E[g] at x by enumeration (the test oracle): the gradient summed over every outcome."""
+    gradient = estimators._ist_gradient if est.kind == "ist" else estimators._cgd_gradient
+    return sketches.outcome_sums(est.sketch, p, lambda s: (gradient(p, s, x),))[0]
+
+
 class TestEstimatorKind:
     def test_dgd_refuses_sketch(self):
         with pytest.raises(IncompatibleShape):
@@ -110,9 +116,7 @@ class TestExpectedEstimate:
         x = np.random.default_rng(1).standard_normal(3)
         est = EstimatorKind.ist(SketchKind.scaled_perm_het())
         closed = expected_estimate(est, p, x)
-        from istlab.estimators import _enumerated_mean
-
-        np.testing.assert_allclose(closed, _enumerated_mean(est, p, x), atol=1e-12)
+        np.testing.assert_allclose(closed, enumerated_mean(est, p, x), atol=1e-12)
 
     def test_scaled_het_decomposes_into_preconditioned_grad_plus_bias(self):
         from istlab.certificates import estimator_bias
@@ -150,10 +154,8 @@ class TestExpectedEstimate:
     def test_cgd_enumerated_mean_equals_gradient(self):
         p = gen_heterogeneous(2, 3, seed=16)
         x = np.random.default_rng(5).standard_normal(3)
-        from istlab.estimators import _enumerated_mean
-
         for kind in (SketchKind.rand_q(1), SketchKind.bernoulli(0.5)):
-            mean = _enumerated_mean(EstimatorKind.cgd(kind), p, x)
+            mean = enumerated_mean(EstimatorKind.cgd(kind), p, x)
             np.testing.assert_allclose(mean, p.grad(x), atol=1e-12)
 
     def test_ist_bias_is_nonzero_off_interpolation(self):
@@ -163,11 +165,11 @@ class TestExpectedEstimate:
         assert np.linalg.norm(mean - p.grad(x)) > 1e-3
 
     def test_no_closed_form_when_enumeration_infeasible(self):
-        # q = 2 scaled_perm_het with linear terms: no closed mean linear term,
-        # and 10! outcomes
-        p = gen_heterogeneous(5, 10, seed=18)
+        # q = 10 scaled_perm_het with linear terms: its subset sums pass the
+        # budget, and 100! outcomes
+        p = gen_heterogeneous(10, 100, seed=18)
         with pytest.raises(NoClosedForm):
-            expected_estimate(EstimatorKind.ist(SketchKind.scaled_perm_het()), p, np.zeros(10))
+            expected_estimate(EstimatorKind.ist(SketchKind.scaled_perm_het()), p, np.zeros(100))
 
     def test_random_sparsifier_ist_mean_is_closed_past_the_budget(self):
         """rand_q(3) at n = d = 12 has C(12, 3)^12 outcomes; its ist mean is

@@ -133,6 +133,32 @@ perm_multiset/het-4-2: closed_moments f84750fc->2a2ad88b, cert.descent
 Each moved value is within 1e-15 relative of the one computed from
 enumerated_moments (largest: E[B L_bar B] of het-4-2, 7.1e-16; theta of
 het-3-3, 7.1e-16).
+
+The digests below were re-taken when q > 1 scaled_perm_het's mean linear
+term, E[C_i], fixed point and sigma2 moved from enumeration (or from no
+value) to sums over each client's q-subsets (``sketches._subset_sums``),
+and cgd's expected estimate with E[C_i].  closed_moments moved because its
+mean linear term was None; fixed_point, cert.x_inf, cert.bias and
+cert.bias_norm hold values where WrongKind or None was pinned; cert.notes
+lost the fixed-point note.  Old -> new:
+
+scaled_perm_het/het-2-4: closed_moments dd47a071->2037a66d, expected_ist
+  418f6810->ca2d71ad, expected_cgd 28437321->a36487c4, fixed_point and
+  cert.x_inf 2b352b7c/319dfbc3->d72181fa, sigma2 and cert.sigma2
+  7be60c62->a0a13fd2 (0x1.9cf4986ceb4e2p+1 -> 0x1.9cf4986ceb4e1p+1),
+  cert.bias 319dfbc3->004f37bb, cert.bias_norm 319dfbc3->b96b4e6b,
+  cert.notes 12f30002->e5a3b04a.
+scaled_perm_het/interp-2-4: expected_cgd 94aa0953->af942074.
+scaled_perm_het/het-3-6: closed_moments 343b6dca->bfa3c208, expected_ist
+  7cb2fbed->d7076199, expected_cgd 0bee2c37->e754d54b, fixed_point and
+  cert.x_inf 2b352b7c/319dfbc3->4f7b31d5, sigma2 and cert.sigma2
+  e1a27033->a94bfcae (0x1.14e28ef51d832p+2 -> 0x1.14e28ef51d830p+2),
+  cert.bias 319dfbc3->7e88c70c, cert.bias_norm 319dfbc3->90247151,
+  cert.notes 12f30002->e5a3b04a.
+
+Each moved value is within 3e-15 relative of the enumerated one (largest:
+expected_cgd of het-3-6, 2.6e-15; the fixed point of het-3-6 against the
+enumerated mean linear term, 2.5e-15; sigma2, 4.1e-16).
 """
 
 import dataclasses
@@ -342,12 +368,12 @@ PINS = {
         "376ec8c7 fd8f7764 65a1a726 530dc497 e7a34533 be194d8d e5a3b04a"
     ),
     "scaled_perm_het/het-2-4": (
-        "dd47a071 67f08d36 418f6810 28437321 2b352b7c 7be60c62 1e4dc0b1 d1425d16 "
+        "2037a66d 67f08d36 ca2d71ad a36487c4 d72181fa a0a13fd2 1e4dc0b1 d1425d16 "
         "7b07f439 f2bfaef4 f4074883 87d47926 1c8403cc b2908519 376ec8c7 376ec8c7 "
-        "376ec8c7 fd8f7764 319dfbc3 319dfbc3 319dfbc3 7be60c62 12f30002"
+        "376ec8c7 fd8f7764 004f37bb b96b4e6b d72181fa a0a13fd2 e5a3b04a"
     ),
     "scaled_perm_het/interp-2-4": (
-        "d711d448 04ff11fd bbc98e4e 94aa0953 884dfb14 fd8f7764 1e4dc0b1 e8dbfa43 "
+        "d711d448 04ff11fd bbc98e4e af942074 884dfb14 fd8f7764 1e4dc0b1 e8dbfa43 "
         "7b07f439 10329525 f4074883 f126563a 1c8403cc b2908519 376ec8c7 376ec8c7 "
         "376ec8c7 fd8f7764 884dfb14 fd8f7764 884dfb14 fd8f7764 e5a3b04a"
     ),
@@ -362,9 +388,9 @@ PINS = {
         "376ec8c7 fd8f7764 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
     ),
     "scaled_perm_het/het-3-6": (
-        "343b6dca 8dc0aa98 7cb2fbed 0bee2c37 2b352b7c e1a27033 f7c7e1dd c24e4707 "
+        "bfa3c208 8dc0aa98 d7076199 e754d54b 4f7b31d5 a94bfcae f7c7e1dd c24e4707 "
         "50a678bc 7fc121d0 bccc9981 e8eb899a 5b0acdb8 b2908519 376ec8c7 376ec8c7 "
-        "376ec8c7 fd8f7764 319dfbc3 319dfbc3 319dfbc3 e1a27033 12f30002"
+        "376ec8c7 fd8f7764 7e88c70c 90247151 4f7b31d5 a94bfcae e5a3b04a"
     ),
     "rand_q1/het-2-3": (
         "e3e964a0 20dda014 0e85e4c8 78b65efd 2b352b7c 2b352b7c 413c1a07 c2a93e45 "

@@ -7,7 +7,8 @@ space is small enough to enumerate; a fixed list adds the cases the
 equality-pattern second moments must get right (partitions with q >= 2,
 bernoulli at p = 0.3, 0.5 and 1, rand_q at q = d, raw asymmetric L_i).
 Every closed form the family provides must match enumeration to 1e-12
-relative: its moments, E[C_i], the fixed point and sigma2.  Past the
+relative: its moments, E[C_i], the fixed point and sigma2; within the
+enumeration budget none of the moments or E[C_i] may be missing.  Past the
 enumeration budget, the closed E[B], mean linear term and E[B L_bar B] are
 checked against Monte Carlo.
 """
@@ -28,6 +29,8 @@ from istlab.sketches import FAMILIES, SketchKind
 #: Largest outcome space a case may enumerate; keeps the matrix fast.
 MAX_OUTCOMES = 720
 RTOL = 1e-12
+#: Client numbers as a column, for client offsets.
+CLIENT_ROWS = np.arange(16)[:, None]
 
 
 def _feasible(kind, n, d):
@@ -84,8 +87,9 @@ def test_closed_forms_match_enumeration(name, data):
 # (kind, mode, n, d): second moments of partitions with q >= 2, bernoulli at
 # each p the strategy draws, rand_q keeping every coordinate, raw
 # asymmetric input, whose second moment assumed symmetric L_i before the
-# constructor symmetrized it, and perm_multiset with n > d, whose clients
-# share coordinates
+# constructor symmetrized it, perm_multiset with n > d, whose clients share
+# coordinates, and the subset sums of q > 1 scaled_perm_het; the n = 8 shapes
+# have 8! outcomes, past MAX_OUTCOMES
 FIXED_CASES = [
     (SketchKind.perm_q(), "het", 2, 4), (SketchKind.perm_q(), "het", 2, 6),
     (SketchKind.perm_q(3), "hom", 2, 6), (SketchKind.perm_q(), "het", 3, 6),
@@ -97,7 +101,10 @@ FIXED_CASES = [
     (SketchKind.rand_q(1), "het", 4, 1), (SketchKind.rand_q(2), "hom", 2, 4),
     (SketchKind.rand_q(2), "asym", 2, 3), (SketchKind.bernoulli(0.5), "asym", 2, 3),
     (SketchKind.perm_multiset(), "het", 4, 2), (SketchKind.perm_multiset(), "het", 6, 2),
-    (SketchKind.perm_multiset(), "het", 6, 3),
+    (SketchKind.perm_multiset(), "het", 6, 3), (SketchKind.perm_multiset(), "het", 8, 4),
+    (SketchKind.perm_q(), "het", 4, 8),
+    (SketchKind.scaled_perm_het(), "het", 2, 4), (SketchKind.scaled_perm_het(), "het", 3, 6),
+    (SketchKind.scaled_perm_het(), "het", 2, 6), (SketchKind.scaled_perm_het(), "het", 4, 8),
 ]
 
 
@@ -110,20 +117,29 @@ def test_closed_forms_match_enumeration_at_fixed_cases(kind, mode, n, d):
 
 
 def check_against_enumeration(kind, p):
-    family = kind.family
-    outcomes = list(sketches.enumerate_outcomes(kind, p))
-    enum = sketches.enumerated_moments(kind, p)
+    """The family's closed forms against one pass over every outcome
+    (``sketches.outcome_sums``) that sums the terms of ``enumerated_moments``,
+    each outcome's C_i for every client, and v' L_bar v of its linear term v,
+    whose mean less m' L_bar m, m the mean linear term, is sigma2."""
+    family, L_bar = kind.family, p.L_bar
+
+    def terms(s):
+        B, v, (k, n, q) = s.curvature(p), s.linear_term(p), s.idx.shape
+        # client i's q x q block at rows and columns S_i of its own d x d matrix
+        at = (s.idx[..., :, None] * p.d + s.idx[..., None, :]).reshape(k, n, q * q) + CLIENT_ROWS[:n] * p.d**2
+        C = sketches._accumulate(at, s._blocks().reshape(k, n, q * q, 1), n * p.d**2).reshape(k, n, p.d, p.d)
+        return B, B @ L_bar @ B, v, C, np.sum(v * (v @ L_bar), axis=-1), np.ones(k)
+
+    *sums, total = sketches.outcome_sums(kind, p, terms)
+    curvature, curvature_second, linear, client_means, second = (a / total for a in sums)
 
     closed = sketches.closed_moments(kind, p)
-    assert_close(closed.curvature, enum.curvature)
-    for field in ("curvature_second", "linear"):
-        if getattr(closed, field) is not None:
-            assert_close(getattr(closed, field), getattr(enum, field))
-
+    assert_close(closed.curvature, curvature)
+    assert_close(closed.curvature_second, curvature_second)
+    assert_close(closed.linear, linear)
     means = family.client_means(kind, p)
-    if means is not None:
-        for i in range(p.n):
-            assert_close(means[i], sum(prob * s.client_matrix(i) for prob, s in outcomes))
+    for i in range(p.n):
+        assert_close(means[i], client_means[i])
 
     if family.fixed_point is not None:
         try:
@@ -132,8 +148,8 @@ def check_against_enumeration(kind, p):
             pass
         else:
             # E[x^{k+1}] = (1 - gamma) E[x^k] + gamma x_inf needs E[B] = I
-            assert_close(enum.curvature, np.eye(p.d))
-            assert_close(x_inf, enum.linear)
+            assert_close(curvature, np.eye(p.d))
+            assert_close(x_inf, linear)
 
     if family.sigma2 is not None:
         try:
@@ -141,12 +157,8 @@ def check_against_enumeration(kind, p):
         except WrongKind:
             pass
         else:
-            terms = [(prob, s.linear_term(p)) for prob, s in outcomes]
-            second = sum(prob * (v @ p.L_bar @ v) for prob, v in terms)
-            variance = sum(prob * ((v - enum.linear) @ p.L_bar @ (v - enum.linear))
-                           for prob, v in terms)
             # a deterministic family's zero is matched relative to E||v||^2
-            assert_close(sigma2, variance, scale=max(second, abs(sigma2)))
+            assert_close(sigma2, second - linear @ L_bar @ linear, scale=max(second, abs(sigma2)))
 
 
 # The Monte Carlo half: every family, at a shape whose
@@ -174,15 +186,6 @@ def test_every_family_has_a_closed_second_moment(name):
                       p=0.5 if FAMILIES[name].params.get("p") else None)
     p = gen_heterogeneous(2, 2, seed=0)
     assert sketches.closed_moments(kind, p).curvature_second is not None
-
-
-def test_perm_multiset_moments_match_enumeration_at_n_8():
-    """perm_multiset at 8 x 4: the moments alone, as the 8! outcomes are past
-    MAX_OUTCOMES for the full check."""
-    kind, p = SketchKind.perm_multiset(), _problem("het", 8, 4, seed=72)
-    closed, enum = sketches.closed_moments(kind, p), sketches.enumerated_moments(kind, p)
-    for field in ("curvature", "curvature_second", "linear"):
-        assert_close(getattr(closed, field), getattr(enum, field))
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -217,13 +220,16 @@ def test_closed_forms_match_monte_carlo(label):
         assert np.all(np.abs(mc.linear - closed.linear) <= 5.0 * mc.linear_stderr + 1e-9)
 
 
-def test_q1_scaled_het_sigma2_matches_monte_carlo():
-    """q = 1 scaled_perm_het sigma2 past the enumeration budget within 5 Monte
-    Carlo standard errors; the standard error is that of the mean of the
-    per-draw terms (v - vbar)' L_bar (v - vbar) over the same draws."""
+@pytest.mark.parametrize("n, d", [(10, 10), (5, 10)], ids=["q1-10x10", "q2-5x10"])
+def test_scaled_het_sigma2_and_mean_match_monte_carlo(n, d):
+    """scaled_perm_het sigma2 and mean linear term past the enumeration budget
+    (10! outcomes) within 5 Monte Carlo standard errors: the q = 1 pair
+    probabilities and the q = 2 subset sums.  sigma2's standard error is that of
+    the mean of the per-draw terms (v - vbar)' L_bar (v - vbar) over the same
+    draws; the mean's is that of each entry of v."""
     kind = SketchKind.scaled_perm_het()
-    p = gen_heterogeneous(10, 10, seed=90)
-    assert kind.family.count(kind, 10, 10) > sketches.ENUMERATION_BUDGET
+    p = gen_heterogeneous(n, d, seed=90)
+    assert kind.family.count(kind, n, d) > sketches.ENUMERATION_BUDGET
     est = EstimatorKind.ist(kind)
     exact = heterogeneity_variance(p, est)
     mc = heterogeneity_variance(p, est, MC_DRAWS, np.random.default_rng(12))
@@ -233,6 +239,8 @@ def test_q1_scaled_het_sigma2_matches_monte_carlo():
     terms = np.sum(c * (c @ p.L_bar), axis=1)
     assert mc == pytest.approx(terms.mean(), rel=1e-9)  # the same draws
     assert abs(mc - exact) <= 5.0 * terms.std(ddof=1) / np.sqrt(MC_DRAWS)
+    mean = certificates.fixed_point(p, kind)
+    assert np.all(np.abs(v.mean(axis=0) - mean) <= 5.0 * v.std(axis=0, ddof=1) / np.sqrt(MC_DRAWS))
 
 
 # E[B L_bar B] of each family whose second moment comes from the equality

@@ -1,22 +1,25 @@
 """The expectation route policy and the Monte Carlo draw source.
 
 Every sketch family has closed E[B] and E[B L_bar B], so every certificate
-answers past the enumeration budget.  The mean estimate and sigma2 go
-through one route function: closed form, then exact enumeration, then
-Monte Carlo where a draw count and an rng were given.  Where no route
-applies, ``expected_estimate`` raises :class:`NoExpectation`.  Monte Carlo
-reads its draws from one source, which must be the stream of the same
-number of ``sample`` calls.
+answers past the enumeration budget.  The mean estimate, E[C_i], the fixed
+point and sigma2 are closed as well; for q > 1 scaled_perm_het they are
+sums over each client's q-subsets, within a budget on their count.  Past it
+``expected_estimate`` and ``fixed_point`` raise :class:`NoExpectation`, and
+sigma2 is Monte Carlo where a draw count and an rng were given.  No
+production call enumerates outcomes; enumeration is the tests' oracle.
+Monte Carlo reads its draws from one source, which must be the stream of
+the same number of ``sample`` calls.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
 
-from istlab import cli, linalg, sketches
+from istlab import certificates, cli, linalg, sketches
 from istlab.certificates import certificate, descent_matrix, interpolation_rates, step_constant
-from istlab.errors import NoClosedForm, NoExpectation, TooLarge
+from istlab.errors import NoClosedForm, NoExpectation, TooLarge, WrongKind
 from istlab.estimators import EstimatorKind, expected_estimate, heterogeneity_variance
 from istlab.quadratics import gen_heterogeneous, gen_homogeneous
 from istlab.sketches import FAMILIES, SketchKind, monte_carlo_moments, sample
@@ -24,9 +27,9 @@ from istlab.sketches import FAMILIES, SketchKind, monte_carlo_moments, sample
 # perm_multiset at n = d = 10 has 10! > ENUMERATION_BUDGET outcomes; only its
 # closed moments answer
 MULTISET = (SketchKind.perm_multiset(), gen_heterogeneous(10, 10, seed=1))
-# q = 2 scaled_perm_het with linear terms has no closed mean linear term, and
-# 10! outcomes
-NO_MEAN = (SketchKind.scaled_perm_het(), gen_heterogeneous(5, 10, seed=1))
+# q = 10 scaled_perm_het with linear terms: 10 C(100, 10) 2^10 (client, subset)
+# terms pass the budget of its subset sums, and 100! outcomes that of enumeration
+NO_MEAN = (SketchKind.scaled_perm_het(), gen_heterogeneous(10, 100, seed=1))
 CALLS = {
     "descent_matrix": lambda kind, p: descent_matrix(p, kind),
     "step_constant": lambda kind, p: step_constant(p, kind),
@@ -92,14 +95,31 @@ class TestCertificateSigma2:
         assert not any("sigma2" in note for note in cert.notes)
 
     def test_monte_carlo_where_enumeration_is_infeasible(self):
-        p = gen_heterogeneous(5, 10, seed=21)  # q = 2, 10! outcomes
+        p = gen_heterogeneous(10, 100, seed=21)  # q = 10: past the subset budget
         kind = SketchKind.scaled_perm_het()
         cert = certificate(p, kind, sigma2_samples=200, rng=np.random.default_rng(6))
         assert cert.sigma2 == heterogeneity_variance(p, self.HET, 200, np.random.default_rng(6))
         assert "sigma2 via monte carlo (200 draws)" in cert.notes
         cert = certificate(p, kind)
-        assert cert.sigma2 is None
-        assert "sigma2 omitted: enumeration infeasible, no sample budget given" in cert.notes
+        assert cert.sigma2 is None and cert.x_inf is None and cert.bias_norm is None
+        budget = f"pass the budget {sketches.ENUMERATION_BUDGET}"
+        assert [note for note in cert.notes if note.startswith("sigma2 omitted, no sample budget given: ")
+                and note.endswith(budget)]
+        assert [note for note in cert.notes if note.startswith("bias/fixed point unavailable: ")
+                and note.endswith(budget)]
+
+    def test_q2_certificate_is_exact_and_fast(self):
+        """At 3 x 9, q = 3 (9! outcomes, 3 C(9, 3) 2^3 = 2016 subset terms) the
+        certificate holds sigma2, x_inf and the bias, with no note, in well under
+        0.1 s (4.5 s by enumeration)."""
+        p = gen_heterogeneous(3, 9, seed=21)
+        kind = SketchKind.scaled_perm_het()
+        certificate(p, kind)
+        t0 = time.perf_counter()
+        cert = certificate(p, kind)
+        assert time.perf_counter() - t0 < 0.1
+        assert cert.sigma2 > 0.0 and cert.bias_norm > 0.0 and cert.notes == ()
+        np.testing.assert_array_equal(cert.x_inf, sketches.closed_moments(kind, p).linear)
 
     @pytest.mark.parametrize("budget", [None, 200])
     def test_q1_sigma2_is_exact_past_the_enumeration_budget(self, budget):
@@ -209,3 +229,61 @@ def test_draws_are_the_sample_stream(kind, n, d, monkeypatch):
         assert not factors[..., q:].any()  # padding carries weight zero
     if kind.kind == "bernoulli":
         assert len({w.idx.shape[1] for w in want}) > 1
+
+
+# (kind, n, d): every family at a small shape, and q = 2 scaled_perm_het
+TRIPWIRE_CASES = [
+    (SketchKind.identity(), 2, 3), (SketchKind.perm_q(), 3, 3), (SketchKind.perm_multiset(), 4, 2),
+    (SketchKind.scaled_perm_homog(), 3, 3), (SketchKind.scaled_perm_het(), 3, 3),
+    (SketchKind.rand_q(2), 2, 3), (SketchKind.bernoulli(0.5), 2, 3),
+    (SketchKind.scaled_perm_het(), 2, 4),
+]
+
+
+def test_tripwire_cases_cover_every_family():
+    assert {kind.kind for kind, _, _ in TRIPWIRE_CASES} == set(FAMILIES)
+
+
+class Tripwire(Exception):
+    """Raised by a patched ``sketches._chunks``; no istlab handler catches it."""
+
+
+@pytest.mark.parametrize("kind, n, d", TRIPWIRE_CASES,
+                         ids=[f"{k.kind}-{n}x{d}" for k, n, d in TRIPWIRE_CASES])
+def test_production_never_enumerates(kind, n, d, monkeypatch):
+    """certificate, expected_estimate (ist and cgd), heterogeneity_variance and
+    fixed_point never reach the enumeration chunks; enumerated_moments, the
+    oracle, does."""
+    def tripwire(*args):
+        raise Tripwire(kind.kind)
+
+    monkeypatch.setattr(sketches, "_chunks", tripwire)
+    p = gen_heterogeneous(n, d, seed=50 + n + d)
+    x = np.random.default_rng(1).standard_normal(d)
+    calls = [lambda: certificate(p, kind),
+             lambda: expected_estimate(EstimatorKind.ist(kind), p, x),
+             lambda: expected_estimate(EstimatorKind.cgd(kind), p, x),
+             lambda: heterogeneity_variance(p, EstimatorKind.ist(kind)),
+             lambda: certificates.fixed_point(p, kind)]
+    answered = 0
+    for call in calls:
+        try:
+            call()
+            answered += 1
+        except WrongKind:  # a quantity the family does not define on this problem
+            pass
+    # identity adds sigma2 = 0, scaled_perm_het sigma2 and the fixed point; the others define neither here
+    assert answered == {"scaled_perm_het": 5, "identity": 4}.get(kind.kind, 3)
+    with pytest.raises(Tripwire):
+        sketches.enumerated_moments(kind, p)
+
+
+@pytest.mark.parametrize("p_keep", [1e-154, 1e-200, 1e-300, 5e-324], ids=repr)
+def test_tiny_bernoulli_p_is_one_istlab_error(p_keep):
+    """Bernoulli's closed moment weights reach 1/p^3: past the float range the
+    certificate raises one istlab error naming p, not OverflowError; 1e-100
+    still answers."""
+    p = gen_heterogeneous(2, 4, seed=1)
+    certificate(p, SketchKind.bernoulli(1e-100))
+    with pytest.raises(NoClosedForm, match=f"p={p_keep!r} puts its moment weights past the float range"):
+        certificate(p, SketchKind.bernoulli(p_keep))

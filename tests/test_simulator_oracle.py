@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from istlab import cli, runner, sketches
-from istlab.errors import IncompatibleShape, NoClosedForm
+from istlab.errors import IncompatibleShape
 from istlab.estimators import EstimatorKind, estimate, expected_estimate
 from istlab.quadratics import gen_heterogeneous
 from istlab.runner import RunConfig, StepSchedule, run, sweep
@@ -125,17 +125,6 @@ def test_every_sweep_lane_is_its_own_run(est, name, data):
 MAX_OUTCOMES = 720
 
 
-def _has_closed_mean(est, p):
-    """True where ``expected_estimate`` takes its closed form rather than enumeration."""
-    sketch = est.sketch
-    if est.kind == "cgd":
-        return sketch.family.client_means(sketch, p) is not None
-    try:
-        return sketches.closed_moments(sketch, p, second=False).linear is not None
-    except NoClosedForm:
-        return False
-
-
 @pytest.mark.parametrize("est, name", [(est, name) for est in ("ist", "cgd") for name in sorted(FAMILIES)])
 @settings(max_examples=5)
 @given(data=st.data())
@@ -151,10 +140,9 @@ def test_mean_estimate_over_outcomes_matches_closed_form(est, name, data):
     n, d = data.draw(st.sampled_from(shapes))
     p = gen_heterogeneous(n, d, seed=data.draw(st.integers(0, 10_000)))
     if data.draw(st.booleans()):
-        p = p.as_interpolation()  # scaled_perm_het's q > 1 linear mean is closed only here
+        p = p.as_interpolation()
+    # every family's mean is closed (q > 1 scaled_perm_het's from subset sums), so no case is skipped
     est = EstimatorKind(est, kind)
-    if not _has_closed_mean(est, p):
-        return
     x = np.random.default_rng(data.draw(st.integers(0, 1000))).standard_normal(d)
     total, scale = np.zeros(d), np.zeros(d)
     for prob, s in sketches.enumerate_outcomes(kind, p):
