@@ -292,7 +292,7 @@ def stationarity_bound(
         raise ValueError("c must be positive")
     _validate_step(gamma, beta, c)
     h = estimator_bias(p)
-    bias_sq = linalg.weighted_sqnorm(h, p.L_bar)
+    bias_sq = float(h @ (p.L_bar @ h))
     if sigma2 is None:
         sigma2 = estimators.heterogeneity_variance(
             p, estimators.EstimatorKind.ist(SketchKind.scaled_perm_het())
@@ -347,7 +347,7 @@ def function_gap_bound(
         )
     sketches._require_unit_diag(p, "function_gap_bound")
     h = estimator_bias(p)
-    bias_sq = linalg.weighted_sqnorm(h, p.L_bar)
+    bias_sq = float(h @ (p.L_bar @ h))
     f_star = p.f(p.solution())
     neighborhood = (1.0 / (2.0 * c)) * ((1.0 - gamma) / beta + gamma / 2.0) * bias_sq
     return (1.0 - 2.0 * gamma * c) ** k * (f0 - f_star) + neighborhood
@@ -455,7 +455,7 @@ def certificate(
         try:
             x_inf = fixed_point(p, kind)
             bias = p.solution() - x_inf
-            bias_norm = math.sqrt(max(linalg.weighted_sqnorm(bias, p.L_bar), 0.0))
+            bias_norm = math.sqrt(max(float(bias @ (p.L_bar @ bias)), 0.0))
         except (WrongKind, SingularMatrix, NoExpectation) as exc:
             notes.append(f"bias/fixed point unavailable: {exc}")
     if kind.family.sigma2 is not None:

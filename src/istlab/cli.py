@@ -266,8 +266,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one ``error:`` line, exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        for name, value in vars(ns).items():
+            if isinstance(value, list):  # "--flag=--": argparse drops the "--" and leaves []
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return ns
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="istlab", description=__doc__)
+    ap = _Parser(prog="istlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a problem file")
@@ -302,15 +317,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DegenerateEnsemble as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IncompatibleShape as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (IstLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, DegenerateEnsemble) else 4 if isinstance(exc, IncompatibleShape) else 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,10 @@ A problem is a collection of client losses
 
     f_i(x) = 1/2 x^T L_i x - x^T b_i,      f(x) = (1/n) sum_i f_i(x),
 
-with L_i symmetric bit for bit, and so ``L_bar``.  The mean matrix ``L_bar``
-and mean linear term ``b_bar`` are cached, so the full gradient is
+with L_i symmetric bit for bit, and so ``L_bar``, and finite means: the
+:class:`QuadraticProblem` constructor is the one validator of problem data,
+and nothing downstream checks or symmetrizes it again.  The mean matrix
+``L_bar`` and mean linear term ``b_bar`` are cached, so the full gradient is
 ``L_bar @ x - b_bar``; the eigendecomposition of ``L_bar`` is cached on
 first use.
 
@@ -100,8 +102,9 @@ class QuadraticProblem:
     Arrays are stored read-only; the instance can be shared freely across
     threads.  The constructor holds every L_i bitwise symmetric: a client
     that already is is kept as given, with no copy, and any other becomes
-    (L_i + L_i^T) / 2, as :meth:`from_arrays` computes it.  Only
-    :meth:`from_arrays` also rejects non-finite data.
+    (L_i + L_i^T) / 2, as :meth:`from_arrays` computes it.  It raises
+    :class:`NonFinite` unless ``L_bar`` and ``b_bar`` are finite, as any NaN,
+    Inf or overflow in the data leaves them.
     """
 
     L: NDArray  # (n, d, d)
@@ -111,8 +114,9 @@ class QuadraticProblem:
     b_bar: NDArray = field(init=False, repr=False)
     diag: NDArray = field(init=False, repr=False)  # (n, d) diagonals of L_i
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite data raises NonFinite, not a warning
     def __post_init__(self) -> None:
-        L = np.asarray(self.L, dtype=np.float64)
+        given = L = np.asarray(self.L, dtype=np.float64)
         b = np.asarray(self.b, dtype=np.float64)
         if L.ndim != 3 or L.shape[1] != L.shape[2]:
             raise DimMismatch(f"L must have shape (n, d, d), got {L.shape}")
@@ -122,33 +126,26 @@ class QuadraticProblem:
         if asym.size:  # on a copy: the caller's array is not written
             L = L.copy()
             L[asym] = linalg.symmetrize(L[asym])
-        for arr in (L, b):
-            arr.setflags(write=False)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "b", b)
         L_bar = L.mean(axis=0)
         b_bar = b.mean(axis=0)
+        if not (np.isfinite(L_bar).all() and np.isfinite(b_bar).all()):
+            if np.isfinite(given).all() and np.isfinite(b).all():
+                raise NonFinite("problem data overflow the float64 range when symmetrized or averaged")
+            raise NonFinite("problem matrices and linear terms must be finite (found NaN or Inf)")
         diag = np.ascontiguousarray(np.diagonal(L, axis1=1, axis2=2))
-        for arr in (L_bar, b_bar, diag):
+        for name, arr in (("L", L), ("b", b), ("L_bar", L_bar), ("b_bar", b_bar), ("diag", diag)):
             arr.setflags(write=False)
-        object.__setattr__(self, "L_bar", L_bar)
-        object.__setattr__(self, "b_bar", b_bar)
-        object.__setattr__(self, "diag", diag)
+            object.__setattr__(self, name, arr)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    @np.errstate(over="ignore", invalid="ignore")  # overflow raises NonFinite, not a warning
-    def from_arrays(
-        cls,
-        L_list,
-        b_list,
-        seed: int | None = None,
-        symmetry_tol: float | None = None,
-    ) -> "QuadraticProblem":
-        """Build a problem from per-client matrices and linear terms.
+    @np.errstate(over="ignore")  # overflow raises NonFinite, not a warning
+    def from_arrays(cls, L_list, b_list, seed: int | None = None,
+                    symmetry_tol: float | None = None) -> "QuadraticProblem":
+        """Build a problem from copies of per-client matrices and linear terms.
 
-        Matrices are symmetrized.  If ``symmetry_tol`` is given, inputs whose
+        The constructor symmetrizes.  If ``symmetry_tol`` is given, inputs whose
         asymmetry exceeds ``symmetry_tol * max(1, |L|_max)`` are rejected.
 
         Raises
@@ -157,23 +154,20 @@ class QuadraticProblem:
             If an entry of a matrix or linear term is NaN or infinite, or
             overflows in (L_i + L_i^T) / 2 or in the means L_bar and b_bar.
         """
-        L = np.array(L_list, dtype=np.float64)
-        if L.ndim == 2:
-            L = L[None, :, :]
-        b = np.array(b_list, dtype=np.float64)
-        if b.ndim == 1:
-            b = b[None, :]
+        L, b = np.array(L_list, dtype=np.float64), np.array(b_list, dtype=np.float64)
+        L, b = L[None] if L.ndim == 2 else L, b[None] if b.ndim == 1 else b  # one client
         if not (np.isfinite(L).all() and np.isfinite(b).all()):
             raise NonFinite("problem matrices and linear terms must be finite (found NaN or Inf)")
-        if symmetry_tol is not None:
-            for i, Li in enumerate(L):
-                scale = max(1.0, float(np.abs(Li).max(initial=0.0)))
-                if np.abs(Li - Li.T).max(initial=0.0) > symmetry_tol * scale:
+        if symmetry_tol is not None:  # a bitwise-symmetric client has asymmetry 0
+            for i in _asymmetric_clients(L) if symmetry_tol >= 0 else range(len(L)):
+                scale = max(1.0, float(np.abs(L[i]).max(initial=0.0)))
+                if np.abs(L[i] - L[i].T).max(initial=0.0) > symmetry_tol * scale:
                     raise DimMismatch(f"client {i} matrix is not symmetric within {symmetry_tol}")
-        p = cls(L=(L + np.transpose(L, (0, 2, 1))) / 2.0, b=b, seed=seed)
-        if not (np.isfinite(p.L_bar).all() and np.isfinite(p.b_bar).all()):
+        # no L_i + L_i^T overflows while every |entry| is at most half the float64 range
+        if (max(L.max(initial=0.0), -L.min(initial=0.0)) > np.finfo(np.float64).max / 2
+                and not all(np.isfinite(Li + Li.T).all() for Li in L)):
             raise NonFinite("problem data overflow the float64 range when symmetrized or averaged")
-        return p
+        return cls(L=L, b=b, seed=seed)
 
     # -- basic shape ------------------------------------------------------
 
@@ -185,14 +179,14 @@ class QuadraticProblem:
     def d(self) -> int:
         return self.L.shape[1]
 
-    @property
+    @cached_property
     def interpolation(self) -> bool:
-        """True iff every linear term is exactly zero."""
+        """True iff every linear term is exactly zero; computed once."""
         return not self.b.any()
 
-    @property
+    @cached_property
     def homogeneous(self) -> bool:
-        """True iff all clients share bitwise-identical (L_i, b_i)."""
+        """True iff all clients share bitwise-identical (L_i, b_i); computed once."""
         return bool((self.L == self.L[0]).all() and (self.b == self.b[0]).all())
 
     @cached_property
@@ -207,8 +201,7 @@ class QuadraticProblem:
         Every consumer of L_bar's eigenvectors reads this one: the minimizer,
         the L_bar^{-1} metric weight and the contraction factor's L_bar^{-1/2}.
         """
-        vals, vecs = np.linalg.eigh(linalg.check_finite(self.L_bar))  # L_bar is symmetric
-        spec = linalg.Spectrum(eigenvalues=vals, eigenvectors=vecs)
+        spec = linalg.Spectrum(*np.linalg.eigh(self.L_bar))  # L_bar is finite and symmetric
         for arr in (spec.eigenvalues, spec.eigenvectors):
             arr.setflags(write=False)
         return spec
@@ -374,10 +367,8 @@ def ensure_nondegenerate(p: QuadraticProblem, rel_tol: float = DEGENERACY_TOL) -
 
     From ``CHOLESKY_MIN_D`` on, a shifted Cholesky accepts clearly
     well-conditioned ensembles; every other case is decided by ``eigvalsh``.
-    NaN or Inf in L_bar raises :class:`NonFinite` first.
+    ``L_bar`` is finite and symmetric: the constructor saw to both.
     """
-    if not np.isfinite(p.L_bar).all():
-        raise NonFinite("mean matrix holds NaN or Inf")
     if p.d >= CHOLESKY_MIN_D and _clearly_nondegenerate(p.L_bar.copy(), rel_tol):
         return
     vals = np.linalg.eigvalsh(p.L_bar)

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from istlab import linalg
 from istlab.certificates import (
@@ -20,6 +24,7 @@ from istlab.certificates import (
 from istlab.errors import (
     BetaOutOfRange,
     DenominatorNonpositive,
+    IstLabError,
     StepSizeOutOfRange,
     StepTooLarge,
     ThetaInadmissible,
@@ -28,11 +33,13 @@ from istlab.errors import (
 from istlab.estimators import EstimatorKind, estimate, heterogeneity_variance
 from istlab.quadratics import (
     QuadraticProblem,
+    ensure_nondegenerate,
     gen_heterogeneous,
     gen_homogeneous,
     precondition_homogeneous,
 )
-from istlab.sketches import SketchKind, SketchMoments, closed_moments
+from istlab.runner import RunConfig, StepSchedule, run
+from istlab.sketches import FAMILIES, SketchKind, SketchMoments, closed_moments
 
 
 def indefinite_descent_problem():
@@ -560,3 +567,108 @@ class TestCertificateComposition:
                 assert got == want, name
         assert cert.notes == (() if cert.admissible else (
             "no finite step constant: descent matrix fails PSD or pencil leaks",))
+
+
+def test_no_production_call_checks_or_symmetrizes_problem_data_again(monkeypatch):
+    """The constructor makes L and L_bar finite and symmetric; no later call passes either
+    (or a view of either) to linalg.symmetrize or linalg.check_finite."""
+    seen = []
+
+    def record(name):
+        real = getattr(linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            seen.append((name, a))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(linalg, name, wrapper)
+    record("symmetrize")
+    record("check_finite")
+    het = gen_heterogeneous(3, 3, seed=4)
+    pre, _ = precondition_homogeneous(gen_homogeneous(3, 3, seed=2))
+    L = np.array(het.L)
+    L[1, 0, 2] += 1e-3  # one client for the constructor to symmetrize
+    problems = [
+        QuadraticProblem.from_arrays(L, het.b),
+        QuadraticProblem.from_arrays(pre.L, pre.b),
+        QuadraticProblem.from_json(het.to_json()),
+        gen_heterogeneous(3, 3, seed=5),
+    ]
+    kinds = [SketchKind(name, *{"rand_q": (2,), "bernoulli": (None, 0.5)}.get(name, ()))
+             for name in FAMILIES]
+    for p in problems:
+        ensure_nondegenerate(p)
+        for kind in kinds:
+            try:
+                certificate(p, kind)
+            except IstLabError:
+                pass  # a family that does not cover p; only its calls matter
+        stationarity_bound(p, gamma=0.5, beta=0.1, K=4, f0=1.0)
+        if p.homogeneous:
+            function_gap_bound(p, gamma=0.5, beta=0.2, c=0.25, k=3, f0=1.0)
+    cfg = RunConfig(problem=problems[0], estimator=EstimatorKind.ist(SketchKind.scaled_perm_het()),
+                    schedule=StepSchedule.constant(0.5), K=3, seed=1, metrics=("grad_sq_Linv",))
+    run(cfg)
+    data = [a for p in problems for a in (p.L, p.L_bar)]
+    again = [name for name, a in seen if any(np.shares_memory(a, m) for m in data)]
+    assert again == []
+    assert any(name == "symmetrize" for name, _ in seen)  # the wrappers were in place
+
+
+# (kind, mode, n, d) for the relabelling test: every family on a problem it
+# covers, and at 10 x 100 each family that runs there, past every enumeration
+# budget (q = 10 subset sums for scaled_perm_het, 100! permutations)
+RELABEL_CASES = [
+    (SketchKind.identity(), "het", 3, 4), (SketchKind.identity(), "het", 10, 100),
+    (SketchKind.perm_q(), "het", 2, 4), (SketchKind.perm_q(), "het", 10, 100),
+    (SketchKind.perm_multiset(), "hom", 4, 2), (SketchKind.perm_multiset(), "het", 6, 3),
+    (SketchKind.scaled_perm_homog(), "hom", 3, 3), (SketchKind.scaled_perm_homog(), "hom", 10, 100),
+    (SketchKind.scaled_perm_het(), "het", 3, 3), (SketchKind.scaled_perm_het(), "het", 2, 4),
+    (SketchKind.scaled_perm_het(), "het", 10, 100), (SketchKind.scaled_perm_het(), "interp", 3, 6),
+    (SketchKind.rand_q(2), "het", 3, 4), (SketchKind.rand_q(10), "het", 10, 100),
+    (SketchKind.bernoulli(0.3), "het", 3, 4), (SketchKind.bernoulli(0.1), "het", 10, 100),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def relabel_problem(mode, n, d):
+    if mode == "hom":
+        return precondition_homogeneous(gen_homogeneous(n, d, seed=n + d))[0]
+    p = gen_heterogeneous(n, d, seed=n + d)
+    return p.as_interpolation() if mode == "interp" else p
+
+
+def assert_permuted(got, want, *axes):
+    """``got`` equals ``want`` with each of its leading axes indexed by the matching ``axes``,
+    to 1e-9 of the largest entry (of 1 for a scalar: rho may round to 0); None must meet None."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        want = np.asarray(want)[np.ix_(*axes)] if axes else np.asarray(want)
+        scale = max(np.abs(want).max(initial=0.0), 1e-300 if axes else 1.0)
+        assert np.abs(np.asarray(got) - want).max(initial=0.0) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("kind, mode, n, d", RELABEL_CASES,
+                         ids=[f"{k.kind}-{m}-{n}x{d}" for k, m, n, d in RELABEL_CASES])
+@settings(max_examples=3)
+@given(data=st.data())
+def test_relabelling_coordinates_and_clients_permutes_every_closed_form(kind, mode, n, d, data):
+    """With L'_i = P L_{s(i)} P^T and b'_i = P b_{s(i)}, every closed moment and E[C_i]
+    is permuted to match, x_inf is permuted, and theta, rho, sigma2 and ||h|| do not move."""
+    p = relabel_problem(mode, n, d)
+    pc = np.array(data.draw(st.permutations(range(d)), label="coordinates"))
+    ps = np.array(data.draw(st.permutations(range(n)), label="clients"))
+    q = QuadraticProblem(L=p.L[np.ix_(ps, pc, pc)], b=p.b[np.ix_(ps, pc)])
+    before, after = closed_moments(kind, p), closed_moments(kind, q)
+    for field in ("curvature", "curvature_second"):
+        assert_permuted(getattr(after, field), getattr(before, field), pc, pc)
+    assert_permuted(after.linear, before.linear, pc)
+    means_before, means_after = kind.family.client_means(kind, p), kind.family.client_means(kind, q)
+    assert (means_after is None) == (means_before is None)
+    for i in range(n if means_before is not None else 0):
+        assert_permuted(means_after[i], means_before[ps[i]], pc, pc)
+    c, c2 = certificate(p, kind), certificate(q, kind)
+    assert_permuted(c2.descent, c.descent, pc, pc)
+    assert_permuted(c2.x_inf, c.x_inf, pc)
+    for field in ("theta", "rho", "sigma2", "bias_norm"):
+        assert_permuted(getattr(c2, field), getattr(c, field))
+    assert c2.notes == c.notes

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -760,15 +761,38 @@ def het_2x4_file(tmp_path_factory):
     return str(path)
 
 
+def argv_outcome(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``istlab argv``, argparse's exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, err):
+    if code:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "usage:" not in err
+
+
+def flag_tokens(flags: dict) -> list[str]:
+    """Each flag and its value as two tokens, as a shell passes them; None leaves the flag out."""
+    return [tok for flag, value in flags.items() if value is not None for tok in (flag, value)]
+
+
 #: Values for each ``istlab theory`` flag, None leaving it out: each family name
-#: and junk for --sketch, and for the numbers zeros, negatives, NaN, infinities,
-#: the smallest floats and values past any family's range.
+#: and junk for --sketch, and for the numbers zeros, negatives (which argparse
+#: may read as flags), NaN, infinities, the smallest floats and values past any
+#: family's range.
 THEORY_FLAGS = {
     "--sketch": sorted(FAMILIES) + ["", "junk", "Perm_q", "perm_q "],
     "--q": [None, "-1", "0", "1", "2", "3", "4", "5", str(10**30)],
-    "--p": [None, "5e-324", "1e-300", "1e-154", "1e-100", "nan", "inf", "-inf", "-0.5", "0",
+    "--p": [None, "5e-324", "1e-300", "1e-154", "1e-100", "nan", "inf", "-inf", "-0.5", "-1e-3", "0",
             "0.5", "1", "1.5", "1e308"],
-    "--gamma": [None, "nan", "inf", "-1", "0", "5e-324", "1e-300", "0.5", "1", "2", "1e308"],
+    "--gamma": [None, "nan", "inf", "-inf", "-1", "-1e-3", "0", "5e-324", "1e-300", "0.5", "1", "2", "1e308"],
     "--sigma2-samples": [None, "-1", "0", "1", "7"],
 }
 
@@ -780,18 +804,78 @@ THEORY_FLAGS = {
                 "--sigma2-samples": None})
 @example(flags={"--sketch": "bernoulli", "--q": None, "--p": "5e-324", "--gamma": "0.5",
                 "--sigma2-samples": "7"})
+@example(flags={"--sketch": "bernoulli", "--q": None, "--p": "-inf", "--gamma": None,
+                "--sigma2-samples": None})
 def test_fuzzed_theory_argv_answers_or_exits_with_one_error_line(het_2x4_file, flags):
-    # flag=value, as argparse reads "--p -inf" as two flags
-    argv = ["theory", "--problem", het_2x4_file] + [f"{flag}={value}" for flag, value in flags.items()
-                                                    if value is not None]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = argv_outcome(["theory", "--problem", het_2x4_file] + flag_tokens(flags))
     assert code in (0, 2, 3, 4)
-    if code:
-        message = err.getvalue()
-        assert message.count("\n") == 1 and message.startswith("error: ")
-        assert "Traceback" not in message
-    else:
-        doc = json.loads(out.getvalue())
+    assert_one_error_line(code, err)
+    if not code:
+        doc = json.loads(out)
         assert list(doc) == ["theta", "rho", "h_norm_L", "x_inf", "sigma2", "W_psd", "notes", "gamma_max"]
+
+
+#: Values for each ``istlab gen`` flag, None leaving it out (a required one: an error).
+GEN_FLAGS = {
+    "--n": [None, "two", "", "-1", "0", "1", "2", "-1e-3", "1.5", str(10**30)],
+    "--d": [None, "-inf", "0", "1", "3", "-1", "1e3"],
+    "--seed": [None, "-1", "-1e-3", "0", "7", str(2**64), "nan"],
+    "--mode": [None, "het", "hom", "het-interp", "hom-interp", "junk", ""],
+}
+
+
+@pytest.fixture(scope="module")
+def argv_work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=150)
+@given(flags=st.fixed_dictionaries({flag: st.sampled_from(values) for flag, values in GEN_FLAGS.items()}))
+@example(flags={"--n": "two", "--d": "2", "--seed": "1", "--mode": "het"})
+def test_fuzzed_gen_argv_writes_or_exits_with_one_error_line(argv_work_dir, flags):
+    out = argv_work_dir / "gen.json"
+    out.unlink(missing_ok=True)
+    code, _, err = argv_outcome(["gen"] + flag_tokens(flags) + ["--out", str(out)])
+    assert code in (0, 2, 3)
+    assert_one_error_line(code, err)
+    assert out.exists() == (code == 0)
+
+
+#: Step-size lists for ``istlab sweep --gammas``: valid, malformed and ones that
+#: start with '-', which argparse reads as a flag.
+GAMMA_LISTS = ["0.5", "0.2,0.5", "-1e-3", "-inf", "-1", "-0.5,0.5", "0.5,-1e-3", "", ",", "nan",
+               "inf", "0", "abc", "1e308", "5e-324", "--", "-", "0.2,0.2"]
+
+
+@settings(max_examples=60)
+@given(gammas=st.sampled_from(GAMMA_LISTS), joined=st.booleans())
+@example(gammas="-1e-3", joined=False)
+def test_fuzzed_sweep_gammas_argv_writes_or_exits_with_one_error_line(argv_work_dir, gammas, joined):
+    work = argv_work_dir / "sweep"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    doc = experiment_doc(work / "trace.csv", K=2, repeats=1,
+                         problem={"generator": {"mode": "het", "n": 2, "d": 2, "seed": 1}})
+    (work / "exp.json").write_text(json.dumps(doc))
+    flag = [f"--gammas={gammas}"] if joined else ["--gammas", gammas]
+    code, _, err = argv_outcome(["sweep", "--config", str(work / "exp.json")] + flag)
+    assert code in (0, 2)
+    assert_one_error_line(code, err)
+    assert (len(list(work.iterdir())) > 1) == (code == 0)  # nothing written on an error
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--problem", "f", "--sketch", "bernoulli", "--p", "-inf"],
+    ["sweep", "--config", "c", "--gammas", "-1e-3"],
+    ["gen", "--n", "two", "--d", "2", "--seed", "1", "--mode", "het", "--out", "p.json"],
+    [],
+], ids=["theory-p", "sweep-gammas", "gen-n", "bare"])
+def test_usage_errors_print_one_line_and_exit_2(argv):
+    code, out, err = argv_outcome(argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_help_still_prints_usage():
+    code, out, _ = argv_outcome(["gen", "--help"])
+    assert code == 0 and out.startswith("usage: istlab gen")

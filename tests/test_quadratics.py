@@ -168,15 +168,15 @@ class TestNondegeneracyCheck:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mean_raises_before_any_factorization(self, monkeypatch, bad):
-        # the raw constructor checks no finiteness
+        # the raw constructor rejects it, so no problem reaches ensure_nondegenerate
         d = quadratics.CHOLESKY_MIN_D
         L = np.eye(d)[None].copy()
         L[0, 1, 1] = bad
-        p = QuadraticProblem(L=L, b=np.zeros((1, d)))
         calls = count_eigvalsh(monkeypatch)
         monkeypatch.setattr(np.linalg, "cholesky", None)  # a call would raise TypeError
-        with pytest.raises(NonFinite, match="^mean matrix holds NaN or Inf$"):
-            quadratics.ensure_nondegenerate(p)
+        message = r"^problem matrices and linear terms must be finite \(found NaN or Inf\)$"
+        with pytest.raises(NonFinite, match=message):
+            QuadraticProblem(L=L, b=np.zeros((1, d)))
         assert calls["eigvalsh"] == 0
 
     def test_generated_ensembles_need_no_eigvalsh(self, monkeypatch):
@@ -223,6 +223,80 @@ class TestSymmetricInvariant:
         q = QuadraticProblem(L=L, b=np.zeros((1, 2)))
         assert q.L.tobytes() == QuadraticProblem.from_arrays(L, np.zeros((1, 2))).L.tobytes()
         assert bitwise_symmetric(q.L)
+
+
+def symmetric_part(L):
+    """(L_i + L_i^T) / 2 for every client: the loader's arithmetic before the constructor took it over."""
+    L = np.array(L, dtype=np.float64)
+    return (L + np.transpose(L, (0, 2, 1))) / 2.0
+
+
+class TestOneValidator:
+    """The constructor rejects non-finite data; from_arrays adds only the loader's rules."""
+
+    @pytest.mark.parametrize("L, b, phrase", [
+        ([[[np.nan, 0.0], [0.0, 1.0]]], [[0.0, 0.0]], "must be finite (found NaN or Inf)"),
+        ([[[1.0, np.inf], [np.inf, 1.0]]], [[0.0, 0.0]], "must be finite (found NaN or Inf)"),
+        ([[[1.0, 0.0], [0.0, 1.0]]], [[0.0, -np.inf]], "must be finite (found NaN or Inf)"),
+        ([[[8e307, 0.0], [0.0, 1.0]]] * 3, [[0.0, 0.0]] * 3, "overflow the float64 range"),
+        ([[[1.0, 0.0], [0.0, 1.0]]] * 2, [[1e308, 0.0]] * 2, "overflow the float64 range"),
+        ([[[1.0, 1e308], [1.5e308, 1.0]]], [[0.0, 0.0]], "overflow the float64 range"),  # in (L + L^T) / 2
+    ], ids=["nan", "inf", "b-inf", "L_bar", "b_bar", "symmetrize"])
+    def test_raw_constructor_raises_one_line_without_warning(self, L, b, phrase):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite) as exc:
+                QuadraticProblem(L=np.array(L), b=np.array(b))
+        assert phrase in str(exc.value) and "\n" not in str(exc.value)
+
+    def test_raw_constructor_keeps_a_symmetric_entry_past_half_the_range(self):
+        # only from_arrays applies the loader's rule that L_i + L_i^T must not overflow
+        L = np.array([[[1e308, 0.0], [0.0, 1.0]]])
+        assert QuadraticProblem(L=L, b=np.zeros((1, 2))).L_bar[0, 0] == 1e308
+        with pytest.raises(NonFinite, match="overflow the float64 range"):
+            QuadraticProblem.from_arrays(L, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_from_arrays_is_the_symmetric_part_bit_for_bit(self, tol):
+        rng = np.random.default_rng(4)
+        L = rng.standard_normal((5, 7, 7))
+        L[1] = L[1] + L[1].T  # bitwise symmetric: kept as given
+        L[2] = np.array(L[1])
+        L[2][3, 5] = np.nextafter(L[2][5, 3], 1.0)  # one ulp apart: within the tolerance
+        L[3] = np.array(L[1])
+        L[3][0, 1], L[3][1, 0] = -0.0, 0.0  # equal, but not bit for bit
+        L[4] = np.array([[8e307 if j == k else 0.0 for k in range(7)] for j in range(7)])
+        if tol is not None:
+            L[0] = L[1]  # an asymmetric client would fail the tolerance
+        b = rng.standard_normal((5, 7))
+        p = QuadraticProblem.from_arrays(L, b, symmetry_tol=tol)
+        assert p.L.tobytes() == symmetric_part(L).tobytes() and p.b.tobytes() == b.tobytes()
+        assert p.L_bar.tobytes() == symmetric_part(L).mean(axis=0).tobytes()
+
+    def test_tolerance_names_the_first_asymmetric_client(self):
+        L = np.array([np.eye(3)] * 4)
+        L[1, 0, 2] = L[3, 2, 0] = 1e-3
+        with pytest.raises(DimMismatch, match="^client 1 matrix is not symmetric within 1e-12$"):
+            QuadraticProblem.from_arrays(L, np.zeros((4, 3)), symmetry_tol=1e-12)
+
+    def test_from_arrays_of_a_symmetric_ensemble_copies_it_once(self):
+        # L's copy, L_bar and small arrays: no (L + L^T) / 2 temporaries
+        p = gen_heterogeneous(4, 300, seed=2)
+        L, b = np.array(p.L), np.array(p.b)
+        QuadraticProblem.from_arrays(L, b, symmetry_tol=1e-12)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            q = QuadraticProblem.from_arrays(L, b, symmetry_tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.L.tobytes() == L.tobytes()
+        assert peak < 1.3 * L.nbytes
+
+    def test_homogeneous_and_interpolation_are_computed_once(self):
+        p = gen_homogeneous(3, 4, seed=1).as_interpolation()
+        assert p.homogeneous and p.interpolation
+        assert p.__dict__["homogeneous"] is True and p.__dict__["interpolation"] is True
 
 
 class TestInterpolation:
