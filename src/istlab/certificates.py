@@ -14,10 +14,10 @@ iteration x^{k+1} = x^k - gamma * g^k:
 * evaluable right-hand sides of the average-gradient and function-gap
   bounds, including the neighborhood multiplier ``psi``.
 
-``theta`` is computed as the largest generalized eigenvalue of the pencil
-(E[B L_bar B], W) restricted to range(W); if W fails the PSD check, or the
-second moment leaks outside range(W), the certificate reports the pair as
-inadmissible (a value, not an error, so sweeps can tabulate it).
+``theta`` is the largest eigenvalue of the pencil (E[B L_bar B], W) on range(W), ``rho`` takes
+the smallest of (W, L_bar), both by :meth:`linalg.Spectrum.pencil`.  A W that fails the PSD
+check, or a second moment leaking outside range(W), makes the pair inadmissible, and an L_bar
+that fails it leaves rho None (values, not errors); any overflow raises NonFinite.
 
 Where the sketch fixes a value, it is returned exactly, with no products,
 pencil or eigvalsh: E[B] = I gives W = L_bar, E[B L_bar B] = W gives
@@ -88,9 +88,10 @@ def step_constant(
 
 
 def _descent_theta(
-    p: QuadraticProblem, kind: SketchKind, moments: SketchMoments | None = None, *tols: float
-) -> tuple[NDArray, linalg.Spectrum, float | None]:
-    """W, its eigendecomposition and theta, with the tolerances of :func:`_theta`.
+    p: QuadraticProblem, kind: SketchKind, moments: SketchMoments | None = None,
+    psd_tol: float = linalg.PSD_TOL, rank_tol_factor: float = linalg.RANK_TOL_FACTOR,
+) -> tuple[NDArray, bool, float | None]:
+    """W, whether it is PSD, and theta (None where W is not), with step_constant's tolerances.
 
     W and E[B L_bar B] come from ``moments`` where they hold the second
     moment, else from the closed moments.  For a family with B = I on every draw
@@ -102,23 +103,21 @@ def _descent_theta(
     W = descent_matrix(p, kind, moments)
     spec = p.spectrum if W is p.L_bar else linalg.eig_sym(W)
     second = p.L_bar if moments is None else moments.curvature_second
-    return W, spec, _theta(spec, W, second, *tols)
+    psd = linalg.psd_eigenvalues(spec.eigenvalues, psd_tol)
+    return W, psd, _theta(spec, W, second, rank_tol_factor) if psd else None
 
 
 def _theta(
     spec: linalg.Spectrum,
     W: NDArray,
     curvature_second: NDArray,
-    psd_tol: float = linalg.PSD_TOL,
     rank_tol_factor: float = linalg.RANK_TOL_FACTOR,
 ) -> float | None:
-    """:func:`step_constant` given W and its eigendecomposition ``spec``."""
-    if not linalg.psd_eigenvalues(spec.eigenvalues, psd_tol):
-        return None
+    """:func:`step_constant` given a PSD W and its spectrum ``spec``, by :meth:`linalg.Spectrum.pencil`."""
     mask = spec.rank_mask(rank_tol_factor)
     if mask.any() and (curvature_second is W or np.array_equal(curvature_second, W)):
         return 1.0  # the pencil (W, W) is the identity on range(W)
-    second = linalg.symmetrize(curvature_second)
+    second = linalg.check_finite(linalg.symmetrize(curvature_second))
 
     def second_scale() -> float:
         return float(np.abs(np.linalg.eigvalsh(second)).max(initial=0.0))
@@ -131,25 +130,19 @@ def _theta(
         leak = np.abs(v_null.T @ second @ v_null).max(initial=0.0)
         if leak > rank_tol_factor * max(second_scale(), 1.0):
             return None
-    inv_sqrt = 1.0 / np.sqrt(spec.eigenvalues[mask])
-    scaled = spec.eigenvectors[:, mask] * inv_sqrt
-    pencil = scaled.T @ second @ scaled
-    theta = float(np.linalg.eigvalsh(linalg.symmetrize(pencil)).max())
-    return max(theta, 0.0)
+    return max(float(spec.pencil(second, rank_tol_factor).max()), 0.0)
 
 
 def contraction_factor(p: QuadraticProblem, W: NDArray, gamma: float) -> float:
-    """rho = 1 - gamma * lambda_min(L_bar^{-1/2} W L_bar^{-1/2}); exactly 1 - gamma
-    when W is L_bar bit for bit and every eigenvalue of L_bar is positive and
-    above the rank tolerance, so that the inner matrix is I."""
+    """rho = 1 - gamma * lambda_min(L_bar^{-1/2} W L_bar^{-1/2}) from :meth:`linalg.Spectrum.pencil`;
+    exactly 1 - gamma where W is L_bar bit for bit and :func:`linalg.positive_definite`.
+    Raises :class:`SingularMatrix` unless L_bar passes :func:`linalg.psd_eigenvalues`."""
     spec = p.spectrum
-    exact = W is p.L_bar or np.array_equal(W, p.L_bar)
-    if exact and (spec.eigenvalues > 0.0).all() and spec.rank_mask().all():
+    if linalg.positive_definite(spec.eigenvalues) and (W is p.L_bar or np.array_equal(W, p.L_bar)):
         return 1.0 - gamma
-    inv_sqrt = spec.apply_function(lambda v: 1.0 / np.sqrt(v))
-    inner = linalg.symmetrize(inv_sqrt @ W @ inv_sqrt)
-    lam_min = float(np.linalg.eigvalsh(inner).min())
-    return 1.0 - gamma * lam_min
+    if not linalg.psd_eigenvalues(spec.eigenvalues):
+        raise SingularMatrix("mean matrix is not positive semi-definite")
+    return 1.0 - gamma * float(spec.pencil(W).min())
 
 
 def interpolation_rates(
@@ -419,6 +412,7 @@ class ConvergenceCertificate:
         return self.theta is not None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed moment raises NonFinite, not a warning
 def certificate(
     p: QuadraticProblem,
     kind: SketchKind,
@@ -436,14 +430,16 @@ def certificate(
     for the scaled permutation estimators.
     """
     notes: list[str] = []
-    W, spec, theta = _descent_theta(p, kind)
-    psd = linalg.psd_eigenvalues(spec.eigenvalues)
+    W, psd, theta = _descent_theta(p, kind)
     gamma_max = None if theta is None or theta == 0.0 else 1.0 / theta
     rho = None
     used_gamma = None
     if theta is not None:
         used_gamma = gamma if gamma is not None else (gamma_max if gamma_max else 1.0)
-        rho = contraction_factor(p, W, used_gamma)
+        try:
+            rho = contraction_factor(p, W, used_gamma)
+        except SingularMatrix as exc:
+            notes.append(f"rho unavailable: {exc}")
     else:
         notes.append("no finite step constant: descent matrix fails PSD or pencil leaks")
 
@@ -470,6 +466,8 @@ def certificate(
                 notes.append(f"sigma2 omitted, no sample budget given: {exc}")
         except WrongKind as exc:
             notes.append(f"sigma2 unavailable: {exc}")
+    for value in (v for v in (gamma_max, rho, bias, bias_norm, x_inf, sigma2) if v is not None):
+        linalg.check_finite(value)  # no field past the float range
 
     return ConvergenceCertificate(
         descent=W,

@@ -207,7 +207,7 @@ def cmd_theory(args) -> int:
         "notes": list(cert.notes),
         "gamma_max": cert.gamma_max,
     }
-    print(json.dumps(doc))
+    print(json.dumps(doc, allow_nan=False))
     return 0
 
 

@@ -5,7 +5,9 @@ treated as symmetric: operations that are only meaningful for symmetric
 input symmetrize internally, so callers may pass arrays that are symmetric
 up to round-off.  Singular positive semi-definite matrices are handled via
 eigenvalue clamping (pseudo-inverse semantics), because several certificate
-computations must remain evaluable on the range of a singular matrix.
+computations must remain evaluable on the range of a singular matrix.  Two
+spectral rules are written once: :func:`psd_eigenvalues` admits a clamped
+M^{-1/2} (:meth:`Spectrum.pencil`), :func:`positive_definite` an inverse.
 
 Target scale is dense d <= 2000; there is deliberately no sparse backend.
 """
@@ -63,20 +65,21 @@ class Spectrum:
         Orthonormal columns; ``eigenvectors[:, i]`` pairs with
         ``eigenvalues[i]``.
 
-    For a stack of matrices both carry the stack's leading axes; the methods
-    below take a single matrix.
+    For a stack both carry its leading axes.  The methods take one matrix;
+    :meth:`pencil` is the one generalized eigenproblem routine (theta and rho).
     """
 
     eigenvalues: NDArray
     eigenvectors: NDArray
 
     def rank_mask(self, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
-        """Boolean mask of eigenvalues treated as numerically nonzero."""
+        """Mask of the eigenvalues above rank_tol_factor * max|lambda|; the others, with
+        the negative ones that pass :func:`psd_eigenvalues` as round-off, are clamped."""
         scale = float(np.abs(self.eigenvalues).max(initial=0.0))
-        return np.abs(self.eigenvalues) > rank_tol_factor * scale
+        return self.eigenvalues > rank_tol_factor * scale
 
     def function_values(self, fn, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
-        """fn(lambda) on the numerically nonzero eigenvalues, 0 on the clamped ones."""
+        """fn(lambda) on the unclamped eigenvalues, 0 on the clamped ones."""
         mask = self.rank_mask(rank_tol_factor)
         return np.where(mask, fn(np.where(mask, self.eigenvalues, 1.0)), 0.0)
 
@@ -84,6 +87,15 @@ class Spectrum:
         """Return V diag(fn(lambda)) V^T, sending clamped eigenvalues to 0."""
         v = self.eigenvectors
         return (v * self.function_values(fn, rank_tol_factor)) @ v.T
+
+    def pencil(self, a: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArray:
+        """Eigenvalues of M^{-1/2} A M^{-1/2}, for A symmetric and M (this spectrum's) passing
+        :func:`psd_eigenvalues`: the pencil (A, M)'s on range(M), ascending, then a 0 per clamped
+        direction, with no d x d M^{-1/2}; one past the float range raises :class:`NonFinite`."""
+        mask = self.rank_mask(rank_tol_factor)
+        scaled = self.eigenvectors[:, mask] * (1.0 / np.sqrt(self.eigenvalues[mask]))
+        vals = np.linalg.eigvalsh(check_finite(symmetrize(scaled.T @ a @ scaled)))
+        return np.concatenate((vals, np.zeros(mask.size - vals.size)))
 
 
 def eig_sym(m: NDArray) -> Spectrum:
@@ -135,6 +147,13 @@ def psd_eigenvalues(vals: NDArray, tol: float = PSD_TOL) -> bool:
     return bool(vals.min(initial=0.0) >= -tol * scale)
 
 
+def positive_definite(vals: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR):
+    """Per matrix, whether ascending eigenvalues ``vals`` (..., k) have lambda_max > 0 and
+    lambda_min > rank_tol_factor * lambda_max: positive definite and not numerically singular."""
+    hi = vals[..., -1]
+    return (hi > 0.0) & (vals[..., 0] > rank_tol_factor * hi)
+
+
 def precondition(L: NDArray, diag: NDArray) -> NDArray:
     """Two-sided diagonal scaling D^{-1/2} L D^{-1/2}.
 
@@ -174,12 +193,11 @@ def spd_inv_sqrt(m: NDArray, rank_tol_factor: float = RANK_TOL_FACTOR) -> NDArra
     Raises
     ------
     SingularMatrix
-        If lambda_min <= rank_tol_factor * lambda_max for any matrix.
+        If any matrix fails :func:`positive_definite`.
     """
     spec = eig_sym(m)
     vals = spec.eigenvalues
-    lo, hi = vals[..., 0], vals[..., -1]
-    if np.any(lo <= rank_tol_factor * np.maximum(hi, 0.0)) or np.any(hi <= 0.0):
+    if not positive_definite(vals, rank_tol_factor).all():
         raise SingularMatrix("matrix is numerically singular; cannot form inverse square root")
     v = spec.eigenvectors
     return (v * (1.0 / np.sqrt(vals))[..., None, :]) @ np.swapaxes(v, -1, -2)

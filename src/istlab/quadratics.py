@@ -229,11 +229,10 @@ class QuadraticProblem:
         Raises
         ------
         SingularMatrix
-            If lambda_min(L_bar) is below the rank tolerance.
+            If L_bar fails :func:`linalg.positive_definite`.
         """
         spec = self.spectrum
-        vmax = float(spec.eigenvalues.max(initial=0.0))
-        if vmax <= 0.0 or spec.eigenvalues.min() <= rank_tol_factor * vmax:
+        if not linalg.positive_definite(spec.eigenvalues, rank_tol_factor):
             raise SingularMatrix("mean matrix is numerically singular")
         v = spec.eigenvectors
         return (v * (1.0 / spec.eigenvalues)) @ (v.T @ self.b_bar)
@@ -363,7 +362,7 @@ def _clearly_nondegenerate(S: NDArray, rel_tol: float) -> bool:
 
 
 def ensure_nondegenerate(p: QuadraticProblem, rel_tol: float = DEGENERACY_TOL) -> None:
-    """Raise :class:`DegenerateEnsemble` if lambda_min(L_bar) <= rel_tol * lambda_max.
+    """Raise :class:`DegenerateEnsemble` unless L_bar is :func:`linalg.positive_definite`.
 
     From ``CHOLESKY_MIN_D`` on, a shifted Cholesky accepts clearly
     well-conditioned ensembles; every other case is decided by ``eigvalsh``.
@@ -372,10 +371,20 @@ def ensure_nondegenerate(p: QuadraticProblem, rel_tol: float = DEGENERACY_TOL) -
     if p.d >= CHOLESKY_MIN_D and _clearly_nondegenerate(p.L_bar.copy(), rel_tol):
         return
     vals = np.linalg.eigvalsh(p.L_bar)
-    if vals[-1] <= 0.0 or vals[0] <= rel_tol * vals[-1]:
+    if not linalg.positive_definite(vals, rel_tol):
         raise DegenerateEnsemble(
             f"mean matrix nearly singular: lambda_min={vals[0]:.3e}, lambda_max={vals[-1]:.3e}"
         )
+
+
+def _ensemble_arrays(n: int, d: int) -> tuple[NDArray, NDArray]:
+    """Empty (n, d, d) and (n, d) arrays, or :class:`DimMismatch` if numpy cannot make them."""
+    integer(n, DimMismatch, "n must be an integer >= 1", low=1)
+    integer(d, DimMismatch, "d must be an integer >= 1", low=1)
+    try:
+        return np.empty((n, d, d)), np.empty((n, d))
+    except (ValueError, MemoryError):  # past the array size limit, or the host's memory
+        raise DimMismatch(f"an ensemble of n={n} clients at d={d} is too large to allocate") from None
 
 
 def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
@@ -390,10 +399,7 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
         If the sampled mean matrix is numerically singular (the caller
         should retry with a different seed).
     """
-    integer(n, DimMismatch, "n must be an integer >= 1", low=1)
-    integer(d, DimMismatch, "d must be an integer >= 1", low=1)
-    L = np.empty((n, d, d))
-    b = np.empty((n, d))
+    L, b = _ensemble_arrays(n, d)
     for i in range(n):
         rng = client_rng(seed, i)
         B = rng.standard_normal((d, d))
@@ -407,14 +413,11 @@ def gen_heterogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
 
 def gen_homogeneous(n: int, d: int, seed: int) -> QuadraticProblem:
     """One Gaussian (L, b) pair replicated to all ``n`` clients."""
-    integer(n, DimMismatch, "n must be an integer >= 1", low=1)
-    integer(d, DimMismatch, "d must be an integer >= 1", low=1)
+    L, b = _ensemble_arrays(n, d)
     rng = client_rng(seed, 0)
     B = rng.standard_normal((d, d))
-    L1 = B.T @ B  # one syrk with the triangle mirrored: exactly symmetric
-    b1 = rng.standard_normal(d)
-    L = np.broadcast_to(L1, (n, d, d)).copy()
-    b = np.broadcast_to(b1, (n, d)).copy()
+    L[:] = B.T @ B  # one syrk with the triangle mirrored: exactly symmetric
+    b[:] = rng.standard_normal(d)
     p = QuadraticProblem(L=L, b=b, seed=seed)
     ensure_nondegenerate(p)
     return p

@@ -22,7 +22,7 @@ f_gap_rel_log
     log10((f(x^k) - f*) / (f(x^0) - f*)), clamped at 1e-300 before the log
     so exact convergence stays finite.
 grad_sq, grad_sq_Linv
-    ||grad f(x^k)||^2 and its L_bar^{-1}-weighted version.
+    ||grad f(x^k)||^2 and its L_bar^+-weighted version (refused unless L_bar is PSD).
 dist_L_to_xstar
     ||x^k - x*||^2_{L_bar}.
 dist_to_xinf
@@ -250,6 +250,8 @@ def _metric_fns(cfg: RunConfig, x0: NDArray, whole_model: bool) -> dict[str, Cal
             raise ConfigInvalid("dist_to_xinf needs a sketch-based estimator")
         x_inf = certificates.fixed_point(p, cfg.estimator.sketch)
     if "grad_sq_Linv" in names:
+        if not linalg.psd_eigenvalues(p.spectrum.eigenvalues):
+            raise ConfigInvalid("grad_sq_Linv needs a positive semi-definite L_bar")
         # g' L_bar^+ g = sum_j z_j^2 / lambda_j with z = V' g: no d x d pseudo-inverse,
         # whose gemm rounding moves with the BLAS thread count, is formed
         V, inv_vals = p.spectrum.eigenvectors, p.spectrum.function_values(lambda v: 1.0 / v)

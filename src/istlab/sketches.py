@@ -368,11 +368,6 @@ def _scatter(idx: NDArray, blocks: NDArray, d: int) -> NDArray:
     return _accumulate(flat, blocks.reshape(flat.shape + (1,)), d * d).reshape(idx.shape[:-2] + (d, d))
 
 
-def _require_positive_diagonal(p: QuadraticProblem) -> None:
-    if not p.positive_diagonal:
-        raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
-
-
 def _require_unit_diag(p: QuadraticProblem, what: str) -> None:
     if not p.homogeneous:
         raise WrongKind(f"{what} requires a homogeneous problem")
@@ -382,7 +377,6 @@ def _require_unit_diag(p: QuadraticProblem, what: str) -> None:
 
 def _het_factors(p: QuadraticProblem, idx: NDArray) -> tuple[NDArray, NDArray]:
     """sqrt(n) (L_i[S_i, S_i])^{-1/2} (weights for q = 1, else blocks) and L_i[S_i, S_i]."""
-    _require_positive_diagonal(p)
     local = _sub_blocks(p, idx)
     if idx.shape[-1] == 1:
         return np.sqrt(p.n / local[..., 0]), local
@@ -399,9 +393,8 @@ def _pair_sigma2(p: QuadraticProblem) -> float:
     and G = C^T C, the covariance of a_{pi(j) j} is
     cov = (n Diag(G) - G) / (n(n-1)), and sigma2 = sum(L_bar * cov) / n.
     c is centred after subtracting client 0's row, so identical clients give
-    exactly 0.
+    exactly 0.  ``p`` has passed ``_ScaledHet.check_problem``.
     """
-    _require_positive_diagonal(p)
     n = p.n
     if n == 1:
         return 0.0  # a single outcome
@@ -773,7 +766,7 @@ class _Partition(_Family):
     def draw_many(self, kind, p, rng, k):
         # permuted shuffles the rows in turn, each as rng.permutation shuffles [d]
         # (or the multiset), so row t is round t's permutation
-        self.block_size(kind, p.n, p.d)
+        self.check_problem(kind, p)
         base = np.arange(p.d) if p.n <= p.d else np.repeat(np.arange(p.d), p.n // p.d)
         return self._sample(kind, p, rng.permuted(np.tile(base, (k, 1)), axis=1))
 
@@ -863,7 +856,8 @@ class _ScaledHet(_Partition):
 
     def check_problem(self, kind, p):
         q = self.block_size(kind, p.n, p.d)
-        _require_positive_diagonal(p)
+        if not p.positive_diagonal:
+            raise NonPositiveDiagonal("scaled_perm_het requires every [L_i]_jj > 0")
         return q
 
     def moments(self, kind, p, second=True):
@@ -875,7 +869,7 @@ class _ScaledHet(_Partition):
         return SketchMoments(np.eye(p.d), p.L_bar.copy() if second else None, linear, "closed_form")
 
     def client_means(self, kind, p):
-        q = self.block_size(kind, p.n, p.d)
+        q = self.check_problem(kind, p)
         if q == 1:
             return [np.diag(1.0 / np.sqrt(p.diag[i])) / np.sqrt(p.n) for i in range(p.n)]
         try:
@@ -884,7 +878,7 @@ class _ScaledHet(_Partition):
             return None  # past the subset budget
 
     def fixed_point(self, kind, p):
-        q = self.block_size(kind, p.n, p.d)
+        q = self.check_problem(kind, p)
         if q == 1 or p.interpolation:
             return fixed_point_het(p)
         return _subset_sums(p, q, "the fixed point")[0]
@@ -893,7 +887,7 @@ class _ScaledHet(_Partition):
         """0 under interpolation; else, without ``n_samples``, exact:
         :func:`_pair_sigma2` for q = 1, :func:`_subset_sums` for q > 1; else
         one shifted pass over ``n_samples`` draws of ``rng``."""
-        q = self.block_size(kind, p.n, p.d)
+        q = self.check_problem(kind, p)
         if p.interpolation:
             return 0.0
         if n_samples is not None:
@@ -1061,7 +1055,7 @@ def enumerate_outcomes(kind: SketchKind, p: QuadraticProblem):
 
 def _chunks(kind: SketchKind, p: QuadraticProblem):
     family, n, d = kind.family, p.n, p.d
-    q = family.block_size(kind, n, d)
+    q = family.check_problem(kind, p)
     if family.count(kind, n, d) > ENUMERATION_BUDGET:
         # the count itself is left out: n! can exceed Python's limit on the
         # digits an int may format

@@ -25,6 +25,7 @@ from istlab.errors import (
     BetaOutOfRange,
     DenominatorNonpositive,
     IstLabError,
+    SingularMatrix,
     StepSizeOutOfRange,
     StepTooLarge,
     ThetaInadmissible,
@@ -519,6 +520,50 @@ class TestExactRoute:
         rho = contraction_factor(p, W, 0.5)
         assert rho == 1.0 - 0.5 * lam_min
         assert rho == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_rho(p, W, gamma):
+    """rho by its formula, with a d x d clamped L_bar^{-1/2}, as it was computed before
+    the pencil routine."""
+    inv_sqrt = p.spectrum.apply_function(lambda v: 1.0 / np.sqrt(v))
+    return 1.0 - gamma * float(np.linalg.eigvalsh(linalg.symmetrize(inv_sqrt @ W @ inv_sqrt)).min())
+
+
+class TestPencilRho:
+    # every family without B = I at 2 x 6, 3 x 30 and 10 x 100; perm_multiset,
+    # which needs n = c d, at 6 x 2, 30 x 3 and 100 x 10
+    @pytest.mark.parametrize("kind, n, d", [
+        (kind, *shape)
+        for kind in (SketchKind.identity(), SketchKind.perm_q(), SketchKind.perm_multiset(),
+                     SketchKind.scaled_perm_homog(), SketchKind.rand_q(2), SketchKind.bernoulli(0.5))
+        for shape in ((2, 6), (3, 30), (10, 100))
+        for shape in ([shape[::-1]] if kind.kind == "perm_multiset" else [shape])
+    ], ids=lambda v: v.kind if isinstance(v, SketchKind) else str(v))
+    def test_rho_matches_the_inverse_square_root_formula(self, kind, n, d):
+        p = gen_heterogeneous(n, d, seed=80 + d)
+        cert = certificate(p, kind)
+        assert not kind.family.unit_curvature and cert.rho is not None
+        want = reference_rho(p, cert.descent, cert.gamma)
+        assert abs(cert.rho - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_no_d_by_d_inverse_square_root_is_formed(self, monkeypatch):
+        p = gen_heterogeneous(3, 6, seed=2)
+        W = descent_matrix(p, SketchKind.identity())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_function called")
+        monkeypatch.setattr(linalg.Spectrum, "apply_function", refuse)
+        assert contraction_factor(p, W, 0.1) < 1.0
+
+
+def test_indefinite_mean_makes_rho_raise_what_solution_raises():
+    # the certificate's null rho and its note are checked through `istlab theory`
+    p = QuadraticProblem.from_arrays([np.diag([1.0, -1.0])], [[1.0, 2.0]])
+    W = descent_matrix(p, SketchKind.identity())
+    for call in (p.solution, lambda: contraction_factor(p, W, 0.5),
+                 lambda: interpolation_rates(p, SketchKind.identity(), 0.5)):
+        with pytest.raises(SingularMatrix):
+            call()
 
 
 def _public_composition(p, kind):

@@ -122,6 +122,24 @@ class TestGen:
             run_cli("gen", "--n", "2")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("mode", ["het", "hom"])
+    def test_size_past_the_array_limit_exits_2_in_one_line(self, tmp_path, capsys, mode):
+        # numpy refuses the shape before allocating anything
+        out = tmp_path / "p.json"
+        assert_config_error(capsys, ["gen", "--n", str(10**30), "--d", "3", "--seed", "1",
+                                     "--mode", mode, "--out", str(out)], "too large to allocate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["het", "hom"])
+    def test_size_past_the_host_memory_exits_2_in_one_line(self, tmp_path, capsys, monkeypatch, mode):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(quadratics.np, "empty", no_memory)
+        out = tmp_path / "p.json"
+        assert_config_error(capsys, ["gen", "--n", "2", "--d", "3", "--seed", "1",
+                                     "--mode", mode, "--out", str(out)], "too large to allocate")
+        assert not out.exists()
+
 
 class TestTheory:
     def test_identity_sketch_reports_lambda_max(self, tmp_path, capsys):
@@ -248,6 +266,34 @@ class TestTheory:
         assert_config_error(capsys, ["theory", "--problem", str(out), "--sketch",
                                      "scaled_perm_het", "--gamma", gamma],
                             "step size must be a finite positive")
+
+    @pytest.mark.parametrize("L", [[[1.0, 0.0, 0.0, -1.0]], "random"], ids=["diag", "random"])
+    def test_indefinite_mean_matrix_gives_null_rho_and_one_note(self, tmp_path, capsys, L):
+        if L == "random":
+            A = np.random.default_rng(0).standard_normal((2, 3, 3))
+            L = (A + A.transpose(0, 2, 1)).reshape(2, 9).tolist()
+        d = math.isqrt(len(L[0]))
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": len(L), "d": d, "L": L, "b": [[1.0] * d] * len(L)}))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("theory", "--problem", str(path), "--sketch", "identity") == 0
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out, parse_constant=reject_constant)
+        assert doc["rho"] is None and isinstance(doc["theta"], float) and captured.err == ""
+        assert doc["notes"] == ["rho unavailable: mean matrix is not positive semi-definite"]
+
+    @pytest.mark.parametrize("big", [1e120, 8e307])
+    @pytest.mark.parametrize("flags", [["identity"], ["perm_q"], ["rand_q", "--q", "1"],
+                                       ["bernoulli", "--p", "0.5"]], ids=lambda f: f[0])
+    def test_moments_past_the_float_range_exit_2_in_one_line(self, tmp_path, capsys, big, flags):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 1, "d": 2, "L": [[big, 0.0, 0.0, 1.0]], "b": [[1.0, 1.0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_config_error(capsys, ["theory", "--problem", str(path), "--sketch", *flags],
+                                "NaN or infinite")
 
     def test_shape_mismatch_exit_code(self, tmp_path, capsys):
         out = tmp_path / "p.json"
@@ -438,6 +484,18 @@ class TestRun:
             assert_config_error(capsys, ["theory", "--problem", str(prob_path), "--sketch",
                                          "identity"], "overflow the float64 range")
 
+
+    def test_weighted_gradient_metric_on_an_indefinite_mean_exits_2_before_stepping(
+            self, tmp_path, capsys, monkeypatch):
+        prob_path = tmp_path / "p.json"
+        prob_path.write_text(json.dumps({"n": 1, "d": 2, "L": [[1.0, 0.0, 0.0, -1.0]], "b": [[1.0, 2.0]]}))
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(experiment_doc(
+            tmp_path / "trace.csv", problem=str(prob_path), sketch={"kind": "rand_q", "q": 1},
+            metrics=["grad_sq_Linv"])))
+        monkeypatch.setattr(runner.estimators, "ist_kernel", None)  # a step would raise TypeError
+        assert_config_error(capsys, ["run", "--config", str(cfg_path)], "grad_sq_Linv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "p.json"]
 
     def test_csv_bytes_of_a_diverged_multi_metric_trace_are_pinned(self, tmp_path):
         # metric_order, not the dict's order, sets the columns' turn; repeat 1
@@ -813,6 +871,51 @@ def test_fuzzed_theory_argv_answers_or_exits_with_one_error_line(het_2x4_file, f
     if not code:
         doc = json.loads(out)
         assert list(doc) == ["theta", "rho", "h_norm_L", "x_inf", "sigma2", "W_psd", "notes", "gamma_max"]
+
+
+#: One valid ``--q``/``--p`` per family for the spectral fuzz below (rand_q's q
+#: at most d: q = 1 fits every file it draws).
+FAMILY_FLAGS = {name: {"rand_q": ["--q", "1"], "bernoulli": ["--p", "0.5"]}.get(name, [])
+                for name in sorted(FAMILIES)}
+
+
+@st.composite
+def spectral_problem_files(draw):
+    """A small problem document whose L_bar is indefinite, singular or neither, with
+    every L_i and b_i scaled by 10^k, |k| <= 150."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.integers(-3, 3).map(float)
+    A = np.array(draw(st.lists(entries, min_size=n * d * d, max_size=n * d * d))).reshape(n, d, d)
+    shape = draw(st.sampled_from(["symmetric", "psd", "rank_one"]))
+    if shape == "psd":
+        A = A @ A.transpose(0, 2, 1)
+    elif shape == "rank_one":
+        A = A[:, :, :1] * A[:, :, :1].transpose(0, 2, 1)
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    L = (A + A.transpose(0, 2, 1)) * scale
+    b = np.array(draw(st.lists(entries, min_size=n * d, max_size=n * d))).reshape(n, d) * scale
+    return {"n": n, "d": d, "L": L.reshape(n, d * d).tolist(), "b": b.tolist(), "seed": None}
+
+
+@settings(max_examples=40)
+@given(doc=spectral_problem_files())
+@example(doc={"n": 1, "d": 2, "L": [[1.0, 0.0, 0.0, -1.0]], "b": [[1.0, 2.0]], "seed": None})
+@example(doc={"n": 1, "d": 2, "L": [[1e120, 0.0, 0.0, 1.0]], "b": [[1.0, 1.0]], "seed": None})
+@example(doc={"n": 1, "d": 2, "L": [[8e307, 0.0, 0.0, 1.0]], "b": [[1.0, 1.0]], "seed": None})
+def test_theory_on_any_spectrum_answers_strict_json_or_one_error_line(argv_work_dir, doc):
+    """Indefinite, singular or badly scaled mean matrices: every family's certificate
+    is strict JSON (no NaN or Infinity) or one error line, and no warning is raised."""
+    path = argv_work_dir / "spectral.json"
+    path.write_text(json.dumps(doc))
+    for name, flags in FAMILY_FLAGS.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = argv_outcome(["theory", "--problem", str(path), "--sketch", name] + flags)
+        assert code in (0, 2, 3, 4), (name, err)
+        assert_one_error_line(code, err)
+        if not code:
+            assert err == ""
+            json.loads(out, parse_constant=reject_constant)
 
 
 #: Values for each ``istlab gen`` flag, None leaving it out (a required one: an error).

@@ -159,6 +159,31 @@ scaled_perm_het/het-3-6: closed_moments 343b6dca->bfa3c208, expected_ist
 Each moved value is within 3e-15 relative of the enumerated one (largest:
 expected_cgd of het-3-6, 2.6e-15; the fixed point of het-3-6 against the
 enumerated mean linear term, 2.5e-15; sigma2, 4.1e-16).
+
+The cert.rho digests below were re-taken when rho off the exact route moved
+from the smallest eigenvalue of symmetrize(L_bar^{-1/2} W L_bar^{-1/2}), with
+a d x d L_bar^{-1/2}, to the pencil (W, L_bar) on range(L_bar)
+(``linalg.Spectrum.pencil``, the routine theta reads).  No other digest
+moved.  Old -> new, with the value:
+
+identity/het-3-3: b44b45ff->d8488da6 (0x1.7e59a982bef9fp-1 -> ...ef9ep-1).
+identity/hom-2-4: 6de3d684->153f5fcb (0x1.fdd29c39b94e6p-1 -> ...94efp-1).
+perm_q/het-3-3: 3262a365->078394d9 (0x1.8f943a907e596p-1 -> ...e594p-1).
+perm_q/het-2-4, perm_q2/het-2-4 and scaled_perm_homog/het-2-4:
+  24a8d9fa->0c5160b9 (0x1.abe84ec28e144p-1 -> ...e143p-1).
+perm_q/hom-3-3: 3005f2f4->9bec0d41 (0x1.d8p-48 -> 0x1.fp-48).
+perm_q/hom-2-4: cf1706c0->cd7956b1 (0x1.e8a2a10211334p-1 -> ...1333p-1).
+scaled_perm_homog/hom-3-3 and perm_multiset/hom-3-3: 1a4509d7->1ed50c5f
+  (0x1.44p-46 -> 0x1.5p-46).
+scaled_perm_homog/hom-2-4: cf1706c0->8c5acbb4 (0x1.e8a2a10211334p-1 ->
+  ...1332p-1).
+perm_multiset/het-4-2: 012af862->6c9c1cfd (0x1.542de3333e2f8p-1 -> ...e2f6p-1).
+rand_q2/hom-2-3: 0f536a17->cc57e513 (0x1.f358fb1349a08p-1 -> ...9a09p-1).
+bernoulli/het-2-3: ed71f063->475d341e (0x1.6a8657c16f215p-1 -> ...f212p-1).
+bernoulli/hom-2-2: c04c3578->d4221f62 (0x1.ffb20c96eaba3p-1 -> ...aba2p-1).
+
+Each moved by at most 1.0e-15 * max(1, |rho|) (largest: identity/hom-2-4,
+1.0e-15); the B = I (exact-route) rho digests did not move.
 """
 
 import dataclasses
@@ -285,37 +310,37 @@ PINS = {
     "identity/het-3-3": (
         "2a55beaf d58300d7 b7dcdcf0 4e6a2a30 2b352b7c fd8f7764 dcf9392f 41f907d0 "
         "dcf9392f 41f907d0 dcf9392f 41f907d0 74c6e00b b2908519 00349e52 af72359d "
-        "af72359d b44b45ff 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
+        "af72359d d8488da6 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
     ),
     "identity/hom-2-4": (
         "9390f10a 682ba470 2815fb0e 2815fb0e 2b352b7c fd8f7764 6928125d 152f4dac "
         "6928125d 152f4dac 6928125d 152f4dac 5811112a b2908519 47e2a70c 9bda046b "
-        "9bda046b 6de3d684 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
+        "9bda046b 153f5fcb 319dfbc3 319dfbc3 319dfbc3 fd8f7764 e5a3b04a"
     ),
     "perm_q/het-3-3": (
         "16f8ef17 1db329a9 b6422be4 4e6a2a30 2b352b7c 2b352b7c b7f1735c 36cabcd5 "
         "b7f1735c 36cabcd5 154b18a5 7ae46af7 c566622e b2908519 b820491c 12855e17 "
-        "12855e17 3262a365 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "12855e17 078394d9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/het-2-4": (
         "ba90c4b0 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
         "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 1e31e6f3 92a5d730 "
-        "92a5d730 24a8d9fa 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "92a5d730 0c5160b9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/hom-3-3": (
         "9f786e6f ae71862f 202364f2 64a945ff 2b352b7c 2b352b7c b7f1735c 2697c057 "
         "b7f1735c 2697c057 154b18a5 2697c057 0f0a2bd6 b2908519 9f25ef65 cc12fc0d "
-        "cc12fc0d 3005f2f4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "cc12fc0d 9bec0d41 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/hom-2-4": (
         "aaa5a589 3f9812a3 b279f199 2815fb0e 2b352b7c 2b352b7c 9355f47b c3e4b7f1 "
         "62a19e61 c3e4b7f1 6024a47b 1541ae74 1354298e b2908519 b2f3ad1e fd3761b1 "
-        "fd3761b1 cf1706c0 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "fd3761b1 cd7956b1 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q2/het-2-4": (
         "ba90c4b0 6d421d79 457b7065 c98d78bb 2b352b7c 2b352b7c 9355f47b c5f41601 "
         "62a19e61 c5f41601 6024a47b 7628ef81 5fd94b7d b2908519 1e31e6f3 92a5d730 "
-        "92a5d730 24a8d9fa 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "92a5d730 0c5160b9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "perm_q/het-3-6": (
         "f992334e c58d7493 c957d4c7 d0e34be2 2b352b7c 2b352b7c 120803bf 3aa42e15 "
@@ -330,17 +355,17 @@ PINS = {
     "scaled_perm_homog/het-2-4": (
         "d04fd571 6ee233b9 512145dc 7985d374 2b352b7c 2b352b7c 595d7711 b4fab45e "
         "ef2957cf b4fab45e 3e2dc480 9f924395 3e1c4f37 b2908519 d1c24564 e5e84ac5 "
-        "e5e84ac5 24a8d9fa 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
+        "e5e84ac5 0c5160b9 319dfbc3 319dfbc3 319dfbc3 319dfbc3 272b507f"
     ),
     "scaled_perm_homog/hom-3-3": (
         "3ffd3024 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
         "fa648520 0a0b1053 907157ed 0a0b1053 f543eb2f b2908519 ec29faa4 d4450e12 "
-        "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
+        "d4450e12 1ed50c5f 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
     ),
     "scaled_perm_homog/hom-2-4": (
         "19b239ec 50d8fa23 0f5958db 08d26c0a 2b352b7c 2b352b7c 595d7711 c1a06133 "
         "ef2957cf c1a06133 3e2dc480 8e2dbab5 1678bb45 b2908519 a54833ee 9754a4ab "
-        "9754a4ab cf1706c0 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
+        "9754a4ab 8c5acbb4 319dfbc3 319dfbc3 319dfbc3 319dfbc3 81c62ef4"
     ),
     "perm_multiset/het-3-3": (
         "a008eb20 971fe6ee 7acbd89d 566b5102 2b352b7c 2b352b7c fa648520 81ccf4be "
@@ -350,7 +375,7 @@ PINS = {
     "perm_multiset/het-4-2": (
         "2a2ad88b 231ccc13 56b5e5ae 17b55c62 2b352b7c 2b352b7c 8d0cc84b 381a3dbf "
         "8824806c d3e4a267 8d0cc84b 381a3dbf c91054f7 b2908519 5be636f1 9a315a26 "
-        "9a315a26 012af862 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
+        "9a315a26 6c9c1cfd 319dfbc3 319dfbc3 319dfbc3 319dfbc3 f5aa04bd"
     ),
     "perm_multiset/hom-4-2": (
         "b6e997c8 0845bce6 da9dab2a af9256cb 2a26c3fa fd8f7764 8d0cc84b c41f78d0 "
@@ -360,7 +385,7 @@ PINS = {
     "perm_multiset/hom-3-3": (
         "3ffd3024 33060642 75880d47 86727120 fa087149 fd8f7764 fa648520 0a0b1053 "
         "fa648520 0a0b1053 907157ed 0a0b1053 f543eb2f b2908519 ec29faa4 d4450e12 "
-        "d4450e12 1a4509d7 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
+        "d4450e12 1ed50c5f 34a50a77 2795480f fa087149 fd8f7764 e5a3b04a"
     ),
     "scaled_perm_het/het-3-3": (
         "16d292d0 0102fd52 481248c3 677b6af2 e7a34533 be194d8d 2f944279 d0417c18 "
@@ -405,17 +430,17 @@ PINS = {
     "rand_q2/hom-2-3": (
         "5ff68d1b 9baf25da 99e2930f 23b0862f 2b352b7c 2b352b7c 364af67b cd559e3e "
         "1ff3415e be95aa6c 441e418a cd559e3e a6e4a90e b2908519 a5bab599 6f4a7bbc "
-        "6f4a7bbc 0f536a17 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "6f4a7bbc cc57e513 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli/het-2-3": (
         "516f90ce 8a18a518 580b9244 78b65efd 2b352b7c 2b352b7c f5be29f6 22f48b40 "
         "d6d38b13 7a565de2 cd5e6f28 2d64f567 3dbd6bd9 b2908519 9f8dbd15 6dce71ec "
-        "6dce71ec ed71f063 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "6dce71ec 475d341e 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli/hom-2-2": (
         "216057b5 091ecc09 2166675c 74cdbd9b 2b352b7c 2b352b7c d6d38b13 e4cf1a4b "
         "b24feaa8 869547dc bcfa3d22 0cde204d 20c61d8a b2908519 6c739cac 8da388e3 "
-        "8da388e3 c04c3578 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
+        "8da388e3 d4221f62 319dfbc3 319dfbc3 319dfbc3 319dfbc3 e5a3b04a"
     ),
     "bernoulli1/het-2-2": (
         "a9316128 48907056 af76641c 52da70e0 2b352b7c 2b352b7c 813027b3 006753be "

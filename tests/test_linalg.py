@@ -182,3 +182,50 @@ class TestStackedInverseSqrt:
         stack = np.stack([np.eye(3), np.outer(np.ones(3), np.ones(3)), np.eye(3)])
         with pytest.raises(SingularMatrix):
             linalg.spd_inv_sqrt(stack)
+
+
+class TestSpectralRules:
+    @pytest.mark.parametrize("vals", [
+        [1.0, 2.0], [1e-11, 1.0], [1e-10, 1.0], [1.1e-10, 1.0], [0.0, 1.0], [-1.0, 2.0],
+        [-2.0, -1.0], [0.0, 0.0], [5.0], [-5.0], [0.0],
+    ])
+    def test_positive_definite_is_each_former_inline_rule(self, vals):
+        vals = np.array(vals)
+        lo, hi, tol = vals[0], vals[-1], linalg.RANK_TOL_FACTOR
+        got = linalg.positive_definite(vals)
+        assert got == (not (hi <= 0.0 or lo <= tol * hi))  # ensure_nondegenerate
+        vmax = float(vals.max(initial=0.0))
+        assert got == (not (vmax <= 0.0 or vals.min() <= tol * vmax))  # solution()
+        assert got == (not (lo <= tol * max(hi, 0.0) or hi <= 0.0))  # spd_inv_sqrt
+        assert got == bool((vals > 0.0).all() and linalg.Spectrum(vals, np.eye(len(vals))).rank_mask().all())
+
+    def test_positive_definite_decides_each_matrix_of_a_stack(self):
+        vals = np.array([[1.0, 2.0], [0.0, 1.0], [-1.0, 1.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(linalg.positive_definite(vals), [True, False, False, True])
+
+    def test_pencil_matches_the_clamped_inverse_square_root(self):
+        rng = np.random.default_rng(9)
+        b = rng.standard_normal((5, 3))
+        m = b @ b.T  # rank 3 of 5: two clamped directions
+        a = random_symmetric(rng, 5)
+        spec = linalg.eig_sym(m)
+        s = psd_inv_sqrt(m)
+        want = np.linalg.eigvalsh(linalg.symmetrize(s @ a @ s))
+        got = spec.pencil(a)
+        assert (got[-2:] == 0.0).all()
+        np.testing.assert_allclose(np.sort(got), want, atol=1e-12)
+
+    def test_pencil_of_a_matrix_with_itself_is_one_on_its_range(self):
+        m = np.diag([2.0, 1.0, 0.0])
+        np.testing.assert_allclose(linalg.eig_sym(m).pencil(m), [1.0, 1.0, 0.0], atol=1e-15)
+
+    def test_pencil_past_the_float_range_raises_non_finite(self):
+        spec = linalg.eig_sym(np.diag([1e-5, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+            spec.pencil(np.diag([1e308, 1.0]))
+
+    def test_negative_eigenvalue_within_psd_tolerance_is_clamped(self):
+        spec = linalg.Spectrum(np.array([-5e-10, 1.0]), np.eye(2))
+        assert linalg.psd_eigenvalues(spec.eigenvalues)
+        np.testing.assert_array_equal(spec.rank_mask(), [False, True])
+        np.testing.assert_array_equal(spec.pencil(np.eye(2)), [1.0, 0.0])

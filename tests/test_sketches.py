@@ -1,12 +1,14 @@
 import gc
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from istlab import sketches
+from istlab import certificates, estimators, sketches
 from istlab.errors import IncompatibleShape, NonPositiveDiagonal, TooLarge
+from istlab.estimators import EstimatorKind
 from istlab.quadratics import QuadraticProblem, gen_heterogeneous, gen_homogeneous
 from istlab.sketches import (
     SketchKind,
@@ -105,6 +107,36 @@ class TestSampling:
         p = QuadraticProblem.from_arrays([L, L], [[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(NonPositiveDiagonal):
             sample(SketchKind.scaled_perm_het(), p, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 4)], ids=["q1", "q2"])
+    def test_scaled_het_rejects_zero_diagonal_on_every_route(self, n, d):
+        """Each scaled_perm_het quantity, exact, enumerated or sampled, raises
+        NonPositiveDiagonal on a problem with a zero [L_i]_jj, with no warning."""
+        L = np.eye(d)
+        L[0, 0] = 0.0
+        p = QuadraticProblem.from_arrays([L] * n, np.ones((n, d)))
+        kind = SketchKind.scaled_perm_het()
+        x = np.ones(d)
+        routes = {
+            "closed_moments": lambda: closed_moments(kind, p),
+            "enumerated_moments": lambda: enumerated_moments(kind, p),
+            "enumerate_outcomes": lambda: next(enumerate_outcomes(kind, p)),
+            "monte_carlo_moments": lambda: monte_carlo_moments(kind, p, 3, np.random.default_rng(0)),
+            "sample": lambda: sample(kind, p, np.random.default_rng(0)),
+            "client_means": lambda: kind.family.client_means(kind, p),
+            "fixed_point": lambda: certificates.fixed_point(p, kind),
+            "sigma2": lambda: estimators.heterogeneity_variance(p, EstimatorKind.ist(kind)),
+            "sigma2_mc": lambda: estimators.heterogeneity_variance(
+                p, EstimatorKind.ist(kind), 3, np.random.default_rng(0)),
+            "expected_ist": lambda: estimators.expected_estimate(EstimatorKind.ist(kind), p, x),
+            "expected_cgd": lambda: estimators.expected_estimate(EstimatorKind.cgd(kind), p, x),
+            "certificate": lambda: certificates.certificate(p, kind),
+        }
+        for name, route in routes.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonPositiveDiagonal):
+                    route()
 
     def test_multiset_multiplicity(self):
         p = het_problem(6, 2)
